@@ -52,10 +52,9 @@ from .errors import (
     UnclassifiableError,
 )
 from .heightmap import (
-    EmpiricalDistribution,
     GaussianFit,
-    GradientDistribution,
     Heightmap,
+    Histogram,
     compose_gradient,
     distribution_from_histogram,
     empirical_distribution,
@@ -67,7 +66,6 @@ from .heightmap import (
     synthesize_surface,
 )
 from .interaction import (
-    CorrectionConfig,
     DiagnosticResult,
     InteractionCurve,
     Kernel,
@@ -93,7 +91,7 @@ __all__ = [
     "convolve", "case_number", "evaluate", "projected_area", "to_sampled",
     "write_distribution", "read_distribution",
     # interaction
-    "Kernel", "CorrectionConfig", "InteractionCurve", "DiagnosticResult",
+    "Kernel", "InteractionCurve", "DiagnosticResult",
     "heat_sio2_kernel", "casimir_ideal_kernel", "plate_plate",
     "pa_interaction", "far_field_subtracted", "gradient_correction",
     "exactness_diagnostic", "sweep", "adaptive_quad",
@@ -102,7 +100,7 @@ __all__ = [
     "LawForm", "AsymptoticLaw", "VerificationReport",
     "predict", "fit_scaling", "verify", "compose_cases", "smallest_decade",
     # heightmap
-    "Heightmap", "EmpiricalDistribution", "GradientDistribution", "GaussianFit",
+    "Heightmap", "Histogram", "GaussianFit",
     "load_heightmap", "save_heightmap", "shift_to_contact",
     "empirical_distribution", "gradient_distribution", "fit_gaussian",
     "synthesize_surface", "distribution_from_histogram", "compose_gradient",

@@ -6,7 +6,10 @@ against the kernel exponent nu:
 
     nu < n :  constant, O(d^0)          (saturation)
     nu = n :  -alpha f^(n-1)(0)/(n-1)! * log(d/d0)
-    nu > n :  alpha f^(n-1)(0) / ((n-1)! (nu - n)) * d^(n - nu)
+    nu > n :  alpha f^(n-1)(0) Gamma(nu - n) / Gamma(nu) * d^(n - nu)
+
+The power-law prefactor comes from the Beta integral
+int_0^inf s^(n-1) / (s + d)^nu ds = d^(n - nu) (n-1)! Gamma(nu - n) / Gamma(nu).
 
 Logarithmic prefactors are per unit of natural log of d.  The reference
 length d0 of the logarithmic branch depends on higher derivatives of f and
@@ -79,18 +82,17 @@ def predict(case_report: CaseReport, kernel: Kernel) -> AsymptoticLaw:
     n = case_report.case_number
     nu = kernel.nu
     lead = case_report.leading_coefficient
-    fact = math.factorial(n - 1)
     if abs(nu - n) < _NU_EQ_TOL:
         return AsymptoticLaw(
             LawForm.LOGARITHMIC,
-            prefactor=kernel.alpha * lead / fact,
+            prefactor=kernel.alpha * lead / math.factorial(n - 1),
             case_n=n,
             nu=nu,
         )
     if nu > n:
         return AsymptoticLaw(
             LawForm.POWER_LAW,
-            prefactor=kernel.alpha * lead / (fact * (nu - n)),
+            prefactor=kernel.alpha * lead * math.gamma(nu - n) / math.gamma(nu),
             exponent=nu - n,
             case_n=n,
             nu=nu,
@@ -159,6 +161,14 @@ def fit_scaling(curve: InteractionCurve, window: tuple[float, float]) -> Asympto
             residuals=residuals,
             ambiguous=ambiguous,
         )
+    # The forms compete as two-parameter fits; the chosen power law's
+    # parameters then come from a fit that also carries the leading relative
+    # corrections O(d) and O(d ln d), so they estimate the d -> 0 law and
+    # not the window's mean slope, which a subleading log term can bend by
+    # several percent.
+    x = d / d.max()
+    B = np.column_stack([A, x, x * np.log(x)])
+    (c_pow, m_pow, _, _), *_ = np.linalg.lstsq(B, np.log(y), rcond=None)
     return AsymptoticLaw(
         LawForm.POWER_LAW,
         prefactor=float(np.exp(c_pow)),

@@ -4,7 +4,7 @@ Scenarios are configured through an INI-style file (key-value sections) with
 flag overrides; named presets expand to full configs for the standard figure
 recipes.  All numeric output uses 17 significant digits and every CSV starts
 with a provenance line carrying the tool version and the effective config,
-so identical config + seed reproduces byte-identical files.
+so an identical config reproduces byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numeric error, 4 verification
 failure.
@@ -146,7 +146,8 @@ def _layer_distribution(layer: dict) -> HeightDistribution:
     if kind == "dome":
         return dome_distribution(layer["height"])
     if kind == "pyramid":
-        return pyramid_distribution(layer["height"], layer.get("tile", 1.0), per_unit_area=True)
+        # Tilings are per unit area, so the tile base length drops out.
+        return pyramid_distribution(layer["height"], 1.0, per_unit_area=True)
     if kind == "rough":
         return truncated_gaussian_distribution(layer["sigma"], layer["s0"])
     raise ConfigError(f"unknown layer type {kind!r}")
@@ -161,7 +162,7 @@ def _layer_scale(layer: dict) -> float:
 _LAYER_FIELDS = {
     "sphere": {"radius"},
     "dome": {"height"},
-    "pyramid": {"height", "tile"},
+    "pyramid": {"height"},
     "rough": {"sigma", "s0"},
 }
 
@@ -184,7 +185,7 @@ def _parse_layer(text: str, path: str) -> dict:
             layer[key] = float(val)
         except ValueError:
             raise ConfigError(f"{path}.{key}: not a number: {val!r}") from None
-    for key in allowed - set(layer) - {"tile"}:
+    for key in allowed - set(layer):
         raise ConfigError(f"{path}.{key}: missing required field")
     for key, val in layer.items():
         if key != "type" and val <= 0 and not (key == "s0" and val == 0.0):
@@ -200,9 +201,7 @@ class ScenarioConfig:
         self.kernel = Kernel(0.2558, 2.0, "heat-sio2")
         self.separations = np.geomspace(1.0, 300.0, 149)
         self.d_ref = 300.0
-        self.beta = 1.0
         self.far_field: float | None = None
-        self.seed = 0
         self.bins = 512
         self.tol = 0.05
         self.window: tuple[float, float] | None = None
@@ -211,8 +210,6 @@ class ScenarioConfig:
         parts = [
             f"kernel={self.kernel.label or 'custom'} alpha={self.kernel.alpha:g} nu={self.kernel.nu:g}",
             f"dref={self.d_ref:g}",
-            f"beta={self.beta:g}",
-            f"seed={self.seed}",
             f"bins={self.bins}",
             f"d=[{self.separations[0]:g},{self.separations[-1]:g}]x{len(self.separations)}",
         ]
@@ -228,20 +225,40 @@ def _get_float(sec, key, path):
         raise ConfigError(f"{path}.{key}: not a number: {sec[key]!r}") from None
 
 
+def _get_int(sec, key, path):
+    try:
+        return int(sec[key])
+    except ValueError:
+        raise ConfigError(f"{path}.{key}: not an integer: {sec[key]!r}") from None
+
+
+# Keys each fixed section accepts; other keys, and sections that are
+# neither these nor [curve.*], are config errors.
+_SECTION_KEYS = {
+    "scenario": {"dref", "farfield", "bins"},
+    "kernel": {"preset", "alpha", "nu"},
+    "separations": {"list", "min", "max", "per_decade"},
+}
+
+
 def build_config(sections: dict, args=None) -> ScenarioConfig:
     cfg = ScenarioConfig()
+    for name, sec in sections.items():
+        if name.startswith("curve."):
+            continue  # curve keys are checked below, with the layers
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"{name}: unknown section")
+        for key in sec:
+            if key not in _SECTION_KEYS[name]:
+                raise ConfigError(f"{name}.{key}: unknown key")
 
     scen = sections.get("scenario", {})
     if "dref" in scen:
         cfg.d_ref = _get_float(scen, "dref", "scenario")
-    if "beta" in scen:
-        cfg.beta = _get_float(scen, "beta", "scenario")
     if "farfield" in scen:
         cfg.far_field = _get_float(scen, "farfield", "scenario")
-    if "seed" in scen:
-        cfg.seed = int(scen["seed"])
     if "bins" in scen:
-        cfg.bins = int(scen["bins"])
+        cfg.bins = _get_int(scen, "bins", "scenario")
 
     kern = dict(KERNEL_PRESETS.get(sections.get("kernel", {}).get("preset", ""), {}))
     label = sections.get("kernel", {}).get("preset", "")
@@ -268,9 +285,11 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
     else:
         lo = _get_float(sep, "min", "separations") if "min" in sep else 1.0
         hi = _get_float(sep, "max", "separations") if "max" in sep else 300.0
-        per_decade = int(sep.get("per_decade", 60))
+        per_decade = _get_int(sep, "per_decade", "separations") if "per_decade" in sep else 60
         if lo <= 0 or hi <= lo:
             raise ConfigError("separations: need 0 < min < max")
+        if per_decade < 1:
+            raise ConfigError("separations.per_decade: must be positive")
         npts = max(2, int(round(np.log10(hi / lo) * per_decade)) + 1)
         d = np.geomspace(lo, hi, npts)
     if np.any(d <= 0) or np.any(np.diff(d) <= 0):
@@ -305,10 +324,6 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
     if args is not None:
         if getattr(args, "dref", None) is not None:
             cfg.d_ref = args.dref
-        if getattr(args, "beta", None) is not None:
-            cfg.beta = args.beta
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
         if getattr(args, "bins", None) is not None:
             cfg.bins = args.bins
         if getattr(args, "farfield", None) is not None:
@@ -323,6 +338,8 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
             cfg.window = (lo, hi)
     if cfg.d_ref <= 0:
         raise ConfigError("scenario.dref: must be positive")
+    if cfg.bins < 1:
+        raise ConfigError("scenario.bins: must be positive")
     return cfg
 
 
@@ -336,7 +353,10 @@ def load_config(args) -> ScenarioConfig:
         sections = {k: dict(v) for k, v in PRESETS[args.preset].items()}
     if getattr(args, "config", None):
         parser = configparser.ConfigParser()
-        read = parser.read(args.config)
+        try:
+            read = parser.read(args.config)
+        except configparser.Error as exc:
+            raise ConfigError(f"config: {exc}") from None
         if not read:
             raise ConfigError(f"config: cannot read {args.config}")
         for name in parser.sections():
@@ -484,16 +504,13 @@ def cmd_asympt(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, with_out: bool = True):
+def _add_common(p: argparse.ArgumentParser, out_required: bool = True):
     p.add_argument("--config", help="scenario config file (INI sections)")
     p.add_argument("--preset", help="named recipe: " + ", ".join(sorted(PRESETS)))
-    if with_out:
+    if out_required:
         p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--dref", type=float, help="far-field reference separation (nm)")
-    p.add_argument("--beta", type=float, help="gradient-correction amplitude")
-    p.add_argument("--seed", type=int, help="random seed echoed into provenance")
-    p.add_argument("--bins", type=int, help="table resolution / histogram bin count")
-    p.add_argument("--farfield", type=float, help="far-field constant (nW) for the ratio column")
+    else:
+        p.add_argument("--out", help="optional CSV report path")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -506,22 +523,25 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shape", help="write f(s) tables for a shape stack")
     _add_common(p)
+    p.add_argument("--bins", type=int, help="rows per f(s) table")
     p.set_defaults(fn=cmd_shape)
 
     p = sub.add_parser("sweep", help="far-field-subtracted interaction sweeps")
     _add_common(p)
+    p.add_argument("--dref", type=float, help="far-field reference separation (nm)")
+    p.add_argument("--farfield", type=float, help="far-field constant (nW) for the ratio column")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("heightmap", help="analyze a heightmap file")
     p.add_argument("path", help="heightmap file (v1 header or headerless CSV)")
     _add_common(p)
+    p.add_argument("--bins", type=int, help="histogram bin count over the height range")
     p.add_argument("--dx", type=float, help="grid spacing x (headerless input)")
     p.add_argument("--dy", type=float, help="grid spacing y (headerless input)")
     p.set_defaults(fn=cmd_heightmap)
 
     p = sub.add_parser("asympt", help="predict + fit + verify the scaling law")
-    _add_common(p, with_out=False)
-    p.add_argument("--out", help="optional CSV report path")
+    _add_common(p, out_required=False)
     p.add_argument("--tol", type=float, help="verification tolerance (relative)")
     p.add_argument("--window", help="fit window LO,HI in nm (default: smallest decade)")
     p.set_defaults(fn=cmd_asympt)

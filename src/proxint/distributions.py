@@ -318,16 +318,6 @@ def convolve(f_c: HeightDistribution, f_r: HeightDistribution) -> HeightDistribu
     return _convolve_numeric(f_c, f_r)
 
 
-# Binomial coefficients up to the largest degree the polynomial algebra can
-# meet in practice (degree grows by deg_a + deg_b + 1 per convolution).
-_BINOM_MAX = 40
-_BINOM = np.zeros((_BINOM_MAX + 1, _BINOM_MAX + 1))
-_BINOM[:, 0] = 1.0
-for _i in range(1, _BINOM_MAX + 1):
-    for _j in range(1, _i + 1):
-        _BINOM[_i, _j] = _BINOM[_i - 1, _j - 1] + _BINOM[_i - 1, _j]
-
-
 def _taylor_shift(coeffs: np.ndarray, delta: float) -> np.ndarray:
     """Re-anchor sum c_j x^j as sum c'_k (x - delta)^k."""
     n = len(coeffs)
@@ -335,7 +325,7 @@ def _taylor_shift(coeffs: np.ndarray, delta: float) -> np.ndarray:
     for k in range(n):
         acc = 0.0
         for j in range(k, n):
-            acc += _BINOM[j, k] * coeffs[j] * delta ** (j - k)
+            acc += math.comb(j, k) * coeffs[j] * delta ** (j - k)
         out[k] = acc
     return out
 
@@ -371,7 +361,7 @@ def _pair_convolve(seg_a: PolySegment, seg_b: PolySegment):
                 if c == 0.0:
                     continue
                 for j in range(m + 1):
-                    B[m - j, k + j] += c * _BINOM[m, j] * (-1.0) ** j
+                    B[m - j, k + j] += c * math.comb(m, j) * (-1.0) ** j
         Bi = np.zeros((B.shape[0], B.shape[1] + 1))
         Bi[:, 1:] = B / np.arange(1, B.shape[1] + 1)
         return Bi
@@ -385,7 +375,7 @@ def _pair_convolve(seg_a: PolySegment, seg_b: PolySegment):
                 if c == 0.0:
                     continue
                 for t in range(j + 1):
-                    out[i + t] += c * _BINOM[j, t] * slope**t * offset ** (j - t)
+                    out[i + t] += c * math.comb(j, t) * slope**t * offset ** (j - t)
         return out
 
     def reverse(coeffs: np.ndarray, length: float) -> np.ndarray:
@@ -395,7 +385,7 @@ def _pair_convolve(seg_a: PolySegment, seg_b: PolySegment):
             if c == 0.0:
                 continue
             for i in range(k + 1):
-                out[i] += c * _BINOM[k, i] * (-1.0) ** i * length ** (k - i)
+                out[i] += c * math.comb(k, i) * (-1.0) ** i * length ** (k - i)
         return out
 
     Bi = bivariate_integral(a, b)
@@ -413,7 +403,7 @@ def _pair_convolve(seg_a: PolySegment, seg_b: PolySegment):
         if c == 0.0:
             continue
         for k in range(j + 1):
-            falling[k] += c * _BINOM[j, k] * (-1.0) ** k * la ** (j - k)
+            falling[k] += c * math.comb(j, k) * (-1.0) ** k * la ** (j - k)
 
     # Each phase polynomial below is anchored at its own piece start.
     phases = [(0.0, la, rising)]

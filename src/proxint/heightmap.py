@@ -30,8 +30,7 @@ from .errors import FitError, InvalidParameterError, ParseError
 
 __all__ = [
     "Heightmap",
-    "EmpiricalDistribution",
-    "GradientDistribution",
+    "Histogram",
     "GaussianFit",
     "load_heightmap",
     "save_heightmap",
@@ -85,8 +84,8 @@ class Heightmap:
 
 
 @dataclass(frozen=True, eq=False)
-class EmpiricalDistribution:
-    """Histogram of separations: area (nm^2) per left-closed bin [k*w, (k+1)*w)."""
+class Histogram:
+    """Area per left-closed bin [k*w, (k+1)*w) in nm^2, slope^2-weighted for g."""
 
     bin_width: float
     weights: np.ndarray
@@ -103,23 +102,6 @@ class EmpiricalDistribution:
     @property
     def total_area(self) -> float:
         return float(self.weights.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class GradientDistribution:
-    """Mean-squared-gradient-weighted area per bin (nm^2, slope^2-weighted)."""
-
-    bin_width: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.bin_width <= 0:
-            raise InvalidParameterError("bin_width must be positive")
-        w = np.ascontiguousarray(self.weights, dtype=float)
-        if np.any(w < 0):
-            raise InvalidParameterError("bin weights must be >= 0")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -216,48 +198,39 @@ def shift_to_contact(hm: Heightmap) -> Heightmap:
 # histograms
 # ---------------------------------------------------------------------------
 
-def _require_shifted(hm: Heightmap, op: str) -> None:
+def _bin_indices(hm: Heightmap, bin_width: float | None, op: str) -> tuple[float, np.ndarray]:
+    # Shared binning of empirical_distribution and gradient_distribution:
+    # (bin width, bin index of every cell in row-major order).
     if not hm.contact_shifted:
         raise InvalidParameterError(f"{op} needs a contact-shifted heightmap")
+    if bin_width is None:
+        bin_width = max(float(hm.values.max()), 1.0) / DEFAULT_BIN_FRACTION
+    if bin_width <= 0:
+        raise InvalidParameterError("bin_width must be positive")
+    idx = np.floor(hm.values.ravel() / bin_width).astype(np.int64)
+    return bin_width, np.maximum(idx, 0)
 
 
-def _bin_indices(values: np.ndarray, bin_width: float) -> np.ndarray:
-    idx = np.floor(values.ravel() / bin_width).astype(np.int64)
-    return np.maximum(idx, 0)
-
-
-def empirical_distribution(hm: Heightmap, bin_width: float | None = None) -> EmpiricalDistribution:
+def empirical_distribution(hm: Heightmap, bin_width: float | None = None) -> Histogram:
     """Histogram of separations; each cell contributes dx*dy of area.
 
     Bins are left-closed [k*w, (k+1)*w); the weights sum to the exact total
     projected area.
     """
-    _require_shifted(hm, "empirical_distribution")
-    if bin_width is None:
-        bin_width = max(float(hm.values.max()), 1.0) / DEFAULT_BIN_FRACTION
-    if bin_width <= 0:
-        raise InvalidParameterError("bin_width must be positive")
-    idx = _bin_indices(hm.values, bin_width)
-    counts = np.bincount(idx)
-    return EmpiricalDistribution(bin_width, counts * (hm.dx * hm.dy))
+    bin_width, idx = _bin_indices(hm, bin_width, "empirical_distribution")
+    return Histogram(bin_width, np.bincount(idx) * (hm.dx * hm.dy))
 
 
-def gradient_distribution(hm: Heightmap, bin_width: float | None = None) -> GradientDistribution:
+def gradient_distribution(hm: Heightmap, bin_width: float | None = None) -> Histogram:
     """Histogram where each cell contributes dx*dy * |grad S|^2.
 
     Gradients use central differences in the interior and one-sided
     differences at the boundary rows/columns.
     """
-    _require_shifted(hm, "gradient_distribution")
-    if bin_width is None:
-        bin_width = max(float(hm.values.max()), 1.0) / DEFAULT_BIN_FRACTION
-    if bin_width <= 0:
-        raise InvalidParameterError("bin_width must be positive")
+    bin_width, idx = _bin_indices(hm, bin_width, "gradient_distribution")
     gy, gx = np.gradient(hm.values, hm.dy, hm.dx)
-    grad2 = (gx**2 + gy**2).ravel()
-    idx = _bin_indices(hm.values, bin_width)
-    weights = np.bincount(idx, weights=grad2) * (hm.dx * hm.dy)
-    return GradientDistribution(bin_width, weights)
+    weights = np.bincount(idx, weights=(gx**2 + gy**2).ravel()) * (hm.dx * hm.dy)
+    return Histogram(bin_width, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +245,7 @@ def _gaussian_bin_masses(edges: np.ndarray, sigma: float, s0: float) -> np.ndarr
     return np.diff(cdf) / norm
 
 
-def fit_gaussian(emp: EmpiricalDistribution) -> GaussianFit:
+def fit_gaussian(emp: Histogram) -> GaussianFit:
     """Least-squares (sigma, s0) of the truncated Gaussian roughness model.
 
     The histogram is normalized to unit mass and compared against exact
@@ -395,7 +368,7 @@ def synthesize_surface(
 # ---------------------------------------------------------------------------
 
 def distribution_from_histogram(
-    hist, area: float | None = None
+    hist: Histogram, area: float | None = None
 ) -> HeightDistribution:
     """Sampled density view of a bin-mass histogram.
 
@@ -424,8 +397,8 @@ def distribution_from_histogram(
 
 
 def compose_gradient(
-    f_c: HeightDistribution, g_r: GradientDistribution, area: float
-) -> GradientDistribution:
+    f_c: HeightDistribution, g_r: Histogram, area: float
+) -> Histogram:
     """Gradient distribution of a composed surface.
 
     Like the height distribution, g of base + fine modulation is the
@@ -441,4 +414,4 @@ def compose_gradient(
         conv = convolve(f_c, g_density)
     vals = np.asarray(conv.values)
     masses = 0.5 * (vals[:-1] + vals[1:]) * conv.bin_width
-    return GradientDistribution(conv.bin_width, np.maximum(masses, 0.0))
+    return Histogram(conv.bin_width, np.maximum(masses, 0.0))

@@ -13,7 +13,8 @@ SiO2 value alpha = 0.2558 nW at nu = 2 needs no conversion.
 Analytic distributions are integrated segment by segment in closed form
 (with the explicit logarithmic antiderivative branch where exponents
 collide); sampled distributions go through adaptive Gauss-Kronrod
-quadrature.  Everything is pure and safe for concurrent use.
+quadrature.  The gradient correction's step density is integrated bin by
+bin in closed form.  Everything is pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HeightDistribution, projected_area
-from .errors import InvalidParameterError, NumericError
+from .distributions import HeightDistribution
+from .errors import InvalidParameterError, NumericError, ParseError
+from .heightmap import Histogram
 
 __all__ = [
     "Kernel",
-    "CorrectionConfig",
     "InteractionCurve",
     "DiagnosticResult",
     "heat_sio2_kernel",
@@ -79,17 +80,6 @@ def casimir_ideal_kernel(alpha: float) -> Kernel:
     return Kernel(alpha, 3.0, "casimir-ideal")
 
 
-@dataclass(frozen=True)
-class CorrectionConfig:
-    """Dimensionless amplitude of the leading gradient correction (order unity)."""
-
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.beta):
-            raise InvalidParameterError("beta must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class InteractionCurve:
     """Interaction values over a set of separations, optionally far-field subtracted."""
@@ -98,7 +88,6 @@ class InteractionCurve:
     values: np.ndarray
     kernel: Kernel
     d_ref: float | None = None
-    corrections: np.ndarray | None = None
     ratios: np.ndarray | None = None
 
     def __post_init__(self):
@@ -119,7 +108,7 @@ class InteractionCurve:
             raise InvalidParameterError("far-field constant must be positive")
         return InteractionCurve(
             self.separations, self.values, self.kernel, self.d_ref,
-            self.corrections, np.asarray(self.values) / far_field_nw,
+            np.asarray(self.values) / far_field_nw,
         )
 
 
@@ -295,28 +284,26 @@ def far_field_subtracted(
     return pa_interaction(f, kernel, d) - pa_interaction(f, kernel, d_ref)
 
 
-def gradient_correction(g, kernel: Kernel, d: float, cfg: CorrectionConfig = CorrectionConfig()) -> float:
-    """Leading correction beyond PA: beta * int g(u) alpha/(u+d)^nu du.
+def gradient_correction(g: Histogram, kernel: Kernel, d: float) -> float:
+    """Leading correction beyond PA: int g(u) alpha/(u+d)^nu du, in closed form.
 
-    ``g`` is a GradientDistribution histogram (gradient-squared-weighted area
-    per bin); its density is the piecewise-constant step function w_k / width.
+    ``g`` is a gradient-weighted histogram; its density is the step function
+    w_k / width on bin k, so each bin integrates exactly:
+    int_a^(a+width) x^-nu dx = a^(1-nu) expm1((1-nu) log1p(width/a)) / (1-nu)
+    with a = k*width + d, and log1p(width/a) itself at nu = 1.
     """
     if d <= 0:
         raise InvalidParameterError("separation d must be positive")
     w = np.asarray(g.weights, dtype=float)
-    if not w.any():
-        return 0.0
     delta = g.bin_width
-    support = len(w) * delta
-    dens = w / delta
-
-    def integrand(u):
-        idx = np.clip((u / delta).astype(int), 0, len(w) - 1)
-        inside = (u >= 0.0) & (u < support)
-        return np.where(inside, dens[idx], 0.0) * kernel.alpha * (u + d) ** (-kernel.nu)
-
-    edges = _sampled_seeds(support, np.arange(len(w) + 1) * delta, d)
-    return cfg.beta * adaptive_quad(integrand, edges)
+    a = np.arange(len(w)) * delta + d
+    log_ratio = np.log1p(delta / a)
+    p = 1.0 - kernel.nu
+    if p == 0.0:
+        per_bin = log_ratio
+    else:
+        per_bin = a**p * np.expm1(p * log_ratio) / p
+    return kernel.alpha * float(np.dot(w / delta, per_bin))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,21 +319,20 @@ class DiagnosticResult:
 
 
 def exactness_diagnostic(
-    f: HeightDistribution, g, kernel: Kernel, d_list
+    f: HeightDistribution, g: Histogram, kernel: Kernel, d_list
 ) -> DiagnosticResult:
     """Judge whether the PA scaling law is asymptotically exact for this shape.
 
-    The ratio of the gradient correction (beta = 1) to the PA term is formed
-    per separation.  The shape is flagged asymptotically exact when, over the
+    The ratio of the gradient correction to the PA term is formed per
+    separation.  The shape is flagged asymptotically exact when, over the
     smallest available decade of d, the ratio decreases monotonically toward
     small d and ends below 0.01.
     """
     d = np.asarray(sorted(d_list), dtype=float)
     if np.any(d <= 0):
         raise InvalidParameterError("separations must be positive")
-    cfg = CorrectionConfig(beta=1.0)
     pa = np.array([pa_interaction(f, kernel, di) for di in d])
-    corr = np.array([gradient_correction(g, kernel, di, cfg) for di in d])
+    corr = np.array([gradient_correction(g, kernel, di) for di in d])
     ratios = corr / pa
 
     decade = d <= d[0] * 10.0
@@ -379,12 +365,9 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 def curve_to_csv(curve: InteractionCurve, provenance: str | None = None) -> str:
-    """CSV text: header d_nm,I_nW[,corr_nW][,ratio]; 17 significant digits."""
+    """CSV text: header d_nm,I_nW[,ratio]; 17 significant digits."""
     cols = ["d_nm", "I_nW"]
     arrays = [curve.separations, curve.values]
-    if curve.corrections is not None:
-        cols.append("corr_nW")
-        arrays.append(np.asarray(curve.corrections))
     if curve.ratios is not None:
         cols.append("ratio")
         arrays.append(np.asarray(curve.ratios))
@@ -398,14 +381,34 @@ def curve_to_csv(curve: InteractionCurve, provenance: str | None = None) -> str:
 
 
 def curve_from_csv(text: str, kernel: Kernel | None = None) -> InteractionCurve:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    header = lines[0].split(",")
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    cols = {name: data[:, i] for i, name in enumerate(header)}
+    """Parse curve_to_csv text; ParseError names the offending line."""
+    rows = [
+        (lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip() and not ln.startswith("#")
+    ]
+    if not rows:
+        raise ParseError("no header line")
+    lineno, head = rows[0]
+    header = head.split(",")
+    if header not in (["d_nm", "I_nW"], ["d_nm", "I_nW", "ratio"]):
+        raise ParseError(f"line {lineno}: header must be d_nm,I_nW[,ratio], got {head!r}")
+    data = []
+    for lineno, ln in rows[1:]:
+        toks = ln.split(",")
+        if len(toks) != len(header):
+            raise ParseError(f"line {lineno}: row has {len(toks)} values, expected {len(header)}")
+        try:
+            row = [float(tok) for tok in toks]
+            finite = all(math.isfinite(v) for v in row)
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ParseError(f"line {lineno}: not a finite number in {ln!r}")
+        data.append(row)
+    cols = dict(zip(header, np.array(data, dtype=float).reshape(len(data), len(header)).T))
     return InteractionCurve(
         cols["d_nm"],
         cols["I_nW"],
         kernel if kernel is not None else Kernel(1.0, 1.0, "unknown"),
-        corrections=cols.get("corr_nW"),
         ratios=cols.get("ratio"),
     )

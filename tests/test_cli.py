@@ -1,5 +1,7 @@
 """CLI: config parsing, presets, commands, exit codes, determinism, formats."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,91 @@ class TestConfig:
 
     def test_unknown_preset(self):
         assert main(["sweep", "--preset", "nope", "--out", "x.csv"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("section, key, old, new", [
+        ("scenario", "bins", "dref = 300", "dref = 300\nbins = 12.5"),
+        ("separations", "per_decade", "per_decade = 20", "per_decade = 2.5"),
+    ])
+    def test_non_integer_count_is_config_error(self, tmp_path, capsys, section, key, old, new):
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG.replace(old, new))
+        rc = main(["shape", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert f"{section}.{key}: not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv_tail", [
+        ["shape", "--bins", "0"],
+        ["heightmap", "map.txt", "--bins", "0"],
+    ])
+    def test_zero_bins_is_config_error(self, tmp_path, argv_tail):
+        save_heightmap(Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4)), tmp_path / "map.txt")
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG)
+        argv = [a.replace("map.txt", str(tmp_path / "map.txt")) for a in argv_tail]
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("section, line", [
+        ("scenario", "beta = 2"),
+        ("scenario", "seed = 7"),
+        ("kernel", "gamma = 1"),
+        ("separations", "step = 3"),
+    ])
+    def test_unknown_section_key_rejected(self, tmp_path, capsys, section, line):
+        text = SPHERE_DOME_CFG.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+        cfg = write_config(tmp_path, text)
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        SPHERE_DOME_CFG + "layer.1 = dome height=40\n",
+        "dref = 300\n" + SPHERE_DOME_CFG,
+        "[scenario\n",
+    ])
+    def test_malformed_ini_is_config_error(self, tmp_path, text):
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+    def test_unknown_section_rejected(self):
+        with pytest.raises(ConfigError, match="senario: unknown section"):
+            build_config({"senario": {"dref": "100"}, "curve.s": {"base": "sphere radius=1"}})
+
+    def test_pyramid_tile_field_removed(self):
+        with pytest.raises(ConfigError, match=r"layer\.1\.tile: unknown field"):
+            build_config({"curve.x": {"base": "sphere radius=50000",
+                                      "layer.1": "pyramid height=100 tile=500"}})
+
+
+# Flags each subcommand accepts; every other flag is an argument error.
+SUBCOMMAND_FLAGS = {
+    "shape": {"--config", "--preset", "--out", "--bins"},
+    "sweep": {"--config", "--preset", "--out", "--dref", "--farfield"},
+    "heightmap": {"--config", "--preset", "--out", "--bins", "--dx", "--dy"},
+    "asympt": {"--config", "--preset", "--out", "--tol", "--window"},
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_help_lists_exactly_the_used_flags(self, command, capsys):
+        assert main([command, "--help"]) == EXIT_OK
+        flags = set(re.findall(r"(?<![\w-])--[a-z]+", capsys.readouterr().out))
+        assert flags == SUBCOMMAND_FLAGS[command] | {"--help"}
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--preset", "fig2", "--out", "x.csv", "--beta", "2"],
+        ["sweep", "--preset", "fig2", "--out", "x.csv", "--seed", "1"],
+        ["shape", "--preset", "fig1", "--out", "x.csv", "--dref", "100"],
+        ["asympt", "--preset", "fig4", "--bins", "64"],
+    ])
+    def test_unused_flags_rejected(self, argv):
+        assert main(argv) == EXIT_CONFIG
+
+    def test_provenance_has_no_beta_or_seed(self, tmp_path):
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG)
+        out = tmp_path / "a.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        first = out.read_text().splitlines()[0]
+        assert "dref=300 bins=512" in first
+        assert "beta" not in first and "seed" not in first
 
 
 class TestShapeCommand:
@@ -221,6 +308,20 @@ class TestAsymptCommand:
         )
         rc = main(["asympt", "--config", cfg, "--window", "1,10"])
         assert rc == EXIT_OK
+
+    def test_casimir_sphere_dome_power_law_passes(self, tmp_path):
+        # Case 2 against nu = 3: the Gamma-form prefactor alpha f'(0) / 2.
+        cfg = write_config(
+            tmp_path,
+            "[kernel]\npreset = casimir-ideal\nalpha = 1\n"
+            "[separations]\nmin = 0.01\nmax = 300\nper_decade = 60\n"
+            "[curve.sd]\nbase = sphere radius=91783.9\nlayer.1 = dome height=13.6919\n",
+        )
+        out = tmp_path / "rep.csv"
+        assert main(["asympt", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        row = dict(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:3])))
+        assert float(row["prefactor_pred"]) == pytest.approx(
+            2 * np.pi * 91783.9 / 13.6919, rel=1e-12)
 
     def test_fig4_preset_constant_passes(self, tmp_path):
         assert main(["asympt", "--preset", "fig4"]) == EXIT_OK

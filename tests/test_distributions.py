@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from proxint import (
     HeightDistribution,
+    Histogram,
     InvalidParameterError,
     ParseError,
     PolySegment,
@@ -212,6 +213,16 @@ class TestConvolveAnalytic:
     def test_warns_when_second_not_normalized(self):
         with pytest.warns(UserWarning, match="not unit-area normalized"):
             convolve(dome_distribution(H), sphere_distribution(R))
+
+    def test_twelve_layer_stack(self):
+        # sphere (*) 11 domes reaches degree 23, past any fixed binomial table;
+        # each unit-area dome keeps the projected area at pi R^2.
+        f = sphere_distribution(R)
+        for _ in range(11):
+            f = convolve(f, dome_distribution(50.0))
+        assert max(len(seg.coeffs) for seg in f.segments) - 1 == 23
+        assert f.support_max == pytest.approx(R + 11 * 50.0, rel=1e-15)
+        assert projected_area(f) == pytest.approx(math.pi * R**2, rel=1e-12)
 
     def test_commutativity(self):
         a = sphere_distribution(R)
@@ -437,11 +448,7 @@ class TestHistogramBridge:
         edges = np.arange(65) * (h / 64)
         masses = np.diff(edges**2) * l**2 / h**2
 
-        class Hist:
-            bin_width = h / 64
-            weights = masses
-
-        f = distribution_from_histogram(Hist())
+        f = distribution_from_histogram(Histogram(h / 64, masses))
         s = f.grid
         np.testing.assert_allclose(
             np.asarray(f.values), 2 * s * l**2 / h**2, rtol=1e-12, atol=1e-9

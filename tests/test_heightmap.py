@@ -28,7 +28,7 @@ from proxint import (
     synthesize_surface,
     truncated_gaussian_distribution,
 )
-from proxint.heightmap import EmpiricalDistribution, _gaussian_bin_masses
+from proxint.heightmap import Histogram, _gaussian_bin_masses
 
 R = 50000.0
 
@@ -190,7 +190,7 @@ class TestFitGaussian:
         sigma, s0, delta = 250.0, 500.0, 25.0
         edges = np.arange(121) * delta
         masses = _gaussian_bin_masses(edges, sigma, s0) * 1e6
-        fit = fit_gaussian(EmpiricalDistribution(delta, masses))
+        fit = fit_gaussian(Histogram(delta, masses))
         assert fit.sigma == pytest.approx(sigma, rel=0.01)
         assert fit.s0 == pytest.approx(s0, rel=0.01)
         assert fit.residual < 1e-3
@@ -204,13 +204,13 @@ class TestFitGaussian:
         assert fit.sigma == pytest.approx(10.0, rel=0.15)
 
     def test_uniform_histogram_large_residual(self):
-        emp = EmpiricalDistribution(1.0, np.full(32, 5.0))
+        emp = Histogram(1.0, np.full(32, 5.0))
         fit = fit_gaussian(emp)
         assert fit.residual > 0.1  # bad fit reported, not raised
 
     def test_degenerate_histogram_raises(self):
         with pytest.raises(FitError):
-            fit_gaussian(EmpiricalDistribution(1.0, np.array([10.0, 0.0, 0.0])))
+            fit_gaussian(Histogram(1.0, np.array([10.0, 0.0, 0.0])))
 
 
 class TestSynthesize:
@@ -287,7 +287,7 @@ class TestHistogramDensityBridge:
     def test_exact_gaussian_histogram_classified_case_one(self):
         edges = np.arange(121) * 25.0
         masses = _gaussian_bin_masses(edges, 250.0, 500.0) * 1e6
-        emp = EmpiricalDistribution(25.0, masses)
+        emp = Histogram(25.0, masses)
         rep = case_number(distribution_from_histogram(emp), tol=1e-2)
         assert rep.case_number == 1
 

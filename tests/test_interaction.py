@@ -3,18 +3,21 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+import proxint.interaction
 from proxint import (
-    CorrectionConfig,
-    GradientDistribution,
     HeightDistribution,
+    Histogram,
     InvalidParameterError,
     Kernel,
     NumericError,
+    ParseError,
     PolySegment,
     adaptive_quad,
+    compose_gradient,
     convolve,
     curve_from_csv,
     curve_to_csv,
@@ -23,6 +26,7 @@ from proxint import (
     exactness_diagnostic,
     far_field_subtracted,
     gradient_correction,
+    gradient_distribution,
     heat_sio2_kernel,
     pa_interaction,
     plate_plate,
@@ -30,6 +34,7 @@ from proxint import (
     pyramid_distribution,
     sphere_distribution,
     sweep,
+    synthesize_surface,
     to_sampled,
     truncated_gaussian_distribution,
 )
@@ -183,12 +188,12 @@ def _gradient_from_pyramid(h, l, bins=512):
     delta = h / bins
     edges = np.arange(bins + 1) * delta
     f_masses = np.diff(edges**2) / h**2
-    return GradientDistribution(delta, (4 * h**2 / l**2) * f_masses)
+    return Histogram(delta, (4 * h**2 / l**2) * f_masses)
 
 
 class TestGradientCorrection:
     def test_zero_gradient(self):
-        g = GradientDistribution(1.0, np.zeros(16))
+        g = Histogram(1.0, np.zeros(16))
         assert gradient_correction(g, heat_sio2_kernel(), 5.0) == 0.0
 
     def test_pyramid_proportionality(self):
@@ -199,21 +204,66 @@ class TestGradientCorrection:
         g = _gradient_from_pyramid(h, l, bins=4096)
         f = pyramid_distribution(h, l, per_unit_area=True)
         for d in (5.0, 50.0):
-            corr = gradient_correction(g, k, d, CorrectionConfig(beta=1.0))
+            corr = gradient_correction(g, k, d)
             assert corr == pytest.approx(4 * h**2 / l**2 * pa_interaction(f, k, d), rel=1e-3)
 
-    def test_beta_scales_linearly(self):
-        g = _gradient_from_pyramid(500.0, 500.0)
+
+
+@pytest.fixture(scope="module")
+def c9_pyramid_gradient():
+    """The composed gradient histogram of acceptance criterion C9's pyramid."""
+    tile = synthesize_surface([{"type": "pyramid", "height": H, "tile": H}], n=512)
+    g_r = gradient_distribution(tile, bin_width=H / 512)
+    return compose_gradient(sphere_distribution(R), g_r, tile.area)
+
+
+def _step_integral_mpmath(g, nu, d):
+    """sum_k (w_k / width) int_(k width + d)^((k+1) width + d) x^-nu dx at 30 digits."""
+    with mpmath.workdps(30):
+        width, nu, d = mpmath.mpf(g.bin_width), mpmath.mpf(nu), mpmath.mpf(d)
+        if nu == 1:
+            antiderivative = mpmath.log
+        else:
+            def antiderivative(x):
+                return x ** (1 - nu) / (1 - nu)
+        edges = [antiderivative(k * width + d) for k in range(len(g.weights) + 1)]
+        total = mpmath.fsum(
+            mpmath.mpf(w) / width * (hi - lo)
+            for w, lo, hi in zip(g.weights.tolist(), edges[:-1], edges[1:])
+        )
+        return float(total)
+
+
+class TestGradientCorrectionClosedForm:
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 2.5, 3.0])
+    def test_matches_mpmath_per_bin(self, c9_pyramid_gradient, nu):
+        g = c9_pyramid_gradient
+        for d in (0.1, 2.0, 300.0):
+            want = _step_integral_mpmath(g, nu, d)
+            got = gradient_correction(g, Kernel(1.0, nu), d)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_no_adaptive_quadrature(self, monkeypatch, c9_pyramid_gradient):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("adaptive_quad called")
+
+        monkeypatch.setattr(proxint.interaction, "adaptive_quad", forbidden)
         k = heat_sio2_kernel()
-        one = gradient_correction(g, k, 5.0, CorrectionConfig(beta=1.0))
-        two = gradient_correction(g, k, 5.0, CorrectionConfig(beta=2.0))
-        assert two == pytest.approx(2 * one, rel=1e-12)
+        g = c9_pyramid_gradient
+        assert gradient_correction(g, k, 1.0) > 0.0
+        f = convolve(sphere_distribution(R), pyramid_distribution(H, H, per_unit_area=True))
+        res = exactness_diagnostic(f, g, k, np.geomspace(1.0, 300.0, 25))
+        assert not res.asymptotically_exact
+
+    def test_domain_error(self):
+        with pytest.raises(InvalidParameterError):
+            gradient_correction(Histogram(1.0, np.ones(4)), heat_sio2_kernel(), 0.0)
 
 
 class TestExactnessDiagnostic:
     def test_zero_gradient_flagged_exact(self):
         f = convolve(sphere_distribution(R), dome_distribution(H))
-        g = GradientDistribution(1.0, np.zeros(8))
+        g = Histogram(1.0, np.zeros(8))
         res = exactness_diagnostic(f, g, heat_sio2_kernel(), np.geomspace(1.0, 100.0, 12))
         assert res.asymptotically_exact
         assert np.all(res.ratios == 0.0)
@@ -296,6 +346,26 @@ class TestCurveCsv:
         np.testing.assert_array_equal(back.separations, curve.separations)
         np.testing.assert_array_equal(back.values, curve.values)
         np.testing.assert_array_equal(back.ratios, curve.ratios)
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "no header"),
+        ("d_nm,ratio\n1,2\n", "line 1: header must be d_nm,I_nW"),
+        ("I_nW\n1\n", "header must be"),
+        ("# prov\nd_nm,I_nW,corr_nW\n1,2,3\n", "line 2: header must be .* got 'd_nm,I_nW,corr_nW'"),
+        ("d_nm,I_nW,corr_nW,ratio\n1,2,3,4\n", "header must be"),
+        ("d_nm,I_nW,I_nW\n1,2,3\n", "header must be"),
+        ("d_nm,I_nW\n1,2\n2,3,4\n", "line 3: row has 3 values, expected 2"),
+        ("d_nm,I_nW\n1\n", "line 2: row has 1 values"),
+        ("# prov\nd_nm,I_nW\n1,abc\n", "line 3: not a finite number"),
+        ("d_nm,I_nW\n1,nan\n", "line 2: not a finite number"),
+    ])
+    def test_malformed_csv_raises_parse_error(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            curve_from_csv(text)
+
+    def test_header_only_is_empty_curve(self):
+        curve = curve_from_csv("d_nm,I_nW\n")
+        assert len(curve.separations) == 0 and curve.ratios is None
 
     def test_monotone_separations_required(self):
         from proxint import InteractionCurve
