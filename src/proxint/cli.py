@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
@@ -220,9 +221,12 @@ class ScenarioConfig:
 
 def _get_float(sec, key, path):
     try:
-        return float(sec[key])
+        value = float(sec[key])
     except ValueError:
         raise ConfigError(f"{path}.{key}: not a number: {sec[key]!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: not a finite number: {sec[key]!r}")
+    return value
 
 
 def _get_int(sec, key, path):
@@ -282,6 +286,8 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
             d = np.array([float(t) for t in sep["list"].split(",")])
         except ValueError:
             raise ConfigError("separations.list: not a number list") from None
+        if not np.all(np.isfinite(d)):
+            raise ConfigError("separations.list: values must be finite")
     else:
         lo = _get_float(sep, "min", "separations") if "min" in sep else 1.0
         hi = _get_float(sep, "max", "separations") if "max" in sep else 300.0
@@ -335,9 +341,15 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
                 lo, hi = (float(t) for t in args.window.split(","))
             except ValueError:
                 raise ConfigError("window: expected LO,HI") from None
+            if not 0 < lo < hi < math.inf:
+                raise ConfigError("window: need finite 0 < LO < HI")
             cfg.window = (lo, hi)
-    if cfg.d_ref <= 0:
-        raise ConfigError("scenario.dref: must be positive")
+    if not 0 < cfg.tol < math.inf:
+        raise ConfigError("tol: must be positive and finite")
+    if not 0 < cfg.d_ref < math.inf:
+        raise ConfigError("scenario.dref: must be positive and finite")
+    if cfg.far_field is not None and not 0 < cfg.far_field < math.inf:
+        raise ConfigError("scenario.farfield: must be positive and finite")
     if cfg.bins < 1:
         raise ConfigError("scenario.bins: must be positive")
     return cfg

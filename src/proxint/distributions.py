@@ -12,7 +12,10 @@ Two representations are supported and share one type:
   which makes closed-form regression tests possible at machine precision.
 * sampled -- density values on a uniform grid s_k = k * bin_width, with
   linear interpolation between nodes.  Convolutions involving a sampled
-  operand are evaluated on a grid with trapezoid accuracy.
+  operand are evaluated on a grid with trapezoid accuracy.  The convolution
+  of an analytic and a sampled distribution keeps its two ``factors`` and
+  builds that grid only when its node values are first read, so the
+  interaction module can integrate the factors directly.
 
 Everything here is immutable after construction and free of global state;
 all operations are pure functions and safe to call concurrently.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +59,10 @@ GAUSSIAN_SUPPORT_SIGMAS = 8.0
 # Grid used when an analytic operand of a numeric convolution has to be
 # sampled: spacing is min(bin_width of the sampled operand, support/256).
 ANALYTIC_RESAMPLE_FRACTION = 256
+
+# Degree of the windowed polynomial fit that classifies sampled data; it
+# can resolve case numbers up to SAMPLED_FIT_DEGREE + 1.
+SAMPLED_FIT_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -92,18 +99,29 @@ class HeightDistribution:
     """Area density of separations; analytic (piecewise polynomial) or sampled.
 
     For the sampled kind, ``values[k]`` is the density at s = k * bin_width
-    and ``support_max = (len(values) - 1) * bin_width``.
+    and ``support_max = (len(values) - 1) * bin_width``.  A sampled
+    distribution made by ``convolve`` from one analytic and one sampled
+    operand holds them in ``factors`` and computes ``values`` on first use.
     """
 
     support_max: float
     unit_area_normalized: bool
     segments: tuple[PolySegment, ...] = ()
     bin_width: float = 0.0
-    values: np.ndarray | None = None
+    _values: np.ndarray | None = field(default=None, repr=False)
+    factors: tuple = ()
 
     @property
     def kind(self) -> str:
         return "analytic" if self.segments else "sampled"
+
+    @property
+    def values(self) -> np.ndarray | None:
+        """Node values of a sampled distribution (None for analytic ones)."""
+        if self._values is None and self.factors:
+            # Racing first readers compute the same array; either may win.
+            object.__setattr__(self, "_values", _convolve_numeric(*self.factors).values)
+        return self._values
 
     @classmethod
     def analytic(cls, segments, unit_area_normalized: bool = False) -> "HeightDistribution":
@@ -137,7 +155,7 @@ class HeightDistribution:
             support_max=(len(vals) - 1) * bin_width,
             unit_area_normalized=unit_area_normalized,
             bin_width=float(bin_width),
-            values=vals,
+            _values=vals,
         )
 
     @property
@@ -279,6 +297,8 @@ def projected_area(f: HeightDistribution) -> float:
 def to_sampled(f: HeightDistribution, n: int = 2048, bin_width: float | None = None) -> HeightDistribution:
     """Sample a distribution onto a uniform grid of ``n`` nodes (or spacing ``bin_width``)."""
     if bin_width is not None:
+        if not bin_width > 0:
+            raise InvalidParameterError("bin_width must be positive")
         n = int(math.ceil(f.support_max / bin_width - 1e-12)) + 1
         delta = float(bin_width)
     else:
@@ -305,7 +325,9 @@ def convolve(f_c: HeightDistribution, f_r: HeightDistribution) -> HeightDistribu
     modulation density; a warning is emitted otherwise and the un-normalized
     result is returned as-is.  Analytic x analytic inputs produce the exact
     piecewise-polynomial result; any sampled operand switches to a uniform
-    grid with trapezoid accuracy.
+    grid with trapezoid accuracy.  With one analytic operand and one plain
+    sampled operand the result keeps both as ``factors`` and builds that
+    grid on first use of its node values.
     """
     if not f_r.unit_area_normalized:
         warnings.warn(
@@ -315,6 +337,14 @@ def convolve(f_c: HeightDistribution, f_r: HeightDistribution) -> HeightDistribu
         )
     if f_c.kind == "analytic" and f_r.kind == "analytic":
         return _convolve_analytic(f_c, f_r)
+    if f_c.kind != f_r.kind and not (f_c.factors or f_r.factors):
+        delta, n_c, n_r = _numeric_grid(f_c, f_r)
+        return HeightDistribution(
+            support_max=(n_c + n_r - 2) * delta,
+            unit_area_normalized=f_c.unit_area_normalized and f_r.unit_area_normalized,
+            bin_width=float(delta),
+            factors=(f_c, f_r),
+        )
     return _convolve_numeric(f_c, f_r)
 
 
@@ -448,13 +478,14 @@ def _convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> Height
     return HeightDistribution.analytic(segments, unit_area_normalized=unit)
 
 
-def _convolve_numeric(fa: HeightDistribution, fb: HeightDistribution) -> HeightDistribution:
+def _numeric_grid(fa: HeightDistribution, fb: HeightDistribution) -> tuple[float, int, int]:
+    """Spacing of the numeric convolution grid and each operand's node count on it."""
     if fa.kind == "sampled" and fb.kind == "sampled":
         wa, wb = fa.bin_width, fb.bin_width
         if abs(wa - wb) > 1e-9 * max(wa, wb):
             warnings.warn(
                 f"bin widths differ ({wa:g} vs {wb:g} nm); resampling to the finer grid",
-                stacklevel=3,
+                stacklevel=4,
             )
         delta = min(wa, wb)
     else:
@@ -462,14 +493,28 @@ def _convolve_numeric(fa: HeightDistribution, fb: HeightDistribution) -> HeightD
         other = fb if fa.kind == "sampled" else fa
         delta = min(sampled.bin_width, other.support_max / ANALYTIC_RESAMPLE_FRACTION)
 
-    def nodes(f: HeightDistribution) -> np.ndarray:
-        if f.kind == "sampled" and abs(f.bin_width - delta) <= 1e-9 * delta:
+    def count(f: HeightDistribution) -> int:
+        if _on_grid(f, delta):
+            return len(f.values)
+        return int(math.ceil(f.support_max / delta - 1e-9)) + 1
+
+    return delta, count(fa), count(fb)
+
+
+def _on_grid(f: HeightDistribution, delta: float) -> bool:
+    return f.kind == "sampled" and abs(f.bin_width - delta) <= 1e-9 * delta
+
+
+def _convolve_numeric(fa: HeightDistribution, fb: HeightDistribution) -> HeightDistribution:
+    delta, n_a, n_b = _numeric_grid(fa, fb)
+
+    def nodes(f: HeightDistribution, n: int) -> np.ndarray:
+        if _on_grid(f, delta):
             return np.asarray(f.values)
-        n = int(math.ceil(f.support_max / delta - 1e-9)) + 1
         return evaluate(f, np.arange(n) * delta)
 
-    a = nodes(fa)
-    b = nodes(fb)
+    a = nodes(fa, n_a)
+    b = nodes(fb, n_b)
     # Sampled densities are piecewise linear between nodes, so the integrand
     # of the convolution is piecewise quadratic and cell-wise Simpson is
     # exact; midpoint values are node averages, which collapses to a short
@@ -497,8 +542,13 @@ def _convolve_numeric(fa: HeightDistribution, fb: HeightDistribution) -> HeightD
 # small-s classification
 # ---------------------------------------------------------------------------
 
-def case_number(f: HeightDistribution, tol: float = 1e-6, max_order: int = 6) -> CaseReport:
+def case_number(f: HeightDistribution, tol: float = 1e-6) -> CaseReport:
     """Order of the first non-vanishing Taylor coefficient of f at s = 0.
+
+    Analytic distributions read every coefficient of their first segment,
+    so any case number their degree allows is found.  Sampled data are
+    classified from a windowed polynomial fit of degree SAMPLED_FIT_DEGREE,
+    which resolves case numbers up to SAMPLED_FIT_DEGREE + 1.
 
     A probed derivative f^(k)(0) counts as zero when the dimensionless scale
     |f^(k)(0)| * support_max^k / max_s f(s) falls below ``tol``, or (sampled
@@ -513,15 +563,12 @@ def case_number(f: HeightDistribution, tol: float = 1e-6, max_order: int = 6) ->
 
     if f.kind == "analytic":
         coeffs = f.segments[0].coeffs
-        derivs = np.array(
-            [math.factorial(k) * (coeffs[k] if k < len(coeffs) else 0.0) for k in range(max_order)]
-        )
-        errs = np.zeros(max_order)
+        derivs = np.array([math.factorial(k) * c for k, c in enumerate(coeffs)])
+        errs = np.zeros(len(coeffs))
     else:
-        derivs, errs = _fit_derivatives_at_zero(f, max_order)
+        derivs, errs = _fit_derivatives_at_zero(f, SAMPLED_FIT_DEGREE)
 
-    for n in range(1, max_order + 1):
-        k = n - 1
+    for k in range(len(derivs)):
         significant = abs(derivs[k]) * T**k / fmax >= tol and abs(derivs[k]) > 3.0 * errs[k]
         if significant:
             if derivs[k] < 0.0:
@@ -530,24 +577,23 @@ def case_number(f: HeightDistribution, tol: float = 1e-6, max_order: int = 6) ->
                     "input is not a valid height distribution near s=0"
                 )
             return CaseReport(
-                case_number=n,
+                case_number=k + 1,
                 leading_coefficient=float(derivs[k]),
                 taylor_coeffs=tuple(float(v) for v in derivs),
             )
     raise UnclassifiableError(
-        f"all probed derivatives of order 0..{max_order - 1} are below tolerance {tol:g}"
+        f"all probed derivatives of order 0..{len(derivs) - 1} are below tolerance {tol:g}"
     )
 
 
-def _fit_derivatives_at_zero(f: HeightDistribution, max_order: int):
+def _fit_derivatives_at_zero(f: HeightDistribution, degree: int):
     """Derivatives at s=0 from a windowed polynomial fit to sampled data.
 
-    The window starts at 5% of the support and halves until the degree-5
-    model actually fits (relative residual < 1e-2) or the window hits the
+    The window starts at 5% of the support and halves until the polynomial
+    model actually fits (relative residual < 1e-3) or the window hits the
     minimum point count; multi-scale distributions need the shrinking step.
     Returns (derivatives, standard errors).
     """
-    degree = max_order - 1
     s = f.grid
     vals = np.asarray(f.values)
     min_pts = 4 * (degree + 1)

@@ -121,6 +121,28 @@ class TestConfig:
         cfg = write_config(tmp_path, text)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
+    def test_nan_dref_flag_exits_config(self, tmp_path, capsys, deadline):
+        with deadline(60.0):
+            rc = main(["sweep", "--preset", "fig2", "--dref", "nan",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert "scenario.dref: must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("min = 1\nmax = 300\nper_decade = 20", "list = 1, 2, nan"),
+        ("min = 1\nmax = 300\nper_decade = 20", "list = 1, inf"),
+        ("min = 1", "min = nan"),
+        ("max = 300", "max = inf"),
+        ("dref = 300", "dref = nan"),
+        ("dref = 300", "dref = 300\nfarfield = nan"),
+    ])
+    def test_non_finite_config_value_exits_config(self, tmp_path, capsys, old, new):
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG.replace(old, new))
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="senario: unknown section"):
             build_config({"senario": {"dref": "100"}, "curve.s": {"base": "sphere radius=1"}})
@@ -322,6 +344,19 @@ class TestAsymptCommand:
         row = dict(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:3])))
         assert float(row["prefactor_pred"]) == pytest.approx(
             2 * np.pi * 91783.9 / 13.6919, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "nan"], ["--tol", "0"], ["--window", "nan,1"], ["--window", "10,1"],
+    ])
+    def test_bad_tol_or_window_exits_config(self, flags):
+        assert main(["asympt", "--preset", "fig4", *flags]) == EXIT_CONFIG
+
+    def test_case_twelve_stack_classifies(self, tmp_path, capsys):
+        # sphere (*) 11 domes is case 12; against nu = 2 the law is constant.
+        layers = "".join(f"layer.{i} = dome height=50\n" for i in range(1, 12))
+        cfg = write_config(tmp_path, f"[curve.stack]\nbase = sphere radius=50000\n{layers}")
+        assert main(["asympt", "--config", cfg]) == EXIT_OK
+        assert "(case 12)" in capsys.readouterr().out
 
     def test_fig4_preset_constant_passes(self, tmp_path):
         assert main(["asympt", "--preset", "fig4"]) == EXIT_OK

@@ -29,7 +29,7 @@ from proxint import (
     truncated_gaussian_norm,
     write_distribution,
 )
-from proxint.distributions import distribution_to_text, text_to_distribution
+from proxint.distributions import _convolve_numeric, distribution_to_text, text_to_distribution
 
 R = 50000.0
 H = 5000.0
@@ -270,6 +270,44 @@ class TestConvolveNumeric:
         f = convolve(sphere_distribution(R), truncated_gaussian_distribution(250.0, 500.0))
         assert np.all(np.asarray(f.values) >= 0.0)
 
+    def test_zero_bin_width_rejected(self):
+        with pytest.raises(InvalidParameterError, match="bin_width"):
+            to_sampled(sphere_distribution(R), bin_width=0.0)
+
+
+class TestComposite:
+    """analytic (*) sampled keeps its factors; its grid is the numeric convolution's."""
+
+    @pytest.fixture(params=[(10.0, 20.0), (2.5, 5.0), (10.0, 0.0)])
+    def factors(self, request):
+        sigma, s0 = request.param
+        return sphere_distribution(5000.0), truncated_gaussian_distribution(sigma, s0)
+
+    def test_keeps_factors_and_defers_the_grid(self, factors):
+        f = convolve(*factors)
+        assert f.kind == "sampled" and f.factors == factors
+        assert f._values is None
+        eager = _convolve_numeric(*factors)
+        assert f.support_max == eager.support_max
+        assert f.bin_width == eager.bin_width
+        assert f.unit_area_normalized == eager.unit_area_normalized
+
+    def test_reads_equal_the_materialised_grid(self, factors):
+        f = convolve(*factors)
+        eager = _convolve_numeric(*factors)
+        s = np.linspace(-1.0, f.support_max + 1.0, 4099)
+        np.testing.assert_array_equal(evaluate(f, s), evaluate(eager, s))
+        assert case_number(f, tol=1e-3) == case_number(eager, tol=1e-3)
+        assert distribution_to_text(f) == distribution_to_text(eager)
+        assert projected_area(f) == projected_area(eager)
+
+    def test_further_layer_convolves_the_grid(self, factors):
+        layer = pyramid_distribution(5.0, 1.0, per_unit_area=True)
+        f = convolve(convolve(*factors), layer)
+        eager = _convolve_numeric(_convolve_numeric(*factors), layer)
+        assert not f.factors
+        np.testing.assert_array_equal(f.values, eager.values)
+
 
 # ---------------------------------------------------------------------------
 # case classification
@@ -313,6 +351,17 @@ class TestCaseNumber:
         rep = case_number(sphere_distribution(R))
         assert rep.taylor_coeffs[0] == pytest.approx(2 * math.pi * R)
         assert rep.taylor_coeffs[1] == pytest.approx(-2 * math.pi)
+
+    def test_twelve_layer_stack_is_case_twelve(self):
+        # Every coefficient of the first segment is read: near s = 0 the
+        # stack is 2 pi R (2/h)^11 s^11 / 11!, so f^(11)(0) = 2 pi R (2/h)^11.
+        h = 50.0
+        f = sphere_distribution(R)
+        for _ in range(11):
+            f = convolve(f, dome_distribution(h))
+        rep = case_number(f)
+        assert rep.case_number == 12
+        assert rep.leading_coefficient == pytest.approx(2 * math.pi * R * (2 / h) ** 11, rel=1e-9)
 
 
 class TestCaseAdditivity:

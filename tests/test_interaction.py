@@ -6,6 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import proxint.interaction
 from proxint import (
@@ -38,7 +39,8 @@ from proxint import (
     to_sampled,
     truncated_gaussian_distribution,
 )
-from proxint.interaction import _sampled_seeds
+import proxint.distributions
+from proxint.interaction import _sampled_seeds, _segment_integral
 
 R = 50000.0
 H = 5000.0
@@ -372,3 +374,168 @@ class TestCurveCsv:
 
         with pytest.raises(InvalidParameterError):
             InteractionCurve(np.array([2.0, 1.0]), np.array([1.0, 2.0]), heat_sio2_kernel())
+
+
+class TestNonFiniteSeparations:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_pa_interaction_rejects(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            pa_interaction(sphere_distribution(R), heat_sio2_kernel(), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sweep_rejects(self, bad):
+        f, k = sphere_distribution(R), heat_sio2_kernel()
+        with pytest.raises(InvalidParameterError, match="finite"):
+            sweep(f, k, [1.0, bad])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            sweep(f, k, [1.0, 2.0], subtract_at=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_gradient_correction_rejects(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gradient_correction(Histogram(1.0, np.ones(4)), heat_sio2_kernel(), bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_adaptive_quad_non_finite_estimate(self, deadline, value):
+        with deadline(10.0), np.errstate(invalid="ignore"), pytest.raises(NumericError, match="not finite"):
+            adaptive_quad(lambda u: np.full_like(u, value), [0.0, 1.0])
+
+
+_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def _segment_integral_scalar(coeffs, lo, hi, d, kernel):
+    """The one-separation loop form of the segment closed form, as a reference
+    for the vectorised one (same branch rule, Python-float arithmetic)."""
+    nu, alpha = kernel.nu, kernel.alpha
+    width = hi - lo
+    base = lo + d
+    if base >= width:
+        u = 0.5 * (lo + hi) + 0.5 * width * _GL64_NODES
+        x = u - lo
+        poly = np.zeros_like(x)
+        for c in reversed(coeffs):
+            poly = poly * x + c
+        return alpha * 0.5 * width * float((poly * (u + d) ** (-nu) * _GL64_WEIGHTS).sum())
+    a, b = lo + d, hi + d
+    total = 0.0
+    for k, c_k in enumerate(coeffs):
+        for j in range(k + 1):
+            coef = c_k * math.comb(k, j) * (-base) ** (k - j)
+            p = j - nu
+            if abs(p + 1.0) < 1e-12:
+                term = math.log(b / a)
+            else:
+                term = (b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0)
+            total += coef * term
+    return alpha * total
+
+
+@pytest.fixture(scope="module")
+def deep_stack():
+    """sphere 1e5 (*) domes 4000/2000/1000/500/250 (*) pyramid 100: 127 segments, degree 13."""
+    f = sphere_distribution(1e5)
+    for h in (4000.0, 2000.0, 1000.0, 500.0, 250.0):
+        f = convolve(f, dome_distribution(h))
+    f = convolve(f, pyramid_distribution(100.0, 1.0, per_unit_area=True))
+    assert len(f.segments) == 127
+    assert max(len(seg.coeffs) for seg in f.segments) - 1 == 13
+    return f
+
+
+def _segment_integral_mpmath(seg, d, nu):
+    """int_lo^hi sum_k c_k (u - lo)^k (u + d)^-nu du by mpmath quadrature at 30
+    digits, on panels graded geometrically from the kernel scale lo + d."""
+    with mpmath.workdps(30):
+        lo, d, nu = mpmath.mpf(seg.lo), mpmath.mpf(d), mpmath.mpf(nu)
+        a, width = lo + d, mpmath.mpf(seg.hi) - lo
+        coeffs = [mpmath.mpf(c) for c in reversed(seg.coeffs)]
+        points = [mpmath.mpf(0)]
+        edge = a
+        while edge < width:
+            points.append(edge)
+            edge *= 4
+        points.append(width)
+        return mpmath.quad(lambda t: mpmath.polyval(coeffs, t) * (t + a) ** (-nu), points)
+
+
+class TestVectorisedClosedForm:
+    D = np.array([1e-6, 1e-3, 1.0, 100.0])
+
+    @pytest.mark.parametrize("nu", [2.0, 2.5, 3.0])
+    def test_expanded_branch_matches_mpmath(self, deep_stack, nu):
+        kernel = Kernel(1.0, nu)
+        checked = 0
+        for seg in deep_stack.segments:
+            near = seg.lo + self.D < seg.hi - seg.lo   # the expanded-binomial branch
+            if not near.any():
+                continue
+            got = _segment_integral(seg.coeffs, seg.lo, seg.hi, self.D, kernel)
+            for d, value in zip(self.D[near], got[near]):
+                want = float(_segment_integral_mpmath(seg, d, nu))
+                assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_matches_scalar_loop(self, deep_stack, nu):
+        # The branch is chosen per (segment, d); d spans both sides of it on
+        # every segment width.  numpy's vector pow/log and libm's may differ
+        # in the last bit, so allow 20 ulp.
+        kernel = Kernel(ALPHA, nu)
+        d = np.sort(np.concatenate([np.geomspace(1e-6, 1e3, 60), [100.0, 150.0, 250.0]]))
+        shapes = [
+            sphere_distribution(R),
+            convolve(sphere_distribution(R), dome_distribution(50.0)),
+            convolve(sphere_distribution(R), pyramid_distribution(100.0, 1.0, per_unit_area=True)),
+            deep_stack,
+        ]
+        for f in shapes:
+            got = sweep(f, kernel, d).values
+            want = [sum(_segment_integral_scalar(seg.coeffs, seg.lo, seg.hi, di, kernel)
+                        for seg in f.segments) for di in d.tolist()]
+            np.testing.assert_allclose(got, want, rtol=20 * np.finfo(float).eps, atol=0.0)
+
+
+FIG2_ROUGHNESS = [(10.0, 20.0), (2.5, 5.0), (10.0, 0.0), (2.5, 0.0)]  # fig2, fig2-inset, s0 = 0
+
+
+def _fold_reference(rough, d):
+    """int f_r(t) I_sphere(d + t) dt with per-cell scipy quad of the piecewise-linear f_r."""
+    v, width = np.asarray(rough.values), rough.bin_width
+    total = 0.0
+    for k in range(len(v) - 1):
+        lo = k * width
+        slope = (v[k + 1] - v[k]) / width
+        total += quad(lambda t: (v[k] + slope * (t - lo)) * sphere_pa_closed_form(d + t),
+                      lo, lo + width, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+class TestInteractionSpaceFold:
+    @pytest.mark.parametrize("sigma, s0", FIG2_ROUGHNESS)
+    def test_matches_per_cell_quad(self, sigma, s0):
+        rough = truncated_gaussian_distribution(sigma, s0)
+        f = convolve(sphere_distribution(R), rough)
+        d = [1e-3, 1e-2, 0.1, 1.0, 300.0]
+        got = sweep(f, heat_sio2_kernel(), d).values
+        want = [_fold_reference(rough, di) for di in d]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("sigma, s0", FIG2_ROUGHNESS[:2])
+    def test_no_grid_and_no_adaptive_quadrature(self, monkeypatch, sigma, s0):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid or adaptive quadrature used")
+
+        monkeypatch.setattr(proxint.interaction, "adaptive_quad", forbidden)
+        monkeypatch.setattr(proxint.distributions, "_convolve_numeric", forbidden)
+        f = convolve(sphere_distribution(R), truncated_gaussian_distribution(sigma, s0))
+        k = heat_sio2_kernel()
+        d = np.geomspace(1e-3, 300.0, 97)
+        curve = sweep(f, k, d, subtract_at=300.0)
+        # Each separation's value depends on that separation alone, however
+        # the sweep is blocked and grouped.
+        at_ref = pa_interaction(f, k, 300.0)
+        for i in (0, 40, 96):
+            assert pa_interaction(f, k, d[i]) - at_ref == curve.values[i]
+        assert f._values is None
