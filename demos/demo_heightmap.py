@@ -2,7 +2,8 @@
 """From surface grids to distributions: the measurement-side pipeline.
 
 Synthesizes a spherical cap carrying a pyramid tiling (the kind of grid an
-AFM scan would give), extracts the empirical height distribution and the
+AFM scan would give), writes it as a v1 heightmap file and reads it back,
+extracts the empirical height distribution and the
 gradient-squared distribution, checks the convolution picture for the
 composed surface, and fits the truncated-Gaussian model to a random rough
 surface.
@@ -24,6 +25,7 @@ from proxint import (
     evaluate,
     fit_gaussian,
     gradient_distribution,
+    load_heightmap,
     pyramid_distribution,
     save_heightmap,
     synthesize_surface,
@@ -43,6 +45,10 @@ hm = synthesize_surface(
     n=N, extent=EXTENT,
 )
 save_heightmap(hm, outdir / "cap_pyramid.txt")
+back = load_heightmap(outdir / "cap_pyramid.txt")
+if not np.array_equal(back.values, hm.values):
+    sys.exit("cap_pyramid.txt did not read back to the synthesized grid")
+print(f"wrote and read back {outdir / 'cap_pyramid.txt'} bit for bit")
 
 delta = 10.0
 emp = empirical_distribution(hm, delta)

@@ -57,8 +57,8 @@ class Heightmap:
     contact_shifted: bool = False
 
     def __post_init__(self):
-        if self.dx <= 0 or self.dy <= 0:
-            raise InvalidParameterError("grid spacings must be positive")
+        if not all(math.isfinite(h) and h > 0 for h in (self.dx, self.dy)):
+            raise InvalidParameterError("grid spacings must be positive and finite")
         v = np.ascontiguousarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
             raise InvalidParameterError("heightmap needs at least a 2x2 grid")
@@ -117,38 +117,82 @@ class GaussianFit:
 # text format
 # ---------------------------------------------------------------------------
 
+# The characters on which numpy's C reader agrees with float() and
+# str.split(): ASCII digits, signs, points, exponent letters, commas, spaces,
+# tabs and "\n".  Outside this set they part ways (numpy strips "\x1f"
+# around a number, float() rejects it), so any other character sends the
+# file to the line scanner.
+_FAST_CHARS = b"0123456789+-.eE, \t\n"
+# The check encodes the text a slice at a time, so that it never holds a
+# second copy of the whole file beside the text and its lines.
+_CHECK_SLICE = 1 << 20
+
+
 def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> Heightmap:
     """Parse the v1 heightmap text format, or a headerless CSV matrix.
 
     The headerless form needs ``dx`` and ``dy`` supplied by the caller.
-    Parse failures carry the 1-based line number (and cell for non-finite
-    entries).
+    Rows are split on commas if they contain one, else on whitespace;
+    blank lines are skipped.  Parse failures carry the 1-based line number
+    (and column for bad or non-finite entries).
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines:
         raise ParseError("line 1: empty heightmap file")
-
-    first = lines[0].strip()
-    data_start = 0
-    nx = ny = None
-    if first.startswith("#"):
-        if not first.startswith("# heightmap v1"):
-            raise ParseError(f"line 1: unrecognized header {first!r}")
-        fields = dict(
-            tok.split("=", 1) for tok in first.split()[3:] if "=" in tok
+    shape, dx, dy = _parse_header(lines[0], dx, dy)
+    start = 0 if shape is None else 1
+    # Text mode leaves one character between lines, so the data rows are
+    # text[offset:].
+    offset = len(lines[0]) + 1 if start else 0
+    values = _read_block(text, offset, lines[start:])
+    if values is None:
+        values = _scan_lines(lines, start)
+    if shape is not None and values.shape != shape:
+        raise ParseError(
+            f"grid is {values.shape[0]}x{values.shape[1]}, header says ny={shape[0]} nx={shape[1]}"
         )
-        try:
-            nx = int(fields["nx"])
-            ny = int(fields["ny"])
-            dx = float(fields["dx"])
-            dy = float(fields["dy"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"line 1: malformed header fields ({exc})") from exc
-        data_start = 1
-    elif dx is None or dy is None:
-        raise ParseError("headerless heightmap needs dx and dy supplied")
+    return Heightmap(dx=float(dx), dy=float(dy), values=values, contact_shifted=False)
 
+
+def _parse_header(first: str, dx, dy) -> tuple[tuple[int, int] | None, float, float]:
+    # (ny, nx) or None for a headerless file, and the grid spacings.
+    first = first.strip()
+    if not first.startswith("#"):
+        if dx is None or dy is None:
+            raise ParseError("headerless heightmap needs dx and dy supplied")
+        return None, dx, dy
+    if not first.startswith("# heightmap v1"):
+        raise ParseError(f"line 1: unrecognized header {first!r}")
+    fields = dict(tok.split("=", 1) for tok in first.split()[3:] if "=" in tok)
+    try:
+        nx, ny = int(fields["nx"]), int(fields["ny"])
+        return (ny, nx), float(fields["dx"]), float(fields["dy"])
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"line 1: malformed header fields ({exc})") from exc
+
+
+def _read_block(text: str, offset: int, lines: list[str]) -> np.ndarray | None:
+    # The data rows `lines`, which are text[offset:], parsed by numpy's C
+    # reader; None where its result could differ from the line scanner's
+    # or the input is malformed.
+    if not any(ln.strip() for ln in lines) or not text.isascii() or any(
+        text[i:i + _CHECK_SLICE].encode("ascii").translate(None, _FAST_CHARS)
+        for i in range(offset, len(text), _CHECK_SLICE)
+    ):
+        return None
+    try:
+        values = np.loadtxt(lines, dtype=float, comments=None,
+                            delimiter="," if text.find(",", offset) >= 0 else None, ndmin=2)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _scan_lines(lines: list[str], data_start: int) -> np.ndarray:
+    # Token-by-token reader: the reference for _read_block and the source
+    # of every ParseError naming a line and column.
     rows = []
     for lineno, ln in enumerate(lines[data_start:], start=data_start + 1):
         if not ln.strip():
@@ -171,19 +215,19 @@ def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> He
         rows.append(row)
     if not rows:
         raise ParseError("no data rows")
-    values = np.array(rows)
-    if nx is not None and (values.shape != (ny, nx)):
-        raise ParseError(
-            f"grid is {values.shape[0]}x{values.shape[1]}, header says ny={ny} nx={nx}"
-        )
-    return Heightmap(dx=float(dx), dy=float(dy), values=values, contact_shifted=False)
+    return np.array(rows)
 
 
 def save_heightmap(hm: Heightmap, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# heightmap v1 nx={hm.nx} ny={hm.ny} dx={'%.17g' % hm.dx} dy={'%.17g' % hm.dy}\n")
+    """Write the v1 text format: every value at 17 significant digits, so
+    load_heightmap reads back the same doubles."""
+    # One bytes row per write: through a text-mode file the rows raised
+    # the peak memory of a process writing two 512^2 grids by 2 MB.
+    row_format = (" ".join(["%.17g"] * hm.nx) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(f"# heightmap v1 nx={hm.nx} ny={hm.ny} dx={'%.17g' % hm.dx} dy={'%.17g' % hm.dy}\n".encode())
         for row in hm.values:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def shift_to_contact(hm: Heightmap) -> Heightmap:

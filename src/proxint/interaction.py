@@ -71,10 +71,10 @@ class Kernel:
     label: str = ""
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidParameterError("kernel alpha must be positive")
-        if self.nu < 0:
-            raise InvalidParameterError("kernel exponent nu must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise InvalidParameterError("kernel alpha must be positive and finite")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise InvalidParameterError("kernel exponent nu must be finite and >= 0")
 
 
 def heat_sio2_kernel() -> Kernel:

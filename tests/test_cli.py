@@ -297,6 +297,25 @@ class TestHeightmapCommand:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("spacing", [
+        ["--dx", "nan", "--dy", "1"],
+        ["--dx", "inf", "--dy", "1"],
+        ["--dx", "1", "--dy=-inf"],
+    ])
+    def test_non_finite_spacing_is_config_error(self, tmp_path, capsys, spacing):
+        path = tmp_path / "map.csv"
+        path.write_text("0,1,2\n3,4,5\n6,7,9\n")
+        rc = main(["heightmap", str(path), *spacing, "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert "grid spacings must be positive and finite" in capsys.readouterr().err
+
+    def test_non_finite_header_spacing_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "map.txt"
+        path.write_text("# heightmap v1 nx=3 ny=3 dx=nan dy=1\n0 1 2\n3 4 5\n6 7 9\n")
+        rc = main(["heightmap", str(path), "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert "grid spacings must be positive and finite" in capsys.readouterr().err
+
     def test_fit_error_exit_code(self, tmp_path):
         # Two-level map: enough to histogram, too degenerate to fit.
         vals = np.zeros((8, 8))

@@ -1,9 +1,13 @@
 """Heightmap IO, histograms, gradients, Gaussian fits, synthetic surfaces."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from proxint import (
     FitError,
@@ -28,7 +32,8 @@ from proxint import (
     synthesize_surface,
     truncated_gaussian_distribution,
 )
-from proxint.heightmap import Histogram, _gaussian_bin_masses
+from proxint import heightmap as heightmap_module
+from proxint.heightmap import Histogram, _gaussian_bin_masses, _scan_lines
 
 R = 50000.0
 
@@ -77,6 +82,179 @@ class TestLoadSave:
         path.write_text("# heightmap v1 nx=3 ny=2 dx=1 dy=1\n0 1\n2 3\n")
         with pytest.raises(ParseError, match="nx"):
             load_heightmap(path)
+
+    @pytest.mark.parametrize("dx, dy", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), (0.0, 1.0), (1.0, -2.0),
+    ])
+    def test_spacings_must_be_positive_and_finite(self, dx, dy):
+        with pytest.raises(InvalidParameterError, match="grid spacings"):
+            Heightmap(dx, dy, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("field", ["dx=nan", "dx=inf", "dx=-inf"])
+    def test_non_finite_header_spacing_rejected(self, tmp_path, field):
+        path = tmp_path / "map.txt"
+        path.write_text(f"# heightmap v1 nx=2 ny=2 {field} dy=1\n0 1\n2 3\n")
+        with pytest.raises(InvalidParameterError, match="grid spacings"):
+            load_heightmap(path)
+
+    def test_non_finite_supplied_spacing_rejected(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_text("0,1\n2,3\n")
+        with pytest.raises(InvalidParameterError, match="grid spacings"):
+            load_heightmap(path, dx=math.nan, dy=1.0)
+
+
+def _save_per_value(hm, path):
+    # Reference writer, one "%.17g" call per value: save_heightmap must
+    # write the same bytes.
+    with open(path, "w") as fh:
+        fh.write(f"# heightmap v1 nx={hm.nx} ny={hm.ny} dx={'%.17g' % hm.dx} dy={'%.17g' % hm.dy}\n")
+        for row in hm.values:
+            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+
+
+# Finite doubles over the whole range, with the subnormal, extreme and
+# signed-zero values drawn often.
+DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -2.2250738585072014e-308, 1e300, -1e300, -0.0, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def grid_files(draw, numpy_readable=False):
+    """(file text, values, header?) for a grid of random doubles.
+
+    Rows are v1 (space or tab separated, with header) or headerless CSV,
+    with CRLF or LF endings, leading and trailing blanks and blank lines.
+    With ``numpy_readable`` the file holds only what numpy's reader takes
+    as the line scanner does (no whitespace-only lines in CSV).
+    """
+    values = draw(arrays(float, array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=6), elements=DOUBLES))
+    ny, nx = values.shape
+    header = draw(st.booleans())
+    if header:
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        blanks = ["", " ", "\t", "  \t"]
+    else:
+        sep = draw(st.sampled_from([",", ", ", " ,\t", "\t,"]))
+        blanks = [""] if numpy_readable else ["", " ", "\t"]
+    fmt = draw(st.sampled_from(["%.17g", "%r", "%.20e"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"# heightmap v1 nx={nx} ny={ny} dx=1 dy=1"] if header else []
+    for row in values:
+        lines += draw(st.lists(st.sampled_from(blanks), max_size=2))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + sep.join(fmt % v for v in row.tolist()) + draw(st.sampled_from(["", " ", "\t "])))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol] + [eol + b + eol for b in blanks]))
+    return text, values, header
+
+
+def _write_raw(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+class TestReaderMatchesLineScanner:
+    """load_heightmap reads every file as the token-by-token scanner does."""
+
+    @given(grid_files())
+    def test_random_grids_bit_exact(self, tmp_path_factory, case):
+        text, values, header = case
+        path = tmp_path_factory.mktemp("grid") / "map.txt"
+        _write_raw(path, text)
+        hm = load_heightmap(path, dx=None if header else 1.0, dy=None if header else 1.0)
+        with open(path) as fh:
+            scanned = _scan_lines(fh.read().splitlines(), 1 if header else 0)
+        assert hm.values.tobytes() == scanned.tobytes()
+        assert hm.values.tobytes() == values.tobytes()
+
+    @given(grid_files(numpy_readable=True))
+    def test_well_formed_files_skip_the_line_scanner(self, tmp_path_factory, case):
+        text, values, header = case
+        path = tmp_path_factory.mktemp("grid") / "map.txt"
+        _write_raw(path, text)
+
+        def refuse(*args):
+            raise AssertionError("well-formed file reached the line scanner")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heightmap_module, "_scan_lines", refuse)
+            hm = load_heightmap(path, dx=None if header else 1.0, dy=None if header else 1.0)
+        assert hm.values.tobytes() == values.tobytes()
+
+    HEADER = "# heightmap v1 nx=2 ny=2 dx=1 dy=1\n"
+
+    # Each malformed or unusual file, with the values or the exact
+    # ParseError text the token-by-token reader gives it.
+    @pytest.mark.parametrize("text, expected", [
+        (HEADER + "0 1\n2 nan\n", "line 3, column 2: non-finite value 'nan'"),
+        ("0,inf\n2,3\n", "line 1, column 2: non-finite value 'inf'"),
+        ("0 1\n-inf 3\n", "line 2, column 1: non-finite value '-inf'"),
+        (HEADER + "0 1e400\n2 3\n", "line 2, column 2: non-finite value '1e400'"),
+        ("1_0 1\n2 3\n", [[10.0, 1.0], [2.0, 3.0]]),
+        ("\u0661\u0662 1\n2 3\n", [[12.0, 1.0], [2.0, 3.0]]),
+        (HEADER + "0 \uff11\n2 3\n", [[0.0, 1.0], [2.0, 3.0]]),
+        ("0,1\n2 3\n", [[0.0, 1.0], [2.0, 3.0]]),
+        (HEADER + "0 1\n2,3\n", [[0.0, 1.0], [2.0, 3.0]]),
+        ("0,1,\n2,3,\n", "line 1, column 3: not a number: ''"),
+        ("0,,1\n2,3,4\n", "line 1, column 2: not a number: ''"),
+        (HEADER + "0 1 # note\n2 3\n", "line 2, column 3: not a number: '#'"),
+        ("0x1 1\n2 3\n", "line 1, column 1: not a number: '0x1'"),
+        ("0 1\n2\n", "line 2: row has 1 values, expected 2"),
+        (HEADER + "0,1\n2,3,4\n", "line 3: row has 3 values, expected 2"),
+        ("# heightmap v1 nx=3 ny=2 dx=1 dy=1\n0 1\n2 3\n", "grid is 2x2, header says ny=2 nx=3"),
+        ("# heightmap v1 nx=2 ny=3 dx=1 dy=1\n0 1\n2 3\n", "grid is 2x2, header says ny=3 nx=2"),
+        (HEADER, "no data rows"),
+        (HEADER + "\n  \n\t\n", "no data rows"),
+        ("", "line 1: empty heightmap file"),
+        ("# heightmap v1 ny=2 dx=1 dy=1\n0 1\n2 3\n", "line 1: malformed header fields ('nx')"),
+        # Line breaks of str.splitlines() that numpy reads as column gaps.
+        ("0 1\f2 3\n4 5\f6 7\n", [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]),
+        ("0 1\v2 3\n4 5\x1c6 7\n", [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]]),
+        ("0 1\r2 3\r", [[0.0, 1.0], [2.0, 3.0]]),
+        ("0,1\n  \n2,3\n", [[0.0, 1.0], [2.0, 3.0]]),
+        # numpy strips "\x1f" around a number; float() does not.
+        ("0,\x1f1\n2,3\n", "line 1, column 2: not a number: '\\x1f1'"),
+        ("0 1\x002\n3 4\n", "line 1, column 2: not a number: '1\\x002'"),
+        # A header line ended by a break the "\n" split does not see.
+        ("# heightmap v1 nx=2 ny=1 dx=1 dy=1\f0 1\n2 3\n", "grid is 2x2, header says ny=1 nx=2"),
+    ])
+    def test_malformed_and_unusual_files(self, tmp_path, text, expected):
+        path = tmp_path / "map.txt"
+        _write_raw(path, text)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=re.escape(expected)) as info:
+                load_heightmap(path, dx=1.0, dy=1.0)
+            assert str(info.value) == expected
+        else:
+            hm = load_heightmap(path, dx=1.0, dy=1.0)
+            np.testing.assert_array_equal(hm.values, expected)
+
+
+class TestWriter:
+    @given(
+        st.lists(st.lists(DOUBLES, min_size=3, max_size=3), min_size=2, max_size=5),
+        st.floats(min_value=1e-300, max_value=1e300),
+    )
+    def test_bytes_match_per_value_writer(self, tmp_path_factory, rows, dx):
+        hm = Heightmap(dx, 1.0 / 3.0, np.array(rows))
+        out = tmp_path_factory.mktemp("write")
+        save_heightmap(hm, out / "rows.txt")
+        _save_per_value(hm, out / "values.txt")
+        assert (out / "rows.txt").read_bytes() == (out / "values.txt").read_bytes()
+        back = load_heightmap(out / "rows.txt")
+        assert back.values.tobytes() == hm.values.tobytes()
+        assert (back.dx, back.dy) == (hm.dx, hm.dy)
+
+    def test_wide_exponent_grid(self, tmp_path):
+        rng = np.random.default_rng(11)
+        vals = rng.standard_normal((40, 50)) * 10.0 ** rng.integers(-320, 300, (40, 50))
+        hm = Heightmap(0.1, 0.7, vals)
+        save_heightmap(hm, tmp_path / "rows.txt")
+        _save_per_value(hm, tmp_path / "values.txt")
+        assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "values.txt").read_bytes()
+        assert load_heightmap(tmp_path / "rows.txt").values.tobytes() == hm.values.tobytes()
 
 
 class TestShiftToContact:

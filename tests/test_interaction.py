@@ -82,6 +82,13 @@ class TestKernel:
         with pytest.raises(InvalidParameterError):
             Kernel(-1.0, 2.0)
 
+    @pytest.mark.parametrize("alpha, nu", [
+        (math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan), (1.0, math.inf), (1.0, -1.0),
+    ])
+    def test_non_finite_parameters_rejected(self, alpha, nu):
+        with pytest.raises(InvalidParameterError, match="kernel"):
+            Kernel(alpha, nu)
+
 
 class TestPaInteraction:
     def test_sphere_against_closed_form(self):
