@@ -369,6 +369,8 @@ def load_config(args) -> ScenarioConfig:
             read = parser.read(args.config)
         except configparser.Error as exc:
             raise ConfigError(f"config: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config: cannot decode {args.config} as text ({exc.reason})") from None
         if not read:
             raise ConfigError(f"config: cannot read {args.config}")
         for name in parser.sections():
@@ -574,6 +576,13 @@ def main(argv=None) -> int:
     except (NumericError, FitError, UnclassifiableError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        # A named input or --out path that cannot be opened is bad config;
+        # an I/O failure with no path attached stays a crash.
+        if exc.filename is None:
+            raise
+        print(f"config error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

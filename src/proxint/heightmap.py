@@ -21,12 +21,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
-from scipy.optimize import least_squares
-from scipy.special import erf
 
 from .distributions import HeightDistribution, convolve
 from .errors import FitError, InvalidParameterError, ParseError
+
+# SciPy is imported inside its only callers, the Gaussian fit and the
+# rough-surface synthesis, so importing proxint (and every CLI command but
+# heightmap) does not load it; SciPy's import costs more than those
+# commands' work.
 
 __all__ = [
     "Heightmap",
@@ -91,9 +93,11 @@ class Histogram:
     weights: np.ndarray
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise InvalidParameterError("bin_width must be positive")
+        if not (self.bin_width > 0 and math.isfinite(self.bin_width)):
+            raise InvalidParameterError("bin_width must be positive and finite")
         w = np.ascontiguousarray(self.weights, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise InvalidParameterError("bin weights must be finite")
         if np.any(w < 0):
             raise InvalidParameterError("bin weights must be >= 0")
         w.setflags(write=False)
@@ -136,8 +140,11 @@ def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> He
     blank lines are skipped.  Parse failures carry the 1-based line number
     (and column for bad or non-finite entries).
     """
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode as text ({exc.reason})") from exc
     lines = text.splitlines()
     if not lines:
         raise ParseError("line 1: empty heightmap file")
@@ -249,8 +256,8 @@ def _bin_indices(hm: Heightmap, bin_width: float | None, op: str) -> tuple[float
         raise InvalidParameterError(f"{op} needs a contact-shifted heightmap")
     if bin_width is None:
         bin_width = max(float(hm.values.max()), 1.0) / DEFAULT_BIN_FRACTION
-    if bin_width <= 0:
-        raise InvalidParameterError("bin_width must be positive")
+    if not (bin_width > 0 and math.isfinite(bin_width)):
+        raise InvalidParameterError("bin_width must be positive and finite")
     idx = np.floor(hm.values.ravel() / bin_width).astype(np.int64)
     return bin_width, np.maximum(idx, 0)
 
@@ -283,6 +290,8 @@ def gradient_distribution(hm: Heightmap, bin_width: float | None = None) -> Hist
 
 def _gaussian_bin_masses(edges: np.ndarray, sigma: float, s0: float) -> np.ndarray:
     # Exact bin masses of the truncated, renormalized Gaussian.
+    from scipy.special import erf
+
     z = (edges - s0) / (sigma * math.sqrt(2.0))
     cdf = 0.5 * (1.0 + erf(z))
     norm = 1.0 - 0.5 * (1.0 + erf(-s0 / (sigma * math.sqrt(2.0))))
@@ -297,6 +306,8 @@ def fit_gaussian(emp: Histogram) -> GaussianFit:
     FitError; a poor model fit is reported through the residual, not an
     error.
     """
+    from scipy.optimize import least_squares
+
     w = np.asarray(emp.weights, dtype=float)
     if int(np.count_nonzero(w)) < 8:
         raise FitError(f"need >= 8 non-empty bins to fit, have {int(np.count_nonzero(w))}")
@@ -360,6 +371,8 @@ def _layer_values(layer: dict, X: np.ndarray, Y: np.ndarray, extent: float, rng)
         sigma, xi = float(layer["sigma"]), float(layer["xi"])
         if sigma <= 0 or xi <= 0:
             raise InvalidParameterError("roughness sigma and xi must be positive")
+        from scipy.ndimage import gaussian_filter
+
         noise = rng.standard_normal(X.shape)
         dx = extent / X.shape[1]
         field = gaussian_filter(noise, sigma=xi / dx, mode="wrap")

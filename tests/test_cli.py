@@ -1,6 +1,11 @@
 """CLI: config parsing, presets, commands, exit codes, determinism, formats."""
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +329,100 @@ class TestHeightmapCommand:
         rc = main(["heightmap", str(tmp_path / "two.txt"),
                    "--out", str(tmp_path / "two.csv"), "--bins", "32"])
         assert rc == EXIT_NUMERIC
+
+
+class TestPaths:
+    """A named input, config or --out path that cannot be used exits 2 with
+    one `config error:` line naming it."""
+
+    @staticmethod
+    def assert_config_error(rc, capsys, path):
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_missing_heightmap(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        rc = main(["heightmap", str(path), "--dx", "1", "--dy", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        self.assert_config_error(rc, capsys, path)
+
+    def test_heightmap_is_directory(self, tmp_path, capsys):
+        path = tmp_path / "scans"
+        path.mkdir()
+        rc = main(["heightmap", str(path), "--dx", "1", "--dy", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        self.assert_config_error(rc, capsys, path)
+
+    def test_undecodable_heightmap(self, tmp_path, capsys):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe0,1\n2,3\n")
+        rc = main(["heightmap", str(path), "--dx", "1", "--dy", "1",
+                   "--out", str(tmp_path / "o.csv")])
+        self.assert_config_error(rc, capsys, path)
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        path = tmp_path / "utf16.cfg"
+        path.write_bytes(b"\xff\xfe[scenario]\n")
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        self.assert_config_error(rc, capsys, path)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--preset", "fig2"],
+        ["shape", "--preset", "fig1"],
+        ["asympt", "--preset", "fig4"],
+        ["heightmap", "MAP"],
+    ])
+    def test_out_in_missing_directory(self, tmp_path, capsys, argv):
+        save_heightmap(Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4)), tmp_path / "map.txt")
+        argv = [str(tmp_path / "map.txt") if a == "MAP" else a for a in argv]
+        missing = tmp_path / "no" / "such"
+        rc = main([*argv, "--out", str(missing / "x.csv")])
+        self.assert_config_error(rc, capsys, missing)
+
+    def test_out_is_directory(self, tmp_path, capsys):
+        rc = main(["asympt", "--preset", "fig4", "--out", str(tmp_path)])
+        self.assert_config_error(rc, capsys, tmp_path)
+
+
+# Runs in a fresh interpreter: the sweep, asympt and shape recipes, the
+# SciPy modules loaded by then, then a heightmap analysis (which needs SciPy).
+STARTUP_SCRIPT = """
+import json, sys
+import proxint
+import proxint.cli as cli
+out, scan = sys.argv[1], sys.argv[2]
+codes = [cli.main(["sweep", "--preset", "fig2", "--out", out + "/fig2.csv"]),
+         cli.main(["asympt", "--preset", "fig4", "--out", out + "/fig4.csv"]),
+         cli.main(["shape", "--preset", "fig1", "--out", out + "/fig1.csv"])]
+scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+heightmap = cli.main(["heightmap", scan, "--out", out + "/scan.csv", "--bins", "64"])
+print(json.dumps({"codes": codes, "scipy": scipy, "heightmap": heightmap}))
+"""
+
+
+class TestStartup:
+    def test_only_heightmap_loads_scipy(self, tmp_path, deadline):
+        hm = synthesize_surface(
+            [{"type": "cap", "radius": 5000.0}, {"type": "rough", "sigma": 5.0, "xi": 20.0}],
+            n=64, extent=640.0, seed=3,
+        )
+        scan = tmp_path / "scan.txt"
+        save_heightmap(hm, scan)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with deadline(120):
+            done = subprocess.run(
+                [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path), str(scan)],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["codes"] == [EXIT_OK] * 3
+        assert result["scipy"] == []
+        assert result["heightmap"] == EXIT_OK
+        assert "\n# gaussian-fit sigma=" in (tmp_path / "scan.csv").read_text()
 
 
 class TestAsymptCommand:

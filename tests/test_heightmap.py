@@ -57,6 +57,12 @@ class TestLoadSave:
         np.testing.assert_array_equal(back.values, hm.values)
         assert back.dx == hm.dx and back.dy == hm.dy
 
+    def test_undecodable_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe# heightmap v1 nx=2 ny=2 dx=1 dy=1\n0 1\n2 3\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: cannot decode as text")):
+            load_heightmap(path)
+
     def test_headerless_csv_needs_spacings(self, tmp_path):
         path = tmp_path / "map.csv"
         path.write_text("0,1\n2,3\n")
@@ -323,6 +329,25 @@ class TestEmpiricalDistribution:
         exact = np.diff(np.pi * (2 * R * edges - edges**2))
         rel = np.abs(emp.weights[:kmax] - exact) / exact
         assert rel.max() < 0.01
+
+
+class TestNonFiniteBins:
+    @pytest.mark.parametrize("histogram", [empirical_distribution, gradient_distribution])
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0.0])
+    def test_bin_width_rejected(self, histogram, width):
+        hm = Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4), contact_shifted=True)
+        with pytest.raises(InvalidParameterError, match="bin_width must be positive and finite"):
+            histogram(hm, width)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0])
+    def test_histogram_width_rejected(self, width):
+        with pytest.raises(InvalidParameterError, match="bin_width must be positive and finite"):
+            Histogram(width, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_histogram_weights_rejected(self, bad):
+        with pytest.raises(InvalidParameterError, match="bin weights must be finite"):
+            Histogram(1.0, np.array([1.0, bad]))
 
 
 class TestGradientDistribution:
