@@ -69,7 +69,6 @@ from .interaction import (
     DiagnosticResult,
     InteractionCurve,
     Kernel,
-    adaptive_quad,
     casimir_ideal_kernel,
     curve_from_csv,
     curve_to_csv,
@@ -94,7 +93,7 @@ __all__ = [
     "Kernel", "InteractionCurve", "DiagnosticResult",
     "heat_sio2_kernel", "casimir_ideal_kernel", "plate_plate",
     "pa_interaction", "far_field_subtracted", "gradient_correction",
-    "exactness_diagnostic", "sweep", "adaptive_quad",
+    "exactness_diagnostic", "sweep",
     "curve_to_csv", "curve_from_csv",
     # asymptotics
     "LawForm", "AsymptoticLaw", "VerificationReport",

@@ -186,6 +186,8 @@ def _parse_layer(text: str, path: str) -> dict:
             layer[key] = float(val)
         except ValueError:
             raise ConfigError(f"{path}.{key}: not a number: {val!r}") from None
+        if not math.isfinite(layer[key]):
+            raise ConfigError(f"{path}.{key}: not a finite number: {val!r}")
     for key in allowed - set(layer):
         raise ConfigError(f"{path}.{key}: missing required field")
     for key, val in layer.items():
@@ -390,6 +392,15 @@ def _curve_path(out: str, label: str, many: bool) -> str:
     return f"{stem}.{label}{ext or '.csv'}"
 
 
+def _check_out(out: str) -> None:
+    """Reject an --out path whose directory cannot be written, before any work."""
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{directory}: no such directory for --out")
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"{directory}: --out directory is not writable")
+
+
 def _require_curves(cfg: ScenarioConfig) -> None:
     if not cfg.curves:
         raise ConfigError("config defines no [curve.*] sections")
@@ -402,6 +413,7 @@ def _require_curves(cfg: ScenarioConfig) -> None:
 def cmd_shape(args) -> int:
     cfg = load_config(args)
     _require_curves(cfg)
+    _check_out(args.out)
     many = len(cfg.curves) > 1
     for stack in cfg.curves:
         dist = stack.build()
@@ -423,6 +435,7 @@ def cmd_shape(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
     _require_curves(cfg)
+    _check_out(args.out)
     many = len(cfg.curves) > 1
     for stack in cfg.curves:
         dist = stack.build()
@@ -444,6 +457,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_heightmap(args) -> int:
     cfg = load_config(args)
+    _check_out(args.out)
     hm = load_heightmap(args.path, dx=args.dx, dy=args.dy)
     hm = shift_to_contact(hm)
     span = float(hm.values.max())
@@ -491,6 +505,8 @@ def cmd_heightmap(args) -> int:
 def cmd_asympt(args) -> int:
     cfg = load_config(args)
     _require_curves(cfg)
+    if args.out:
+        _check_out(args.out)
     rows = [CSV_ROW_HEADER]
     all_passed = True
     for stack in cfg.curves:

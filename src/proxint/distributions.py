@@ -4,18 +4,23 @@ A height distribution f(s) is the area density of local surface-to-surface
 separations, measured from the distance of closest approach: f(s) = 0 for
 s < 0, and f carries units of nm (area per unit height, nm^2/nm).
 
-Two representations are supported and share one type:
+Every distribution is an analytic part (*) a sampled part, either of which
+may be absent:
 
 * analytic -- contiguous piecewise polynomials.  Convolution of two analytic
   distributions is computed exactly (the result is again piecewise
   polynomial, with breakpoints at pairwise sums of the input breakpoints),
   which makes closed-form regression tests possible at machine precision.
 * sampled -- density values on a uniform grid s_k = k * bin_width, with
-  linear interpolation between nodes.  Convolutions involving a sampled
-  operand are evaluated on a grid with trapezoid accuracy.  The convolution
-  of an analytic and a sampled distribution keeps its two ``factors`` and
-  builds that grid only when its node values are first read, so the
-  interaction module can integrate the factors directly.
+  linear interpolation between nodes.  Two sampled parts are convolved on
+  their own grid with trapezoid accuracy.
+
+``convolve`` merges the analytic parts exactly and the sampled parts on
+their grid.  When both remain, the result keeps them as ``factors`` =
+(analytic, sampled), so the interaction module folds the sampled part
+against the closed form of the analytic one; their joint grid is built
+only when its node values are first read.  The result does not depend on
+the order in which layers are convolved.
 
 Everything here is immutable after construction and free of global state;
 all operations are pure functions and safe to call concurrently.
@@ -100,8 +105,9 @@ class HeightDistribution:
 
     For the sampled kind, ``values[k]`` is the density at s = k * bin_width
     and ``support_max = (len(values) - 1) * bin_width``.  A sampled
-    distribution made by ``convolve`` from one analytic and one sampled
-    operand holds them in ``factors`` and computes ``values`` on first use.
+    distribution made by ``convolve`` from analytic and sampled layers holds
+    its two parts in ``factors`` = (analytic, sampled) and computes
+    ``values`` on first use.
     """
 
     support_max: float
@@ -186,16 +192,16 @@ class CaseReport:
 
 def sphere_distribution(radius: float) -> HeightDistribution:
     """Sphere of radius R in front of a plate: f(s) = 2 pi (R - s) on [0, R]."""
-    if radius <= 0:
-        raise InvalidParameterError("sphere radius must be positive")
+    if not 0 < radius < math.inf:
+        raise InvalidParameterError("sphere radius must be positive and finite")
     seg = PolySegment(0.0, float(radius), (2.0 * math.pi * radius, -2.0 * math.pi))
     return HeightDistribution.analytic([seg], unit_area_normalized=False)
 
 
 def dome_distribution(height: float) -> HeightDistribution:
     """Square-base dome tiling, per unit area: f(s) = 2 (h - s) / h^2 on [0, h]."""
-    if height <= 0:
-        raise InvalidParameterError("dome height must be positive")
+    if not 0 < height < math.inf:
+        raise InvalidParameterError("dome height must be positive and finite")
     h = float(height)
     seg = PolySegment(0.0, h, (2.0 / h, -2.0 / h**2))
     return HeightDistribution.analytic([seg], unit_area_normalized=True)
@@ -208,10 +214,10 @@ def pyramid_distribution(height: float, base: float, per_unit_area: bool = False
     l^2, giving 2 s / h^2 (unit-area normalized), the form used when the
     pyramids tile a larger surface.
     """
-    if height <= 0:
-        raise InvalidParameterError("pyramid height must be positive")
-    if base <= 0:
-        raise InvalidParameterError("pyramid base length must be positive")
+    if not 0 < height < math.inf:
+        raise InvalidParameterError("pyramid height must be positive and finite")
+    if not 0 < base < math.inf:
+        raise InvalidParameterError("pyramid base length must be positive and finite")
     h = float(height)
     slope = 2.0 / h**2 if per_unit_area else 2.0 * base**2 / h**2
     seg = PolySegment(0.0, h, (0.0, slope))
@@ -237,14 +243,14 @@ def truncated_gaussian_distribution(
     [0, s0 + 8 sigma] with default spacing sigma/32; after sampling, the
     node values are rescaled so the trapezoid integral is exactly 1.
     """
-    if sigma <= 0:
-        raise InvalidParameterError("sigma must be positive")
-    if s0 < 0:
-        raise InvalidParameterError("touching distance s0 must be >= 0")
+    if not 0 < sigma < math.inf:
+        raise InvalidParameterError("sigma must be positive and finite")
+    if not 0 <= s0 < math.inf:
+        raise InvalidParameterError("touching distance s0 must be >= 0 and finite")
     support = s0 + GAUSSIAN_SUPPORT_SIGMAS * sigma
     delta = bin_width if bin_width is not None else sigma / 32.0
-    if delta <= 0:
-        raise InvalidParameterError("bin_width must be positive")
+    if not 0 < delta < math.inf:
+        raise InvalidParameterError("bin_width must be positive and finite")
     n = int(math.ceil(support / delta - 1e-12)) + 1
     delta = support / (n - 1)
     s = np.linspace(0.0, support, n)
@@ -323,11 +329,13 @@ def convolve(f_c: HeightDistribution, f_r: HeightDistribution) -> HeightDistribu
 
     The second operand is normally the unit-area-normalized roughness or
     modulation density; a warning is emitted otherwise and the un-normalized
-    result is returned as-is.  Analytic x analytic inputs produce the exact
-    piecewise-polynomial result; any sampled operand switches to a uniform
-    grid with trapezoid accuracy.  With one analytic operand and one plain
-    sampled operand the result keeps both as ``factors`` and builds that
-    grid on first use of its node values.
+    result is returned as-is.  Every distribution is an analytic part (*) a
+    sampled part, either of which may be absent.  The analytic parts are
+    convolved exactly (piecewise polynomial) and the sampled parts on their
+    own uniform grid with trapezoid accuracy.  When both parts remain, the
+    result keeps them as ``factors`` = (analytic, sampled) and builds their
+    joint grid only on first use of its node values.  Since convolution
+    commutes, the order of the layers does not change the result.
     """
     if not f_r.unit_area_normalized:
         warnings.warn(
@@ -335,17 +343,27 @@ def convolve(f_c: HeightDistribution, f_r: HeightDistribution) -> HeightDistribu
             "result scales with its projected area",
             stacklevel=2,
         )
-    if f_c.kind == "analytic" and f_r.kind == "analytic":
-        return _convolve_analytic(f_c, f_r)
-    if f_c.kind != f_r.kind and not (f_c.factors or f_r.factors):
-        delta, n_c, n_r = _numeric_grid(f_c, f_r)
-        return HeightDistribution(
-            support_max=(n_c + n_r - 2) * delta,
-            unit_area_normalized=f_c.unit_area_normalized and f_r.unit_area_normalized,
-            bin_width=float(delta),
-            factors=(f_c, f_r),
-        )
-    return _convolve_numeric(f_c, f_r)
+    (a_c, s_c), (a_r, s_r) = _parts(f_c), _parts(f_r)
+    analytic = _convolve_analytic(a_c, a_r) if a_c and a_r else a_c or a_r
+    sampled = _convolve_numeric(s_c, s_r) if s_c and s_r else s_c or s_r
+    if sampled is None:
+        return analytic
+    if analytic is None:
+        return sampled
+    delta, n_a, n_s = _numeric_grid(analytic, sampled)
+    return HeightDistribution(
+        support_max=(n_a + n_s - 2) * delta,
+        unit_area_normalized=f_c.unit_area_normalized and f_r.unit_area_normalized,
+        bin_width=float(delta),
+        factors=(analytic, sampled),
+    )
+
+
+def _parts(f: HeightDistribution):
+    """(analytic part or None, sampled part or None) of a distribution."""
+    if f.factors:
+        return f.factors
+    return (f, None) if f.kind == "analytic" else (None, f)
 
 
 def _taylor_shift(coeffs: np.ndarray, delta: float) -> np.ndarray:

@@ -12,14 +12,15 @@ SiO2 value alpha = 0.2558 nW at nu = 2 needs no conversion.
 
 Analytic distributions are integrated segment by segment in closed form
 (with the explicit logarithmic antiderivative branch where exponents
-collide), over a whole array of separations at once.  A convolution f_c (*)
-f_r of an analytic f_c with a sampled f_r is folded in interaction space,
+collide), over a whole array of separations at once.  Every other
+distribution has a sampled part f_s, optionally convolved with an analytic
+part f_c, and is folded in interaction space,
 
-    I_{c (*) r}(d) = int f_r(t) I_c(d + t) dt,
+    I(d) = int f_s(t) I_c(d + t) dt,
 
-by Gauss-Legendre on each linear piece of f_r against the closed-form I_c,
-so its convolution grid is never built.  Other sampled distributions go
-through adaptive Gauss-Kronrod quadrature.  The gradient correction's step
+by Gauss-Legendre on each linear piece of f_s against the closed-form I_c
+of f_c, or against alpha / x^nu when there is no analytic part (f_c is a
+delta at 0); no convolution grid is built.  The gradient correction's step
 density is integrated bin by bin in closed form.  Everything is pure and
 safe for concurrent use.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import HeightDistribution
-from .errors import InvalidParameterError, NumericError, ParseError
+from .errors import InvalidParameterError, ParseError
 from .heightmap import Histogram
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "gradient_correction",
     "exactness_diagnostic",
     "sweep",
-    "adaptive_quad",
     "curve_to_csv",
     "curve_from_csv",
 ]
@@ -129,87 +129,6 @@ def plate_plate(kernel: Kernel, d):
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod quadrature
-# ---------------------------------------------------------------------------
-
-# 15-point Kronrod extension of 7-point Gauss (QUADPACK dqk15 constants).
-_XGK_HALF = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WGK_HALF = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG_HALF = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119,
-                     0.417959183673469])
-
-_GK_NODES = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
-_GK_WEIGHTS = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
-_GA_WEIGHTS = np.zeros(15)
-_GA_WEIGHTS[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
-
-
-def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
-    c = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = c[:, None] + half[:, None] * _GK_NODES[None, :]
-    y = fn(x.ravel()).reshape(x.shape)
-    k15 = half * (y * _GK_WEIGHTS).sum(axis=1)
-    g7 = half * (y * _GA_WEIGHTS).sum(axis=1)
-    return k15, np.abs(k15 - g7)
-
-
-def adaptive_quad(
-    fn,
-    edges,
-    rel_tol: float = 1e-9,
-    abs_floor: float = 1e-15,
-    max_intervals: int = 10**6,
-) -> float:
-    """Globally adaptive Gauss-Kronrod integration over [edges[0], edges[-1]].
-
-    ``fn`` must accept a 1-D array.  ``edges`` seeds the initial partition
-    (breakpoints / grid nodes of piecewise integrands belong here).  Raises
-    NumericError carrying the achieved tolerance if the interval budget is
-    exhausted first.
-    """
-    edges = np.unique(np.asarray(edges, dtype=float))
-    if len(edges) < 2:
-        raise InvalidParameterError("need at least two integration edges")
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15_batch(fn, lo, hi)
-    while True:
-        total = float(vals.sum())
-        err = float(errs.sum())
-        if not (math.isfinite(total) and math.isfinite(err)):
-            raise NumericError(f"quadrature estimate is not finite ({total!r} +- {err!r})")
-        tol = max(rel_tol * abs(total), abs_floor)
-        if err <= tol:
-            return total
-        n = len(vals)
-        if n > max_intervals:
-            raise NumericError(
-                f"quadrature did not reach rel_tol={rel_tol:g} within "
-                f"{max_intervals} intervals (achieved {err / max(abs(total), abs_floor):.3g})",
-                achieved=err / max(abs(total), abs_floor),
-            )
-        mask = errs > tol / (2.0 * n)
-        if not mask.any():
-            mask = errs >= errs.max()
-        mid = 0.5 * (lo[mask] + hi[mask])
-        new_lo = np.concatenate([lo[mask], mid])
-        new_hi = np.concatenate([mid, hi[mask]])
-        new_vals, new_errs = _gk15_batch(fn, new_lo, new_hi)
-        lo = np.concatenate([lo[~mask], new_lo])
-        hi = np.concatenate([hi[~mask], new_hi])
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-
-
-# ---------------------------------------------------------------------------
 # PA integral
 # ---------------------------------------------------------------------------
 
@@ -278,13 +197,15 @@ def _closed_form(segments, d: np.ndarray, kernel: Kernel) -> np.ndarray:
     return total.reshape(d.shape)
 
 
-# Interaction-space fold of an analytic (*) sampled convolution.  Each linear
-# piece of the sampled factor gets 8-point Gauss-Legendre against
-# the closed-form I_c(d + t), which is analytic for d + t > 0 with its
-# singularity at t = -d: every piece k >= 1 lies at least its own width
-# from it (error ~ 6e-13 of the piece's share), and the first piece is
-# split at d, 2d, 4d, ... so that each part keeps that ratio.  The
-# (separation x node) products are formed in blocks of about _FOLD_BLOCK.
+# Interaction-space fold of a distribution with a sampled part f_s.  Each
+# linear piece of f_s gets 8-point Gauss-Legendre against I_c(d + t), which
+# is analytic for d + t > 0 with its singularity at t = -d: every piece
+# k >= 1 lies at least its own width from it (error ~ 6e-13 of the piece's
+# share, ~ 1e-16 from k = 2 on).  With an analytic part, I_c is its closed
+# form and the first piece is split at d, 2d, 4d, ... so that each part
+# keeps that ratio.  Without one, I_c is the kernel itself and pieces 0 and
+# 1 are integrated exactly as degree-1 segments.  The (separation x node)
+# products are formed in blocks of about _FOLD_BLOCK.
 _FOLD_X, _FOLD_W = np.polynomial.legendre.leggauss(8)
 _FOLD_BLOCK = 1 << 15
 
@@ -299,73 +220,66 @@ def _fold_rule(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarra
     return t, w
 
 
-def _fold_sum(segments, kernel: Kernel, d: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _fold_sum(i_c, d: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_j w_j I_c(d_i + t_j) for each d_i; ``t``, ``w`` are (nodes,) or (len(d), nodes)."""
     out = np.empty_like(d)
     rows = max(1, _FOLD_BLOCK // max(t.shape[-1], 1))
     for i in range(0, len(d), rows):
         sl = slice(i, i + rows)
         tb, wb = (t, w) if t.ndim == 1 else (t[sl], w[sl])
-        out[sl] = (_closed_form(segments, d[sl, None] + tb, kernel) * wb).sum(axis=1)
+        out[sl] = (i_c(d[sl, None] + tb) * wb).sum(axis=1)
     return out
 
 
-def _fold(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:
-    """I(d) of an analytic (*) sampled convolution, folded in interaction space."""
-    analytic, sampled = f.factors if f.factors[0].kind == "analytic" else f.factors[::-1]
-    segments = analytic.segments
-    v = np.asarray(sampled.values)
-    delta = sampled.bin_width
-
-    # Pieces k >= 1 share one rule over all separations; empty pieces drop out.
-    k = np.nonzero((v[1:-1] != 0.0) | (v[2:] != 0.0))[0] + 1
-    t, w = _fold_rule(k * delta, (k + 1) * delta, v[k], v[k + 1])
-    total = _fold_sum(segments, kernel, d, t.ravel(), w.ravel())
-
-    # Piece 0 is split at d, 2d, ..., 2^(m-1) d < delta; one rule per m.
-    if v[0] != 0.0 or v[1] != 0.0:
-        m = np.maximum(np.ceil(np.log2(delta / d)), 0).astype(int)
-        for mi in np.unique(m):
-            rows = np.nonzero(m == mi)[0]
-            dr = d[rows, None]
-            inner = np.minimum(dr * 2.0 ** np.arange(mi), delta)
-            edges = np.concatenate([np.zeros_like(dr), inner, np.full_like(dr, delta)], axis=1)
-            f_edges = v[0] + (v[1] - v[0]) * (edges / delta)
-            t0, w0 = _fold_rule(edges[:, :-1], edges[:, 1:], f_edges[:, :-1], f_edges[:, 1:])
-            total[rows] += _fold_sum(segments, kernel, d[rows],
-                                     t0.reshape(len(rows), -1), w0.reshape(len(rows), -1))
+def _graded_first_piece(i_c, v: np.ndarray, delta: float, d: np.ndarray) -> np.ndarray:
+    """Fold of piece 0, split at d, 2d, ..., 2^(m-1) d < delta; one rule per m."""
+    total = np.zeros_like(d)
+    if v[0] == 0.0 and v[1] == 0.0:
+        return total
+    m = np.maximum(np.ceil(np.log2(delta / d)), 0).astype(int)
+    for mi in np.unique(m):
+        rows = np.nonzero(m == mi)[0]
+        dr = d[rows, None]
+        inner = np.minimum(dr * 2.0 ** np.arange(mi), delta)
+        edges = np.concatenate([np.zeros_like(dr), inner, np.full_like(dr, delta)], axis=1)
+        f_edges = v[0] + (v[1] - v[0]) * (edges / delta)
+        t0, w0 = _fold_rule(edges[:, :-1], edges[:, 1:], f_edges[:, :-1], f_edges[:, 1:])
+        total[rows] = _fold_sum(i_c, d[rows], t0.reshape(len(rows), -1), w0.reshape(len(rows), -1))
     return total
 
 
-def _sampled_seeds(support: float, grid: np.ndarray, d: float, max_seeds: int = 2048) -> np.ndarray:
-    """Seed edges: the sample grid (thinned to a budget) plus geometric
-    refinement on the kernel scale near u = 0."""
-    stride = max(1, int(math.ceil(len(grid) / max_seeds)))
-    seeds = list(grid[::stride])
-    g = min(d, support)
-    while g < support / 4:
-        seeds.append(g)
-        g *= 2.0
-    seeds.extend([0.0, support])
-    return np.array(sorted(set(seeds)))
+def _fold(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:
+    """I(d) = int f_s(t) I_c(d + t) dt of a distribution with a sampled part f_s."""
+    analytic, sampled = f.factors or (None, f)
+    v = np.asarray(sampled.values)
+    delta = sampled.bin_width
+    if analytic is None:
+        def i_c(x):
+            return kernel.alpha * x ** (-kernel.nu)
+
+        first = min(2, len(v) - 1)
+        near = sum(
+            _segment_integral((v[k], (v[k + 1] - v[k]) / delta), k * delta, (k + 1) * delta, d, kernel)
+            for k in range(first)
+        )
+    else:
+        def i_c(x):
+            return _closed_form(analytic.segments, x, kernel)
+
+        first = 1
+        near = _graded_first_piece(i_c, v, delta, d)
+
+    # The remaining pieces share one rule over all separations; empty pieces drop out.
+    k = np.nonzero((v[first:-1] != 0.0) | (v[first + 1:] != 0.0))[0] + first
+    t, w = _fold_rule(k * delta, (k + 1) * delta, v[k], v[k + 1])
+    return _fold_sum(i_c, d, t.ravel(), w.ravel()) + near
 
 
 def _interaction(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:
     """I(d) for each separation of the validated 1-D array ``d``."""
     if f.kind == "analytic":
         return _closed_form(f.segments, d, kernel)
-    if f.factors:
-        return _fold(f, kernel, d)
-    grid = f.grid
-    vals = np.asarray(f.values)
-
-    def quad_at(di: float) -> float:
-        def integrand(u):
-            return np.interp(u, grid, vals, left=0.0, right=0.0) * kernel.alpha * (u + di) ** (-kernel.nu)
-
-        return adaptive_quad(integrand, _sampled_seeds(f.support_max, grid, di))
-
-    return np.array([quad_at(di) for di in d.tolist()])
+    return _fold(f, kernel, d)
 
 
 def pa_interaction(f: HeightDistribution, kernel: Kernel, d: float) -> float:

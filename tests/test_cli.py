@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import proxint.cli
 from proxint import Heightmap, save_heightmap, synthesize_surface
 from proxint.cli import (
     EXIT_CONFIG,
@@ -148,6 +149,20 @@ class TestConfig:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("layer, field", [
+        ("rough sigma=nan s0=1", "sigma"),
+        ("rough sigma=1 s0=inf", "s0"),
+        ("dome height=inf", "height"),
+        ("pyramid height=-inf", "height"),
+    ])
+    def test_non_finite_layer_field_exits_config(self, tmp_path, capsys, layer, field):
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG.replace("dome height=50", layer))
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err == f"config error: curve.main.layer.1.{field}: not a finite number: " \
+            f"{layer.split(field + '=')[1].split()[0]!r}\n"
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="senario: unknown section"):
             build_config({"senario": {"dref": "100"}, "curve.s": {"base": "sphere radius=1"}})
@@ -242,6 +257,17 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out_a)]) == EXIT_OK
         assert main(["sweep", "--config", cfg, "--out", str(out_b)]) == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_layer_order_gives_identical_rows(self, tmp_path):
+        layers = {"pyramid": "pyramid height=100", "rough": "rough sigma=10 s0=20"}
+        rows = []
+        for first, second in (("pyramid", "rough"), ("rough", "pyramid")):
+            text = SPHERE_DOME_CFG.replace(
+                "layer.1 = dome height=50", f"layer.1 = {layers[first]}\nlayer.2 = {layers[second]}")
+            out = tmp_path / f"{first}.csv"
+            assert main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out)]) == EXIT_OK
+            rows.append(out.read_text().splitlines()[1:])
+        assert rows[0] == rows[1]
 
     def test_17_digit_output(self, tmp_path):
         cfg = write_config(tmp_path, SPHERE_DOME_CFG)
@@ -374,7 +400,13 @@ class TestPaths:
         ["asympt", "--preset", "fig4"],
         ["heightmap", "MAP"],
     ])
-    def test_out_in_missing_directory(self, tmp_path, capsys, argv):
+    def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("sweep", "load_heightmap"):
+            monkeypatch.setattr(proxint.cli, name, forbidden)
+        monkeypatch.setattr(proxint.cli.ShapeStack, "build", forbidden)
         save_heightmap(Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4)), tmp_path / "map.txt")
         argv = [str(tmp_path / "map.txt") if a == "MAP" else a for a in argv]
         missing = tmp_path / "no" / "such"

@@ -155,6 +155,27 @@ class TestTruncatedGaussian:
             truncated_gaussian_distribution(10.0, -1.0)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("make, args, field", [
+    (truncated_gaussian_distribution, (NAN, 1.0), "sigma"),
+    (truncated_gaussian_distribution, (INF, 1.0), "sigma"),
+    (truncated_gaussian_distribution, (1.0, INF), "s0"),
+    (truncated_gaussian_distribution, (1.0, NAN), "s0"),
+    (truncated_gaussian_distribution, (1.0, 1.0, NAN), "bin_width"),
+    (truncated_gaussian_distribution, (1.0, 1.0, INF), "bin_width"),
+    (dome_distribution, (INF,), "dome height"),
+    (dome_distribution, (NAN,), "dome height"),
+    (sphere_distribution, (INF,), "sphere radius"),
+    (pyramid_distribution, (INF, 1.0), "pyramid height"),
+    (pyramid_distribution, (1.0, NAN), "pyramid base length"),
+])
+def test_non_finite_parameter_is_named(make, args, field):
+    with pytest.raises(InvalidParameterError, match=f"{field} must be .* finite"):
+        make(*args)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -301,12 +322,39 @@ class TestComposite:
         assert distribution_to_text(f) == distribution_to_text(eager)
         assert projected_area(f) == projected_area(eager)
 
-    def test_further_layer_convolves_the_grid(self, factors):
+    def test_further_layer_keeps_the_factored_form(self, factors):
+        sphere, rough = factors
         layer = pyramid_distribution(5.0, 1.0, per_unit_area=True)
         f = convolve(convolve(*factors), layer)
-        eager = _convolve_numeric(_convolve_numeric(*factors), layer)
-        assert not f.factors
-        np.testing.assert_array_equal(f.values, eager.values)
+        assert f.factors[0].segments == convolve(sphere, layer).segments
+        assert f.factors[1] is rough
+        assert f._values is None
+        np.testing.assert_array_equal(f.values, _convolve_numeric(*f.factors).values)
+
+    def test_layer_order_gives_the_same_factors(self, factors):
+        sphere, rough = factors
+        layer = pyramid_distribution(5.0, 1.0, per_unit_area=True)
+        rough_first = convolve(convolve(sphere, rough), layer)
+        layer_first = convolve(convolve(sphere, layer), rough)
+        assert rough_first.factors[0].segments == layer_first.factors[0].segments
+        assert rough_first.factors[1] is layer_first.factors[1] is rough
+        assert (rough_first.support_max, rough_first.bin_width) == (
+            layer_first.support_max, layer_first.bin_width)
+
+    def test_sampled_layers_merge_on_their_own_grid(self, factors):
+        sphere, rough = factors
+        f = convolve(convolve(sphere, rough), rough)
+        assert f.factors[0] is sphere
+        merged = f.factors[1]
+        assert len(merged.values) == 2 * len(rough.values) - 1
+        np.testing.assert_array_equal(merged.values, _convolve_numeric(rough, rough).values)
+
+    def test_sampled_operand_first_is_reordered(self, factors):
+        sphere, rough = factors
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f = convolve(rough, sphere)
+        assert f.factors == (sphere, rough)
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import proxint.interaction
 from proxint import (
     HeightDistribution,
     Histogram,
     InvalidParameterError,
     Kernel,
-    NumericError,
     ParseError,
     PolySegment,
-    adaptive_quad,
     compose_gradient,
     convolve,
     curve_from_csv,
     curve_to_csv,
+    distribution_from_histogram,
     dome_distribution,
+    empirical_distribution,
     evaluate,
     exactness_diagnostic,
     far_field_subtracted,
@@ -40,7 +39,7 @@ from proxint import (
     truncated_gaussian_distribution,
 )
 import proxint.distributions
-from proxint.interaction import _sampled_seeds, _segment_integral
+from proxint.interaction import _segment_integral
 
 R = 50000.0
 H = 5000.0
@@ -53,13 +52,13 @@ def sphere_pa_closed_form(d, alpha=ALPHA, radius=R):
 
 
 def quadrature_oracle(f, kernel, d):
-    """PA integral by adaptive quadrature of evaluate() against the kernel."""
-    grid = np.linspace(0.0, f.support_max, 2049)
-
-    def integrand(u):
-        return evaluate(f, u) * kernel.alpha * (u + d) ** (-kernel.nu)
-
-    return adaptive_quad(integrand, _sampled_seeds(f.support_max, grid, d))
+    """PA integral by scipy's adaptive quadrature of evaluate() against the kernel,
+    with the segment breakpoints and a geometric grading from the kernel scale d
+    passed as break points."""
+    grading = d * 2.0 ** np.arange(64)
+    points = sorted({seg.lo for seg in f.segments[1:]} | set(grading[grading < f.support_max]))
+    return quad(lambda u: evaluate(f, u) * kernel.alpha * (u + d) ** (-kernel.nu),
+                0.0, f.support_max, points=points, limit=1000, epsabs=0.0, epsrel=1e-12)[0]
 
 
 class TestKernel:
@@ -252,11 +251,7 @@ class TestGradientCorrectionClosedForm:
             got = gradient_correction(g, Kernel(1.0, nu), d)
             assert got == pytest.approx(want, rel=1e-13)
 
-    def test_no_adaptive_quadrature(self, monkeypatch, c9_pyramid_gradient):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("adaptive_quad called")
-
-        monkeypatch.setattr(proxint.interaction, "adaptive_quad", forbidden)
+    def test_c9_pyramid_not_flagged_exact(self, c9_pyramid_gradient):
         k = heat_sio2_kernel()
         g = c9_pyramid_gradient
         assert gradient_correction(g, k, 1.0) > 0.0
@@ -321,28 +316,6 @@ class TestSweep:
         np.testing.assert_allclose(with_ratio.ratios, with_ratio.values / 4200.0, rtol=1e-15)
 
 
-class TestQuadrature:
-    def test_smooth_integral(self):
-        got = adaptive_quad(np.sin, np.linspace(0.0, math.pi, 5))
-        assert got == pytest.approx(2.0, rel=1e-12)
-
-    def test_integrable_endpoint(self):
-        # int_0^1 u^(-1/2) du = 2 with a singular endpoint
-        got = adaptive_quad(lambda u: np.where(u > 0, 1.0 / np.sqrt(np.maximum(u, 1e-300)), 0.0),
-                            [0.0, 1.0], rel_tol=1e-9)
-        assert got == pytest.approx(2.0, rel=1e-6)
-
-    def test_budget_exhaustion_raises(self):
-        with pytest.raises(NumericError) as err:
-            adaptive_quad(
-                lambda u: np.where(u > 0, 1.0 / np.sqrt(np.maximum(u, 1e-300)), 0.0),
-                [0.0, 1.0],
-                rel_tol=1e-13,
-                max_intervals=8,
-            )
-        assert err.value.achieved is not None
-
-
 class TestCurveCsv:
     def test_round_trip_17_digits(self):
         f = sphere_distribution(R)
@@ -401,11 +374,6 @@ class TestNonFiniteSeparations:
     def test_gradient_correction_rejects(self, bad):
         with pytest.raises(InvalidParameterError, match="finite"):
             gradient_correction(Histogram(1.0, np.ones(4)), heat_sio2_kernel(), bad)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_adaptive_quad_non_finite_estimate(self, deadline, value):
-        with deadline(10.0), np.errstate(invalid="ignore"), pytest.raises(NumericError, match="not finite"):
-            adaptive_quad(lambda u: np.full_like(u, value), [0.0, 1.0])
 
 
 _GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -530,11 +498,10 @@ class TestInteractionSpaceFold:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("sigma, s0", FIG2_ROUGHNESS[:2])
-    def test_no_grid_and_no_adaptive_quadrature(self, monkeypatch, sigma, s0):
+    def test_no_grid(self, monkeypatch, sigma, s0):
         def forbidden(*args, **kwargs):
-            raise AssertionError("grid or adaptive quadrature used")
+            raise AssertionError("convolution grid built")
 
-        monkeypatch.setattr(proxint.interaction, "adaptive_quad", forbidden)
         monkeypatch.setattr(proxint.distributions, "_convolve_numeric", forbidden)
         f = convolve(sphere_distribution(R), truncated_gaussian_distribution(sigma, s0))
         k = heat_sio2_kernel()
@@ -546,3 +513,73 @@ class TestInteractionSpaceFold:
         for i in (0, 40, 96):
             assert pa_interaction(f, k, d[i]) - at_ref == curve.values[i]
         assert f._values is None
+
+    def test_layer_order_gives_identical_values(self):
+        sphere, rough = sphere_distribution(R), truncated_gaussian_distribution(10.0, 20.0)
+        pyramid = pyramid_distribution(100.0, 1.0, per_unit_area=True)
+        rough_first = convolve(convolve(sphere, rough), pyramid)
+        pyramid_first = convolve(convolve(sphere, pyramid), rough)
+        d = np.geomspace(1.0, 300.0, 31)
+        k = heat_sio2_kernel()
+        np.testing.assert_array_equal(sweep(rough_first, k, d, subtract_at=300.0).values,
+                                      sweep(pyramid_first, k, d, subtract_at=300.0).values)
+        assert rough_first._values is None and pyramid_first._values is None
+
+
+def _linear_pieces_mpmath(f):
+    """Node weights of int f(u) x(u)^-nu du for the piecewise-linear sampled f,
+    at 30 digits.  On piece k, f(u) = A_k + B_k u, so with the antiderivatives
+    F0 of x^-nu and F1 of x^(1-nu), x = u + d, the integral is
+    sum_k (A_k - B_k d) dF0_k + B_k dF1_k, telescoped onto the nodes."""
+    v = [mpmath.mpf(x) for x in np.asarray(f.values).tolist()]
+    delta = mpmath.mpf(f.bin_width)
+    B = [(hi - lo) / delta for lo, hi in zip(v[:-1], v[1:])] + [0]
+    A = [v[k] - B[k] * k * delta for k in range(len(v) - 1)] + [0]
+    return delta, [A[j - 1] - A[j] if j else -A[0] for j in range(len(v))], \
+        [B[j - 1] - B[j] if j else -B[0] for j in range(len(v))]
+
+
+def _sampled_integral_mpmath(weights, x, d, nu):
+    """The telescoped sum at the nodes x_j = j delta + d:
+    F0 = x^(1-nu)/(1-nu), F1 = x^(2-nu)/(2-nu), or log x at nu = 2."""
+    _, cA, cB = weights
+    p = [xj ** (1 - nu) for xj in x]
+    if nu == 2:
+        second = mpmath.fdot([mpmath.log(xj) for xj in x], cB)
+    else:
+        second = mpmath.fdot([xj * pj for xj, pj in zip(x, p)], cB) / (2 - nu)
+    return (mpmath.fdot(p, cA) - d * mpmath.fdot(p, cB)) / (1 - nu) + second
+
+
+def _scan_distribution():
+    hm = synthesize_surface([{"type": "cap", "radius": R}, {"type": "rough", "sigma": 5.0, "xi": 40.0}],
+                            n=128, extent=4000.0, seed=7)
+    return distribution_from_histogram(empirical_distribution(hm, 1.0), area=hm.area)
+
+
+PURE_SAMPLED = {
+    "sphere-dome": lambda: to_sampled(convolve(sphere_distribution(R), dome_distribution(50.0)), 2048),
+    "sphere": lambda: to_sampled(sphere_distribution(R), 2048),
+    "rough-s0-0": lambda: truncated_gaussian_distribution(10.0, 0.0),
+    "rough-s0-20": lambda: truncated_gaussian_distribution(10.0, 20.0),
+    "scan": _scan_distribution,
+}
+
+
+class TestPureSampledFold:
+    """A sampled density alone is the fold against a delta at 0."""
+
+    D = np.array([1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 300.0])
+
+    @pytest.mark.parametrize("name", sorted(PURE_SAMPLED))
+    def test_matches_exact_piecewise_linear_integral(self, name):
+        f = PURE_SAMPLED[name]()
+        got = {nu: sweep(f, Kernel(1.0, nu), self.D).values for nu in (2, 2.5, 3)}
+        with mpmath.workdps(30):
+            weights = _linear_pieces_mpmath(f)
+            for i, d in enumerate(self.D.tolist()):
+                d = mpmath.mpf(d)
+                x = [j * weights[0] + d for j in range(len(weights[1]))]
+                for nu, values in got.items():
+                    want = float(_sampled_integral_mpmath(weights, x, d, mpmath.mpf(nu)))
+                    assert values[i] == pytest.approx(want, rel=1e-14, abs=0.0), (nu, float(d))
