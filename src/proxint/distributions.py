@@ -28,6 +28,8 @@ all operations are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -224,10 +226,16 @@ def pyramid_distribution(height: float, base: float, per_unit_area: bool = False
     return HeightDistribution.analytic([seg], unit_area_normalized=per_unit_area)
 
 
+def _check_gaussian(sigma: float, s0: float) -> None:
+    if not 0 < sigma < math.inf:
+        raise InvalidParameterError("sigma must be positive and finite")
+    if not 0 <= s0 < math.inf:
+        raise InvalidParameterError("touching distance s0 must be >= 0 and finite")
+
+
 def truncated_gaussian_norm(sigma: float, s0: float) -> float:
     """Normalization N with int_0^inf exp(-(s-s0)^2/2 sigma^2)/(N sigma sqrt(2 pi)) ds = 1."""
-    if sigma <= 0:
-        raise InvalidParameterError("sigma must be positive")
+    _check_gaussian(sigma, s0)
     return 0.5 * (1.0 + math.erf(s0 / (sigma * math.sqrt(2.0))))
 
 
@@ -243,10 +251,7 @@ def truncated_gaussian_distribution(
     [0, s0 + 8 sigma] with default spacing sigma/32; after sampling, the
     node values are rescaled so the trapezoid integral is exactly 1.
     """
-    if not 0 < sigma < math.inf:
-        raise InvalidParameterError("sigma must be positive and finite")
-    if not 0 <= s0 < math.inf:
-        raise InvalidParameterError("touching distance s0 must be >= 0 and finite")
+    _check_gaussian(sigma, s0)
     support = s0 + GAUSSIAN_SUPPORT_SIGMAS * sigma
     delta = bin_width if bin_width is not None else sigma / 32.0
     if not 0 < delta < math.inf:
@@ -366,15 +371,80 @@ def _parts(f: HeightDistribution):
     return (f, None) if f.kind == "analytic" else (None, f)
 
 
-def _taylor_shift(coeffs: np.ndarray, delta: float) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[tuple[float, ...], ...]:
+    """Rows 0..n-1 of Pascal's triangle as floats: _binomials(n)[j][k] = C(j, k)."""
+    return tuple(tuple(float(math.comb(j, k)) for k in range(j + 1)) for j in range(n))
+
+
+def _taylor_shift(coeffs, delta: float) -> list[float]:
     """Re-anchor sum c_j x^j as sum c'_k (x - delta)^k."""
     n = len(coeffs)
-    out = np.zeros(n)
+    if delta == 0.0:
+        # The sums below would add only zeros to each c_k.
+        return list(coeffs)
+    binom = _binomials(n)
+    pw = [delta**m for m in range(n)]
+    out = []
     for k in range(n):
         acc = 0.0
         for j in range(k, n):
-            acc += math.comb(j, k) * coeffs[j] * delta ** (j - k)
-        out[k] = acc
+            acc += binom[j][k] * coeffs[j] * pw[j - k]
+        out.append(acc)
+    return out
+
+
+def _reverse(coeffs, length: float) -> list[float]:
+    """p(length - t) as a polynomial in t."""
+    n = len(coeffs)
+    binom = _binomials(n)
+    pw = [length**m for m in range(n)]
+    out = [0.0] * n
+    for k, c in enumerate(coeffs):
+        if c == 0.0:
+            continue
+        for i in range(k + 1):
+            out[i] += c * binom[k][i] * (-1.0) ** i * pw[k - i]
+    return out
+
+
+def _bivariate_integral(pa, pb) -> list[list[float]]:
+    """Antiderivative in t of p(t) q(x - t) as rows Bi[i][j] of x^i t^j."""
+    da, db = len(pa) - 1, len(pb) - 1
+    binom = _binomials(db + 1)
+    B = [[0.0] * (da + db + 1) for _ in range(db + 1)]
+    for k in range(da + 1):
+        if pa[k] == 0.0:
+            continue
+        for m in range(db + 1):
+            c = pa[k] * pb[m]
+            if c == 0.0:
+                continue
+            for j in range(m + 1):
+                B[m - j][k + j] += c * binom[m][j] * (-1.0) ** j
+    return [[0.0] + [v / (j + 1) for j, v in enumerate(row)] for row in B]
+
+
+def _rising(Bi) -> list[float]:
+    """sum_ij Bi[i][j] x^(i+j): the antiderivative taken from t = 0 to t = x."""
+    out = [0.0] * (len(Bi) + len(Bi[0]) - 1)
+    for i, row in enumerate(Bi):
+        for j, c in enumerate(row):
+            if c != 0.0:
+                out[i + j] += c
+    return out
+
+
+def _plateau(Bi, la: float) -> list[float]:
+    """sum_ij Bi[i][j] x^i la^j: the antiderivative taken from t = 0 to t = la."""
+    pw = [la**j for j in range(len(Bi[0]))]
+    out = []
+    for row in Bi:
+        acc = 0.0
+        for j, c in enumerate(row):
+            if c != 0.0:
+                acc += c * pw[j]
+        out.append(acc)
     return out
 
 
@@ -393,75 +463,33 @@ def _pair_convolve(seg_a: PolySegment, seg_b: PolySegment):
         a, b, La, Lb = b, a, Lb, La
     s0 = seg_a.lo + seg_b.lo
     scale = La + Lb
-    a = a * scale ** np.arange(len(a))
-    b = b * scale ** np.arange(len(b))
+    a = (a * scale ** np.arange(len(a))).tolist()
+    b = (b * scale ** np.arange(len(b))).tolist()
     la, lb = La / scale, Lb / scale
 
-    def bivariate_integral(pa_, pb_):
-        # Antiderivative in t of p(t) q(x - t): Bi[i, j] x^i t^j.
-        da, db = len(pa_) - 1, len(pb_) - 1
-        B = np.zeros((db + 1, da + db + 1))
-        for k in range(da + 1):
-            if pa_[k] == 0.0:
-                continue
-            for m in range(db + 1):
-                c = pa_[k] * pb_[m]
-                if c == 0.0:
-                    continue
-                for j in range(m + 1):
-                    B[m - j, k + j] += c * math.comb(m, j) * (-1.0) ** j
-        Bi = np.zeros((B.shape[0], B.shape[1] + 1))
-        Bi[:, 1:] = B / np.arange(1, B.shape[1] + 1)
-        return Bi
-
-    def eval_at(Bi, slope: float, offset: float) -> np.ndarray:
-        # Polynomial in x of sum_ij Bi[i, j] x^i (slope*x + offset)^j.
-        out = np.zeros(Bi.shape[0] + Bi.shape[1] - 1)
-        for i in range(Bi.shape[0]):
-            for j in range(Bi.shape[1]):
-                c = Bi[i, j]
-                if c == 0.0:
-                    continue
-                for t in range(j + 1):
-                    out[i + t] += c * math.comb(j, t) * slope**t * offset ** (j - t)
-        return out
-
-    def reverse(coeffs: np.ndarray, length: float) -> np.ndarray:
-        # p(length - t) as a polynomial in t.
-        out = np.zeros_like(coeffs)
-        for k, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            for i in range(k + 1):
-                out[i] += c * math.comb(k, i) * (-1.0) ** i * length ** (k - i)
-        return out
-
-    Bi = bivariate_integral(a, b)
-    rising = eval_at(Bi, 1.0, 0.0)        # t from 0 to x
-    plateau = eval_at(Bi, 0.0, la)        # t from 0 to la
-
+    # With Bi the antiderivative in t of p(t) q(x - t), written
+    # sum_ij Bi[i][j] x^i t^j, the convolution C(x) = int p(t) q(x - t) dt
+    # has three phases in x: rising on [0, la] (t from 0 to x, so C is the
+    # anti-diagonal sums of Bi), plateau on [la, lb] when lb > la (t from 0
+    # to la, so C(x) = sum_j Bi[i][j] la^j x^i), and falling on [lb, la + lb].
     # The falling phase is the rising phase of the end-reversed polynomials:
     # with y = la + lb - x, C(x) = int_0^y p(la - t) q(lb - (y - t)) dt.
     # Computing it that way keeps coefficients at the local value scale, so
     # the result stays clean where the convolution vanishes at its top edge.
-    Bi_rev = bivariate_integral(reverse(a, la), reverse(b, lb))
-    rising_rev = eval_at(Bi_rev, 1.0, 0.0)
-    falling = np.zeros_like(rising_rev)
-    for j, c in enumerate(rising_rev):
-        if c == 0.0:
-            continue
-        for k in range(j + 1):
-            falling[k] += c * math.comb(j, k) * (-1.0) ** k * la ** (j - k)
+    # Every sum runs on Python floats in a fixed order, term by term.
+    Bi = _bivariate_integral(a, b)
+    rising = _rising(Bi)
+    falling = _reverse(_rising(_bivariate_integral(_reverse(a, la), _reverse(b, lb))), la)
 
     # Each phase polynomial below is anchored at its own piece start.
     phases = [(0.0, la, rising)]
     if lb > la:
-        phases.append((la, lb, _taylor_shift(plateau, la)))
+        phases.append((la, lb, _taylor_shift(_plateau(Bi, la), la)))
     phases.append((lb, la + lb, falling))
 
     pieces = []
     for x0, x1, poly in phases:
-        coeffs = poly * scale ** (1.0 - np.arange(len(poly)))
+        coeffs = (np.array(poly) * scale ** (1.0 - np.arange(len(poly)))).tolist()
         pieces.append((s0 + x0 * scale, s0 + x1 * scale, coeffs))
     return pieces
 
@@ -481,15 +509,21 @@ def _convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> Height
             merged.append(c)
     merged[0], merged[-1] = 0.0, total
 
+    # Each piece covers the merged intervals whose midpoint lies within tol
+    # of it; the midpoints are sorted, so that is one contiguous run.
+    mids = [0.5 * (g0 + g1) for g0, g1 in zip(merged[:-1], merged[1:])]
+    covering = [[] for _ in mids]
+    for p0, p1, coeffs in pieces:
+        for g in range(bisect.bisect_left(mids, p0 - tol), bisect.bisect_right(mids, p1 + tol)):
+            covering[g].append((p0, coeffs))
+
     max_len = max(len(p[2]) for p in pieces)
     segments = []
-    for g0, g1 in zip(merged[:-1], merged[1:]):
-        mid = 0.5 * (g0 + g1)
-        acc = np.zeros(max_len)
-        for p0, p1, coeffs in pieces:
-            if p0 - tol <= mid <= p1 + tol:
-                shifted = _taylor_shift(coeffs, g0 - p0)
-                acc[: len(shifted)] += shifted
+    for g0, g1, covers in zip(merged[:-1], merged[1:], covering):
+        acc = [0.0] * max_len
+        for p0, coeffs in covers:
+            for k, c in enumerate(_taylor_shift(coeffs, g0 - p0)):
+                acc[k] += c
         last = max((k for k, c in enumerate(acc) if c != 0.0), default=0)
         segments.append(PolySegment(g0, g1, tuple(acc[: last + 1])))
     unit = fa.unit_area_normalized and fb.unit_area_normalized

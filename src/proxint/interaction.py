@@ -10,9 +10,14 @@ the full bodies at distance of closest approach d is the area integral
 Units: lengths in nm, powers in nW; alpha carries nW * nm^(nu-2), so the
 SiO2 value alpha = 0.2558 nW at nu = 2 needs no conversion.
 
-Analytic distributions are integrated segment by segment in closed form
-(with the explicit logarithmic antiderivative branch where exponents
-collide), over a whole array of separations at once.  Every other
+Analytic distributions are integrated segment by segment in closed form,
+over a whole array of separations at once.  Near the kernel singularity a
+segment's binomial expansion is summed term by term (with the explicit
+logarithmic antiderivative branch where exponents collide); away from it,
+Gauss-Legendre replaces the expansion, at the lowest order that a table
+derived in 30-digit mpmath allows for the pair's r = width / (lo + d) and
+the segment's degree, and each order's (segment, separation) pairs are
+evaluated together.  Every other
 distribution has a sampled part f_s, optionally convolved with an analytic
 part f_c, and is folded in interaction space,
 
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HeightDistribution
+from .distributions import HeightDistribution, PolySegment
 from .errors import InvalidParameterError, ParseError
 from .heightmap import Histogram
 
@@ -111,8 +116,8 @@ class InteractionCurve:
 
     def with_ratio(self, far_field_nw: float) -> "InteractionCurve":
         """Attach the ratio column: values / far-field constant."""
-        if far_field_nw <= 0:
-            raise InvalidParameterError("far-field constant must be positive")
+        if not 0 < far_field_nw < math.inf:
+            raise InvalidParameterError("far-field constant must be positive and finite")
         return InteractionCurve(
             self.separations, self.values, self.kernel, self.d_ref,
             np.asarray(self.values) / far_field_nw,
@@ -132,7 +137,34 @@ def plate_plate(kernel: Kernel, d):
 # PA integral
 # ---------------------------------------------------------------------------
 
-_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+# Far-branch Gauss-Legendre orders.  In the far branch of a segment of
+# width w, r = w / (lo + d) <= 1, and the relative error of an n-point rule
+# on each monomial (u - lo)^k (u + d)^-nu depends on (n, k, r, nu) alone.
+# Row (edge, ((n, p), ...)) serves r up to edge (above the previous edge):
+# order n integrates every monomial of degree k <= p within 2^-56 relative
+# of a 30-digit mpmath value, for every nu <= _FAR_NU_MAX on a 0.25 grid
+# and r on a grid over the band.  The table is the output of
+# tools/derive_far_orders.py.  Higher degrees and higher nu use _FAR_FALLBACK.
+_FAR_NU_MAX = 6.0
+_FAR_FALLBACK = 64
+_FAR_ORDERS = (
+    (2.0**-10, ((4, 2), (6, 7), (8, 12), (12, 22), (16, 24))),
+    (2.0**-8, ((4, 1), (6, 6), (8, 11), (12, 21), (16, 24))),
+    (2.0**-6, ((6, 4), (8, 9), (12, 20), (16, 24))),
+    (2.0**-4, ((6, 0), (8, 6), (12, 19), (16, 24))),
+    (2.0**-2, ((12, 14), (16, 24))),
+    (1.0, ((16, 24),)),
+)
+_FAR_EDGES = np.array([edge for edge, _ in _FAR_ORDERS])
+_FAR_MAX_DEGREE = max(p for _, row in _FAR_ORDERS for _, p in row)
+# _FAR_ORDER_BY[band, degree]; the last column serves every higher degree.
+_FAR_ORDER_BY = np.array([
+    [next((n for n, p in row if p >= degree), _FAR_FALLBACK) for degree in range(_FAR_MAX_DEGREE + 2)]
+    for _, row in _FAR_ORDERS
+], dtype=np.int8)
+_GAUSS_LEGENDRE = {
+    n: np.polynomial.legendre.leggauss(n) for n in {_FAR_FALLBACK, *_FAR_ORDER_BY.ravel().tolist()}
+}
 
 
 def _separations(d) -> np.ndarray:
@@ -143,57 +175,101 @@ def _separations(d) -> np.ndarray:
     return d
 
 
-def _segment_integral(coeffs, lo: float, hi: float, d: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Exact integral of sum_k c_k (u - lo)^k * alpha / (u + d)^nu over [lo, hi],
-    for each separation in the 1-D array ``d``.
+def _expanded(coeffs, a: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """int_a^b sum_k c_k (x - a)^k alpha x^-nu dx, each term binomially expanded
+    in powers of x, with the logarithmic antiderivative where an exponent
+    collides with -1."""
+    nu = kernel.nu
+    # (-a)^(k-j) depends on k - j alone and each power integral on j alone.
+    neg = -a
+    neg_pow = [neg**m for m in range(len(coeffs))]
+    power_integral = []
+    for j in range(len(coeffs)):
+        p = j - nu
+        if abs(p + 1.0) < 1e-12:
+            power_integral.append(np.log(b / a))
+        else:
+            power_integral.append((b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0))
+    total = np.zeros_like(a)
+    for k, c_k in enumerate(coeffs):
+        if c_k == 0.0:
+            continue
+        for j in range(k + 1):
+            total += c_k * math.comb(k, j) * neg_pow[k - j] * power_integral[j]
+    return kernel.alpha * total
 
-    Near the kernel singularity (lo + d small against the segment width) the
-    binomial expansion in powers of (u + d) is evaluated term by term, with
-    the logarithmic antiderivative branch taken explicitly when an exponent
-    collides with -1.  Far from it, 64-point Gauss-Legendre is exact to
-    machine precision and avoids the cancellation of the expanded form.  The
-    branch is chosen for each separation on its own.
+
+def _segment_integrals(segments, d: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Exact integral of sum_k c_k (u - lo)^k * alpha / (u + d)^nu over [lo, hi]
+    for each segment (rows) and each separation of the 1-D array ``d`` (columns).
+
+    Near the kernel singularity (lo + d below the segment width) the
+    binomial expansion in powers of (u + d) is evaluated term by term.  Far
+    from it, Gauss-Legendre replaces it, at the order _FAR_ORDERS gives for
+    the pair's r = width / (lo + d) and the segment's degree: exact to
+    machine precision there, and free of the expanded form's cancellation.
+    The branch and the order are chosen for each (segment, separation) on
+    its own, and each order's pairs are evaluated together across segments.
     """
-    nu, alpha = kernel.nu, kernel.alpha
+    lo = np.array([seg.lo for seg in segments])
+    hi = np.array([seg.hi for seg in segments])
     width = hi - lo
-    base = lo + d
+    base = lo[:, None] + d
+    far = base >= width[:, None]
     out = np.empty_like(base)
-    far = base >= width
-    if far.any():
-        u = 0.5 * (lo + hi) + 0.5 * width * _GL64_NODES
-        x = u - lo
-        poly = np.zeros_like(x)
-        for c in reversed(coeffs):
-            poly = poly * x + c
-        vals = poly * (u + d[far, None]) ** (-nu)
-        out[far] = alpha * 0.5 * width * (vals * _GL64_WEIGHTS).sum(axis=1)
+    for s in np.nonzero(~far.all(axis=1))[0]:
+        coeffs, near = segments[s].coeffs, ~far[s]
+        if near.all():
+            out[s] = _expanded(coeffs, base[s], hi[s] + d, kernel)
+        else:
+            out[s][near] = _expanded(coeffs, base[s][near], hi[s] + d[near], kernel)
+    if not far.any():
+        return out
 
-    near = ~far
-    if near.any():
-        base = base[near]
-        a, b = base, hi + d[near]
-        total = np.zeros_like(a)
-        for k, c_k in enumerate(coeffs):
-            if c_k == 0.0:
-                continue
-            for j in range(k + 1):
-                coef = c_k * math.comb(k, j) * (-base) ** (k - j)
-                p = j - nu
-                if abs(p + 1.0) < 1e-12:
-                    term = np.log(b / a)
-                else:
-                    term = (b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0)
-                total += coef * term
-        out[near] = alpha * total
+    degree = np.array([len(seg.coeffs) - 1 for seg in segments])
+    coeffs = np.zeros((len(segments), degree.max() + 1))
+    for s, seg in enumerate(segments):
+        coeffs[s, : len(seg.coeffs)] = seg.coeffs
+    if kernel.nu <= _FAR_NU_MAX:
+        band = np.minimum(np.searchsorted(_FAR_EDGES, width[:, None] / base), len(_FAR_EDGES) - 1)
+        order = _FAR_ORDER_BY[band, np.minimum(degree, _FAR_MAX_DEGREE + 1)[:, None]]
+    else:
+        order = np.full(base.shape, _FAR_FALLBACK, dtype=np.int8)
+    order[~far] = 0
+    counts = np.bincount(order.ravel())
+    counts[0] = 0
+    for n in np.nonzero(counts)[0]:
+        nodes, weights = _GAUSS_LEGENDRE[n]
+        # Nodes and weight x density of every segment; only the kernel needs d.
+        u = (0.5 * (lo + hi))[:, None] + (0.5 * width)[:, None] * nodes
+        x = u - lo[:, None]
+        poly = np.zeros_like(u)
+        for c in coeffs.T[::-1]:
+            poly = poly * x + c[:, None]
+        weighted = poly * weights * (kernel.alpha * 0.5 * width)[:, None]
+        rows, cols = np.nonzero(order == n)
+        step = max(1, _FAR_FALLBACK * len(d) // n)
+        for i in range(0, len(rows), step):
+            sr, dc = rows[i:i + step], cols[i:i + step]
+            terms = np.take(u, sr, axis=0)
+            terms += np.take(d, dc)[:, None]
+            np.power(terms, -kernel.nu, out=terms)
+            terms *= np.take(weighted, sr, axis=0)
+            out[sr, dc] = terms.sum(axis=1)
     return out
 
 
 def _closed_form(segments, d: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """I(d) of an analytic distribution, for each separation in the array ``d``."""
+    """I(d) of an analytic distribution, for each separation in the array ``d``.
+
+    Segments are taken _FAR_FALLBACK at a time and summed in segment order,
+    so no temporary array exceeds a 64-point rule over every separation.
+    """
     flat = d.ravel()
     total = np.zeros_like(flat)
-    for seg in segments:
-        total += _segment_integral(seg.coeffs, seg.lo, seg.hi, flat, kernel)
+    for i in range(0, len(segments), _FAR_FALLBACK):
+        for row in _segment_integrals(segments[i:i + _FAR_FALLBACK], flat, kernel):
+            total += row
     return total.reshape(d.shape)
 
 
@@ -258,9 +334,9 @@ def _fold(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:
             return kernel.alpha * x ** (-kernel.nu)
 
         first = min(2, len(v) - 1)
-        near = sum(
-            _segment_integral((v[k], (v[k + 1] - v[k]) / delta), k * delta, (k + 1) * delta, d, kernel)
-            for k in range(first)
+        near = _closed_form(
+            [PolySegment(k * delta, (k + 1) * delta, (v[k], (v[k + 1] - v[k]) / delta)) for k in range(first)],
+            d, kernel,
         )
     else:
         def i_c(x):

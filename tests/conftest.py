@@ -11,6 +11,8 @@ import signal
 import pytest
 from hypothesis import settings
 
+from proxint import convolve, dome_distribution, pyramid_distribution, sphere_distribution
+
 settings.register_profile("proxint", derandomize=True, database=None, max_examples=25, deadline=None)
 settings.load_profile("proxint")
 
@@ -37,3 +39,19 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return limit
+
+
+DEEP_STACK_LAYERS = [dome_distribution(h) for h in (4000.0, 2000.0, 1000.0, 500.0, 250.0)] + [
+    pyramid_distribution(100.0, 1.0, per_unit_area=True)
+]
+
+
+@pytest.fixture(scope="session")
+def deep_stack():
+    """sphere 1e5 (*) domes 4000/2000/1000/500/250 (*) pyramid 100: 127 segments, degree 13."""
+    f = sphere_distribution(1e5)
+    for layer in DEEP_STACK_LAYERS:
+        f = convolve(f, layer)
+    assert len(f.segments) == 127
+    assert max(len(seg.coeffs) for seg in f.segments) - 1 == 13
+    return f

@@ -31,6 +31,9 @@ from proxint import (
 )
 from proxint.distributions import _convolve_numeric, distribution_to_text, text_to_distribution
 
+from conftest import DEEP_STACK_LAYERS
+from convolution_oracle import assert_same_segments, convolve_analytic
+
 R = 50000.0
 H = 5000.0
 
@@ -165,6 +168,10 @@ NAN, INF = math.nan, math.inf
     (truncated_gaussian_distribution, (1.0, NAN), "s0"),
     (truncated_gaussian_distribution, (1.0, 1.0, NAN), "bin_width"),
     (truncated_gaussian_distribution, (1.0, 1.0, INF), "bin_width"),
+    (truncated_gaussian_norm, (NAN, 1.0), "sigma"),
+    (truncated_gaussian_norm, (INF, 1.0), "sigma"),
+    (truncated_gaussian_norm, (1.0, NAN), "s0"),
+    (truncated_gaussian_norm, (1.0, INF), "s0"),
     (dome_distribution, (INF,), "dome height"),
     (dome_distribution, (NAN,), "dome height"),
     (sphere_distribution, (INF,), "sphere radius"),
@@ -244,6 +251,20 @@ class TestConvolveAnalytic:
         assert max(len(seg.coeffs) for seg in f.segments) - 1 == 23
         assert f.support_max == pytest.approx(R + 11 * 50.0, rel=1e-15)
         assert projected_area(f) == pytest.approx(math.pi * R**2, rel=1e-12)
+
+    @pytest.mark.parametrize("layers", [
+        [dome_distribution(H)],
+        [pyramid_distribution(H, H, per_unit_area=True)],
+        DEEP_STACK_LAYERS,
+        [dome_distribution(50.0)] * 11,
+    ], ids=["sphere-dome", "sphere-pyramid", "deep-stack", "sphere-11-domes"])
+    def test_bit_identical_to_triple_loop_oracle(self, layers):
+        radius = 1e5 if layers is DEEP_STACK_LAYERS else R
+        got = want = sphere_distribution(radius)
+        for layer in layers:
+            got = convolve(got, layer)
+            want = convolve_analytic(want, layer)
+        assert_same_segments(got, want)
 
     def test_commutativity(self):
         a = sphere_distribution(R)

@@ -1,5 +1,6 @@
 """Kernels, the PA integral against independent quadrature, corrections, sweeps."""
 
+import functools
 import math
 import warnings
 
@@ -39,7 +40,7 @@ from proxint import (
     truncated_gaussian_distribution,
 )
 import proxint.distributions
-from proxint.interaction import _segment_integral
+from proxint.interaction import _FAR_FALLBACK, _FAR_NU_MAX, _FAR_ORDERS, _closed_form
 
 R = 50000.0
 H = 5000.0
@@ -315,6 +316,12 @@ class TestSweep:
         with_ratio = curve.with_ratio(4200.0)
         np.testing.assert_allclose(with_ratio.ratios, with_ratio.values / 4200.0, rtol=1e-15)
 
+    @pytest.mark.parametrize("far_field", [math.nan, math.inf, 0.0, -1.0])
+    def test_ratio_needs_positive_finite_constant(self, far_field):
+        curve = sweep(sphere_distribution(R), heat_sio2_kernel(), [1.0, 10.0])
+        with pytest.raises(InvalidParameterError, match="far-field constant must be positive and finite"):
+            curve.with_ratio(far_field)
+
 
 class TestCurveCsv:
     def test_round_trip_17_digits(self):
@@ -376,22 +383,31 @@ class TestNonFiniteSeparations:
             gradient_correction(Histogram(1.0, np.ones(4)), heat_sio2_kernel(), bad)
 
 
-_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+def _far_order_scalar(r, degree, nu):
+    """Gauss-Legendre order of a far (segment, d) pair, read from the table row by row."""
+    if nu > _FAR_NU_MAX:
+        return _FAR_FALLBACK
+    row = next(row for edge, row in _FAR_ORDERS if r <= edge)
+    return next((n for n, p in row if p >= degree), _FAR_FALLBACK)
 
 
 def _segment_integral_scalar(coeffs, lo, hi, d, kernel):
     """The one-separation loop form of the segment closed form, as a reference
-    for the vectorised one (same branch rule, Python-float arithmetic)."""
+    for the vectorised one (same branch and order rule, Python-float arithmetic)."""
     nu, alpha = kernel.nu, kernel.alpha
     width = hi - lo
     base = lo + d
     if base >= width:
-        u = 0.5 * (lo + hi) + 0.5 * width * _GL64_NODES
+        nodes, weights = _leggauss(_far_order_scalar(width / base, len(coeffs) - 1, nu))
+        u = 0.5 * (lo + hi) + 0.5 * width * nodes
         x = u - lo
         poly = np.zeros_like(x)
         for c in reversed(coeffs):
             poly = poly * x + c
-        return alpha * 0.5 * width * float((poly * (u + d) ** (-nu) * _GL64_WEIGHTS).sum())
+        return alpha * 0.5 * width * float((poly * (u + d) ** (-nu) * weights).sum())
     a, b = lo + d, hi + d
     total = 0.0
     for k, c_k in enumerate(coeffs):
@@ -404,18 +420,6 @@ def _segment_integral_scalar(coeffs, lo, hi, d, kernel):
                 term = (b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0)
             total += coef * term
     return alpha * total
-
-
-@pytest.fixture(scope="module")
-def deep_stack():
-    """sphere 1e5 (*) domes 4000/2000/1000/500/250 (*) pyramid 100: 127 segments, degree 13."""
-    f = sphere_distribution(1e5)
-    for h in (4000.0, 2000.0, 1000.0, 500.0, 250.0):
-        f = convolve(f, dome_distribution(h))
-    f = convolve(f, pyramid_distribution(100.0, 1.0, per_unit_area=True))
-    assert len(f.segments) == 127
-    assert max(len(seg.coeffs) for seg in f.segments) - 1 == 13
-    return f
 
 
 def _segment_integral_mpmath(seg, d, nu):
@@ -434,8 +438,47 @@ def _segment_integral_mpmath(seg, d, nu):
         return mpmath.quad(lambda t: mpmath.polyval(coeffs, t) * (t + a) ** (-nu), points)
 
 
+def _segment_integral_expanded_mpmath(seg, d, nu):
+    """int_lo^hi sum_k c_k (u - lo)^k (u + d)^-nu du by the binomial expansion in
+    powers of x = u + d, summed in mpmath with 30 digits to spare beyond its
+    cancellation, about (degree + 1) log10((hi + d) / width) digits."""
+    digits = 40 + (len(seg.coeffs) + 1) * max(math.log10((seg.hi + d) / seg.width), 0.0)
+    with mpmath.workdps(int(digits)):
+        lo, hi, d, nu = (mpmath.mpf(v) for v in (seg.lo, seg.hi, d, nu))
+        a, b = lo + d, hi + d
+        # int_a^b x^(j - nu) dx = x^(1 - nu) x^j / (j + 1 - nu) between a and b
+        pa, pb = a ** (1 - nu), b ** (1 - nu)
+        power_integral = [
+            mpmath.log(b / a) if j + 1 == nu else (pb * b**j - pa * a**j) / (j + 1 - nu)
+            for j in range(len(seg.coeffs))
+        ]
+        neg_pow = [(-a) ** m for m in range(len(seg.coeffs))]
+        return mpmath.fsum(
+            mpmath.mpf(c) * mpmath.fsum(math.comb(k, j) * neg_pow[k - j] * power_integral[j]
+                                        for j in range(k + 1))
+            for k, c in enumerate(seg.coeffs)
+        )
+
+
+def _gauss_legendre_mpmath(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], Newton-refined at 30 digits."""
+    nodes, weights = [], []
+    for guess in np.polynomial.legendre.leggauss(n)[0]:
+        x = mpmath.mpf(float(guess))
+        for _ in range(6):
+            p_prev, p = mpmath.mpf(1), x
+            for m in range(2, n + 1):
+                p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+            dp = n * (x * p - p_prev) / (x * x - 1)
+            x -= p / dp
+        nodes.append(x)
+        weights.append(2 / ((1 - x * x) * dp * dp))
+    return nodes, weights
+
+
 class TestVectorisedClosedForm:
     D = np.array([1e-6, 1e-3, 1.0, 100.0])
+    FAR_D = np.array([1e-3, 1.0, 100.0, 1e4, 1e5])
 
     @pytest.mark.parametrize("nu", [2.0, 2.5, 3.0])
     def test_expanded_branch_matches_mpmath(self, deep_stack, nu):
@@ -445,18 +488,58 @@ class TestVectorisedClosedForm:
             near = seg.lo + self.D < seg.hi - seg.lo   # the expanded-binomial branch
             if not near.any():
                 continue
-            got = _segment_integral(seg.coeffs, seg.lo, seg.hi, self.D, kernel)
+            got = _closed_form((seg,), self.D, kernel)
             for d, value in zip(self.D[near], got[near]):
                 want = float(_segment_integral_mpmath(seg, d, nu))
                 assert value == pytest.approx(want, rel=1e-12, abs=0.0)
                 checked += 1
         assert checked >= 10
 
-    @pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, 2.0, 2.5, 3.0])
+    @pytest.mark.parametrize("nu", [2.0, 2.5, 3.0])
+    def test_gauss_branch_matches_mpmath(self, deep_stack, nu):
+        # Every far pair of FAR_D, plus separations that put the first
+        # segment (lo = 0) at each band edge r = width / d and just below r = 1.
+        kernel = Kernel(1.0, nu)
+        first = deep_stack.segments[0]
+        edges = np.array([edge for edge, _ in _FAR_ORDERS] + [1.0 - 1e-9])
+        probes = first.width / edges
+        checked = 0
+        for seg in deep_stack.segments:
+            d = np.concatenate([self.FAR_D, probes]) if seg is first else self.FAR_D
+            d = d[seg.lo + d >= seg.hi - seg.lo]   # the Gauss-Legendre branch
+            got = _closed_form((seg,), d, kernel)
+            for di, value in zip(d.tolist(), got):
+                want = float(_segment_integral_expanded_mpmath(seg, di, nu))
+                assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked >= 10
+        r = first.width / probes
+        np.testing.assert_allclose(r, edges, rtol=1e-15)
+        assert r[-1] < 1.0
+
+    def test_far_order_table_matches_its_derivation(self):
+        # Each entry (edge, (n, p)) claims that n-point Gauss-Legendre
+        # integrates t^p (1 + r t)^-nu over [0, 1] within 2^-56 relative at
+        # r = edge for every nu <= _FAR_NU_MAX (tools/derive_far_orders.py).
+        nus = np.arange(0.25, _FAR_NU_MAX + 0.125, 0.25)
+        with mpmath.workdps(30):
+            for edge, row in _FAR_ORDERS:
+                r = mpmath.mpf(edge)
+                for n, p in row:
+                    nodes, weights = _gauss_legendre_mpmath(n)
+                    t = [(1 + x) / 2 for x in nodes]
+                    for nu in nus:
+                        nu = mpmath.mpf(nu)
+                        exact = mpmath.hyp2f1(nu, p + 1, p + 2, -r) / (p + 1)
+                        rule = mpmath.fdot(weights, [tj**p * (1 + r * tj) ** -nu for tj in t]) / 2
+                        assert abs(rule / exact - 1) <= 2.0**-56, (edge, n, p, float(nu))
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0])
     def test_matches_scalar_loop(self, deep_stack, nu):
-        # The branch is chosen per (segment, d); d spans both sides of it on
-        # every segment width.  numpy's vector pow/log and libm's may differ
-        # in the last bit, so allow 20 ulp.
+        # The branch and the Gauss-Legendre order are chosen per (segment, d);
+        # d spans both sides of the branch on every segment width, and nu = 7
+        # is past the order table.  numpy's vector pow/log and libm's may
+        # differ in the last bit, so allow 20 ulp.
         kernel = Kernel(ALPHA, nu)
         d = np.sort(np.concatenate([np.geomspace(1e-6, 1e3, 60), [100.0, 150.0, 250.0]]))
         shapes = [

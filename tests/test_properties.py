@@ -32,6 +32,8 @@ from proxint import (
     truncated_gaussian_distribution,
 )
 
+from convolution_oracle import assert_same_segments, convolve_analytic
+
 LAYERS = {
     "dome": (dome_distribution, 1),
     "pyramid": (lambda h: pyramid_distribution(h, h, per_unit_area=True), 2),
@@ -90,6 +92,15 @@ def cases(stack):
 @given(stacks())
 def test_case_numbers_add(stack):
     assert case_number(build(stack)).case_number == compose_cases(cases(stack))
+
+
+@given(stacks())
+def test_exact_convolution_bit_identical_to_triple_loop_oracle(stack):
+    radius, layers = stack
+    want = sphere_distribution(radius)
+    for kind, p in layers:
+        want = convolve_analytic(want, make_layer(kind, p))
+    assert_same_segments(build(stack), want)
 
 
 @given(stacks())
