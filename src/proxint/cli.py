@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -202,7 +203,7 @@ class ScenarioConfig:
     def __init__(self):
         self.curves: list[ShapeStack] = []
         self.kernel = Kernel(0.2558, 2.0, "heat-sio2")
-        self.separations = np.geomspace(1.0, 300.0, 149)
+        self.separations: np.ndarray  # always set by build_config
         self.d_ref = 300.0
         self.far_field: float | None = None
         self.bins = 512
@@ -406,6 +407,15 @@ def _require_curves(cfg: ScenarioConfig) -> None:
         raise ConfigError("config defines no [curve.*] sections")
 
 
+def _csv_rows(*columns) -> list[str]:
+    """One CSV line per row of the columns, each value as FMT.
+
+    Rows are formatted from Python floats with one ``%`` per row; the text
+    is the same as FMT applied to each numpy value."""
+    template = ",".join([FMT] * len(columns))
+    return [template % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -423,8 +433,7 @@ def cmd_shape(args) -> int:
         with open(path, "w") as fh:
             fh.write(f"# {_provenance(cfg, 'shape', f'curve={stack.label}: {stack.describe()}')}\n")
             fh.write("s_nm,f\n")
-            for si, fi in zip(s, f):
-                fh.write(f"{FMT % si},{FMT % fi}\n")
+            fh.write("".join(line + "\n" for line in _csv_rows(s, f)))
         print(
             f"{stack.label}: support={dist.support_max:g} nm, "
             f"area={projected_area(dist):.6g} nm^2 -> {path}"
@@ -494,8 +503,7 @@ def cmd_heightmap(args) -> int:
     gw = np.zeros(n)
     gw[: len(grad.weights)] = grad.weights / bin_width
     centers = (np.arange(n) + 0.5) * bin_width
-    for c, fi, gi in zip(centers, fw, gw):
-        lines.append(f"{FMT % c},{FMT % fi},{FMT % gi}")
+    lines.extend(_csv_rows(centers, fw, gw))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"area={hm.area:.6g} nm^2, bins={n} -> {args.out}")
@@ -544,6 +552,7 @@ def _add_common(p: argparse.ArgumentParser, out_required: bool = True):
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """A fresh parser on every call; ``main`` reuses one from ``_parser``."""
     parser = argparse.ArgumentParser(
         prog="proxint",
         description="Proximity-approximation interactions between structured surfaces",
@@ -578,10 +587,18 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process.
+
+    argparse looks up sys.stdout, sys.stderr and the terminal width when it
+    prints, not when it is built, so one parser serves every call."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
@@ -589,7 +606,8 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, FitError, UnclassifiableError) as exc:
+    except (NumericError, FitError, UnclassifiableError, MemoryError) as exc:
+        # MemoryError: a grid too large to allocate (bins, per_decade).
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

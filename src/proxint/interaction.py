@@ -462,8 +462,9 @@ def curve_to_csv(curve: InteractionCurve, provenance: str | None = None) -> str:
     if provenance:
         lines.append(f"# {provenance}")
     lines.append(",".join(cols))
-    for row in zip(*arrays):
-        lines.append(",".join("%.17g" % v for v in row))
+    # One % per row on Python floats: the same text as "%.17g" per numpy value.
+    template = ",".join(["%.17g"] * len(arrays))
+    lines.extend(template % row for row in zip(*(a.tolist() for a in arrays)))
     return "\n".join(lines) + "\n"
 
 

@@ -9,16 +9,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import proxint.cli
-from proxint import Heightmap, save_heightmap, synthesize_surface
+from proxint import (
+    Heightmap,
+    InteractionCurve,
+    __version__,
+    curve_to_csv,
+    heat_sio2_kernel,
+    save_heightmap,
+    synthesize_surface,
+)
 from proxint.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VERIFY,
+    FMT,
+    _csv_rows,
+    _parser,
     build_config,
     main,
+    make_parser,
 )
 from proxint.errors import ConfigError
 
@@ -529,3 +544,148 @@ class TestArgumentErrors:
     def test_no_curves(self, tmp_path):
         cfg = write_config(tmp_path, "[scenario]\ndref = 300\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaks into the next."""
+
+    def test_flag_value_does_not_leak(self, tmp_path):
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG)
+        out = tmp_path / "shape.csv"
+        assert main(["shape", "--config", cfg, "--bins", "64", "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 2 + 64
+        assert main(["shape", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 2 + 512
+
+    def test_usage_error_then_valid_command(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--preset", "fig2", "--out", str(a)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["sweep", "--preset", "fig2", "--out", str(b), "--bins", "3"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --bins 3" in captured.err
+        assert not list(tmp_path.glob("b*.csv"))
+        assert main(["sweep", "--preset", "fig2", "--out", str(b)]) == EXIT_OK
+        for label in ("smooth", "dome", "rough", "pyramid"):
+            assert (tmp_path / f"b.{label}.csv").read_bytes() == \
+                (tmp_path / f"a.{label}.csv").read_bytes()
+
+    def test_version_and_help_after_a_command(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG)
+        assert main(["shape", "--config", cfg, "--bins", "8", "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--version"]) == EXIT_OK
+        assert capsys.readouterr().out == f"proxint {__version__}\n"
+        assert main(["sweep", "--help"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: proxint sweep")
+        assert "--farfield" in captured.out and captured.err == ""
+
+    def test_make_parser_builds_a_fresh_parser(self, tmp_path):
+        assert make_parser() is not make_parser()
+        assert _parser() is _parser()
+        # What a caller does to its own parser never reaches main.
+        make_parser().add_argument("--extra")
+        assert main(["--extra", "1", "shape", "--preset", "fig1",
+                     "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+
+class TestAllocationFailure:
+    """A grid too large to allocate is a numeric error, not a traceback.
+
+    Every size is 10^13 elements or more: numpy refuses it at once
+    (72.8 TiB), so nothing is allocated."""
+
+    @pytest.mark.parametrize("case", ["shape bins", "heightmap bins", "per_decade"])
+    def test_memory_error_exits_numeric(self, tmp_path, capsys, case):
+        out = tmp_path / "o.csv"
+        if case == "shape bins":
+            argv = ["shape", "--preset", "fig1", "--bins", "10000000000000"]
+        elif case == "heightmap bins":
+            scan = tmp_path / "map.txt"
+            save_heightmap(Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4)), scan)
+            argv = ["heightmap", str(scan), "--bins", "10000000000000"]
+        else:
+            cfg = write_config(tmp_path, SPHERE_DOME_CFG.replace(
+                "per_decade = 20", "per_decade = 10000000000000"))
+            argv = ["sweep", "--config", cfg]
+        assert main(argv + ["--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: Unable to allocate ")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("o*.csv"))
+
+
+# Reference writers, one "%.17g" call per numpy value, as the CSV writers
+# once were: the row writers must give the same bytes.
+
+def _curve_to_csv_per_value(curve, provenance=None):
+    cols = ["d_nm", "I_nW"]
+    arrays = [curve.separations, curve.values]
+    if curve.ratios is not None:
+        cols.append("ratio")
+        arrays.append(np.asarray(curve.ratios))
+    lines = []
+    if provenance:
+        lines.append(f"# {provenance}")
+    lines.append(",".join(cols))
+    for row in zip(*arrays):
+        lines.append(",".join("%.17g" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _shape_rows_per_value(s, f):
+    return "".join(f"{FMT % si},{FMT % fi}\n" for si, fi in zip(s, f))
+
+
+def _heightmap_rows_per_value(centers, fw, gw):
+    return [f"{FMT % c},{FMT % fi},{FMT % gi}" for c, fi, gi in zip(centers, fw, gw)]
+
+
+# Finite doubles over the whole range, with the subnormal, extreme and
+# signed-zero values drawn often.
+EXTREMES = [5e-324, -2.2250738585072014e-308, 1e300, -1e300, -0.0, 1.7976931348623157e308]
+DOUBLES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EXTREMES))
+POSITIVE = st.one_of(
+    st.floats(min_value=5e-324, allow_infinity=False),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def curves(draw):
+    d = sorted(draw(st.lists(POSITIVE, min_size=1, max_size=8, unique=True)))
+    column = arrays(float, len(d), elements=DOUBLES)
+    ratios = draw(st.none() | column)
+    return InteractionCurve(np.array(d), draw(column), heat_sio2_kernel(), ratios=ratios)
+
+
+def _columns(k):
+    return st.integers(0, 8).flatmap(
+        lambda n: st.tuples(*[arrays(float, n, elements=DOUBLES)] * k))
+
+
+class TestRowWriters:
+    @given(curves(), st.sampled_from([None, "proxint 0 | sweep"]))
+    def test_curve_to_csv_matches_per_value_writer(self, curve, provenance):
+        assert curve_to_csv(curve, provenance) == _curve_to_csv_per_value(curve, provenance)
+
+    def test_curve_to_csv_extremes_with_and_without_ratio(self):
+        d = np.array([5e-324, 2.2250738585072014e-308, 1.0, 1e300, 1.7976931348623157e308])
+        v = np.array([-0.0, 5e-324, -1e300, 1e300, 1.7976931348623157e308])
+        for ratios in (None, v[::-1].copy()):
+            curve = InteractionCurve(d, v, heat_sio2_kernel(), ratios=ratios)
+            assert curve_to_csv(curve) == _curve_to_csv_per_value(curve)
+
+    @given(_columns(2))
+    def test_shape_rows_match_per_value_writer(self, columns):
+        s, f = columns
+        assert "".join(line + "\n" for line in _csv_rows(s, f)) == _shape_rows_per_value(s, f)
+
+    @given(_columns(3))
+    def test_heightmap_rows_match_per_value_writer(self, columns):
+        assert _csv_rows(*columns) == _heightmap_rows_per_value(*columns)
+
+    def test_rows_of_extremes(self):
+        col = np.array(EXTREMES)
+        assert _csv_rows(col, -col, col[::-1]) == _heightmap_rows_per_value(col, -col, col[::-1])
