@@ -74,7 +74,6 @@ from .interaction import (
     curve_to_csv,
     exactness_diagnostic,
     far_field_subtracted,
-    gradient_correction,
     heat_sio2_kernel,
     pa_interaction,
     plate_plate,
@@ -92,7 +91,7 @@ __all__ = [
     # interaction
     "Kernel", "InteractionCurve", "DiagnosticResult",
     "heat_sio2_kernel", "casimir_ideal_kernel", "plate_plate",
-    "pa_interaction", "far_field_subtracted", "gradient_correction",
+    "pa_interaction", "far_field_subtracted",
     "exactness_diagnostic", "sweep",
     "curve_to_csv", "curve_from_csv",
     # asymptotics

@@ -50,7 +50,7 @@ from .heightmap import (
     load_heightmap,
     shift_to_contact,
 )
-from .interaction import Kernel, curve_to_csv, pa_interaction, sweep
+from .interaction import Kernel, curve_to_csv, sweep
 
 FMT = "%.17g"
 

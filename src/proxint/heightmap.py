@@ -343,7 +343,7 @@ def _tile_coords(x: np.ndarray, tile: float) -> np.ndarray:
 
 def _layer_values(layer: dict, X: np.ndarray, Y: np.ndarray, extent: float, rng) -> np.ndarray:
     kind = layer.get("type")
-    if kind in ("cap", "spherical-cap"):
+    if kind == "cap":
         R = float(layer["radius"])
         if R <= 0:
             raise InvalidParameterError("cap radius must be positive")
@@ -354,20 +354,20 @@ def _layer_values(layer: dict, X: np.ndarray, Y: np.ndarray, extent: float, rng)
                 f"reaches past the sphere radius {R:.6g} nm"
             )
         return R - np.sqrt(R**2 - r2)
-    if kind in ("pyramid", "pyramid-tiling"):
+    if kind == "pyramid":
         h, l = float(layer["height"]), float(layer["tile"])
         if h <= 0 or l <= 0:
             raise InvalidParameterError("pyramid height and tile must be positive")
         rho = np.maximum(_tile_coords(X, l), _tile_coords(Y, l))
         return h * (2.0 * rho / l)
-    if kind in ("dome", "dome-tiling"):
+    if kind == "dome":
         h, l = float(layer["height"]), float(layer["tile"])
         if h <= 0 or l <= 0:
             raise InvalidParameterError("dome height and tile must be positive")
         rho = np.maximum(_tile_coords(X, l), _tile_coords(Y, l))
         u = np.clip(2.0 * rho / l, 0.0, 1.0)
         return h * (1.0 - np.sqrt(1.0 - u**2))
-    if kind in ("rough", "gaussian-rough"):
+    if kind == "rough":
         sigma, xi = float(layer["sigma"]), float(layer["xi"])
         if sigma <= 0 or xi <= 0:
             raise InvalidParameterError("roughness sigma and xi must be positive")
@@ -437,8 +437,8 @@ def distribution_from_histogram(
     delta = hist.bin_width
     dens = w / delta
     if area is not None:
-        if area <= 0:
-            raise InvalidParameterError("area must be positive")
+        if not (area > 0 and math.isfinite(area)):
+            raise InvalidParameterError("area must be positive and finite")
         dens = dens / area
     nodes = np.zeros(len(w) + 1)
     nodes[1:-1] = (dens[:-1] + dens[1:]) / 2.0
@@ -455,20 +455,17 @@ def distribution_from_histogram(
 
 def compose_gradient(
     f_c: HeightDistribution, g_r: Histogram, area: float
-) -> Histogram:
-    """Gradient distribution of a composed surface.
+) -> HeightDistribution:
+    """Gradient density of a composed surface.
 
     Like the height distribution, g of base + fine modulation is the
     convolution of the base height distribution with the modulation's
-    per-unit-area gradient distribution (the base's own gradient is
-    negligible on the modulation scale).
+    per-unit-area gradient density (the base's own gradient is negligible on
+    the modulation scale).  The result is the factored analytic (*) sampled
+    distribution that ``convolve`` returns, integrated as f is.
     """
-    g_density = distribution_from_histogram(g_r, area=area)
     with warnings.catch_warnings():
         # g is intentionally not unit-area normalized (it integrates to the
         # mean squared slope).
         warnings.simplefilter("ignore")
-        conv = convolve(f_c, g_density)
-    vals = np.asarray(conv.values)
-    masses = 0.5 * (vals[:-1] + vals[1:]) * conv.bin_width
-    return Histogram(conv.bin_width, np.maximum(masses, 0.0))
+        return convolve(f_c, distribution_from_histogram(g_r, area=area))

@@ -25,9 +25,10 @@ part f_c, and is folded in interaction space,
 
 by Gauss-Legendre on each linear piece of f_s against the closed-form I_c
 of f_c, or against alpha / x^nu when there is no analytic part (f_c is a
-delta at 0); no convolution grid is built.  The gradient correction's step
-density is integrated bin by bin in closed form.  Everything is pure and
-safe for concurrent use.
+delta at 0); no convolution grid is built.  The leading correction beyond
+PA is the same integral with the gradient density g in place of f, so
+``exactness_diagnostic`` integrates g along the same path.  Everything is
+pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 
 from .distributions import HeightDistribution, PolySegment
 from .errors import InvalidParameterError, ParseError
-from .heightmap import Histogram
 
 __all__ = [
     "Kernel",
@@ -50,7 +50,6 @@ __all__ = [
     "plate_plate",
     "pa_interaction",
     "far_field_subtracted",
-    "gradient_correction",
     "exactness_diagnostic",
     "sweep",
     "curve_to_csv",
@@ -103,12 +102,12 @@ class InteractionCurve:
     ratios: np.ndarray | None = None
 
     def __post_init__(self):
-        d = np.ascontiguousarray(self.separations, dtype=float)
+        d = np.ascontiguousarray(_separations(self.separations))
         v = np.ascontiguousarray(self.values, dtype=float)
         if d.ndim != 1 or d.shape != v.shape:
             raise InvalidParameterError("separations and values must be 1-D and equal length")
-        if np.any(d <= 0) or np.any(np.diff(d) <= 0):
-            raise InvalidParameterError("separations must be positive and strictly increasing")
+        if np.any(np.diff(d) <= 0):
+            raise InvalidParameterError("separations must be strictly increasing")
         d.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "separations", d)
@@ -126,10 +125,7 @@ class InteractionCurve:
 
 def plate_plate(kernel: Kernel, d):
     """Parallel-plate interaction per unit area, alpha / d^nu (nW/nm^2)."""
-    d_arr = np.asarray(d, dtype=float)
-    if np.any(d_arr <= 0):
-        raise InvalidParameterError("separation must be positive")
-    out = kernel.alpha / d_arr**kernel.nu
+    out = kernel.alpha / _separations(d) ** kernel.nu
     return float(out) if np.isscalar(d) else out
 
 
@@ -372,27 +368,6 @@ def far_field_subtracted(
     return pa_interaction(f, kernel, d) - pa_interaction(f, kernel, d_ref)
 
 
-def gradient_correction(g: Histogram, kernel: Kernel, d: float) -> float:
-    """Leading correction beyond PA: int g(u) alpha/(u+d)^nu du, in closed form.
-
-    ``g`` is a gradient-weighted histogram; its density is the step function
-    w_k / width on bin k, so each bin integrates exactly:
-    int_a^(a+width) x^-nu dx = a^(1-nu) expm1((1-nu) log1p(width/a)) / (1-nu)
-    with a = k*width + d, and log1p(width/a) itself at nu = 1.
-    """
-    _separations(d)
-    w = np.asarray(g.weights, dtype=float)
-    delta = g.bin_width
-    a = np.arange(len(w)) * delta + d
-    log_ratio = np.log1p(delta / a)
-    p = 1.0 - kernel.nu
-    if p == 0.0:
-        per_bin = log_ratio
-    else:
-        per_bin = a**p * np.expm1(p * log_ratio) / p
-    return kernel.alpha * float(np.dot(w / delta, per_bin))
-
-
 @dataclass(frozen=True, eq=False)
 class DiagnosticResult:
     """Per-separation correction/PA ratios plus the asymptotic-exactness flag."""
@@ -401,24 +376,22 @@ class DiagnosticResult:
     ratios: np.ndarray
     asymptotically_exact: bool
 
-    def points(self):
-        return list(zip(self.separations.tolist(), self.ratios.tolist()))
-
 
 def exactness_diagnostic(
-    f: HeightDistribution, g: Histogram, kernel: Kernel, d_list
+    f: HeightDistribution, g: HeightDistribution, kernel: Kernel, d_list
 ) -> DiagnosticResult:
     """Judge whether the PA scaling law is asymptotically exact for this shape.
 
-    The ratio of the gradient correction to the PA term is formed per
-    separation.  The shape is flagged asymptotically exact when, over the
-    smallest available decade of d, the ratio decreases monotonically toward
-    small d and ends below 0.01.
+    ``g`` is the gradient density (e.g. from ``compose_gradient``).  The
+    leading correction beyond PA, int g(u) alpha/(u+d)^nu du, is integrated
+    exactly as the PA term is, and their ratio is formed per separation.
+    The shape is flagged asymptotically exact when, over the smallest
+    available decade of d, the ratio decreases monotonically toward small d
+    and ends below 0.01.
     """
     d = np.sort(_separations(d_list))
     pa = _interaction(f, kernel, d)
-    corr = np.array([gradient_correction(g, kernel, di) for di in d])
-    ratios = corr / pa
+    ratios = _interaction(g, kernel, d) / pa
 
     decade = d <= d[0] * 10.0
     r = ratios[decade]

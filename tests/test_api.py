@@ -14,7 +14,7 @@ PUBLIC = {
     # interaction
     "Kernel", "InteractionCurve", "DiagnosticResult",
     "heat_sio2_kernel", "casimir_ideal_kernel", "plate_plate",
-    "pa_interaction", "far_field_subtracted", "gradient_correction",
+    "pa_interaction", "far_field_subtracted",
     "exactness_diagnostic", "sweep",
     "curve_to_csv", "curve_from_csv",
     # asymptotics

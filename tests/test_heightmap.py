@@ -17,6 +17,7 @@ from proxint import (
     ParseError,
     PolySegment,
     case_number,
+    compose_gradient,
     convolve,
     distribution_from_histogram,
     dome_distribution,
@@ -476,6 +477,16 @@ class TestSynthesize:
         with pytest.raises(InvalidParameterError, match="unknown layer"):
             synthesize_surface([{"type": "cone", "height": 1.0}], n=16, extent=10.0)
 
+    @pytest.mark.parametrize("layer", [
+        {"type": "spherical-cap", "radius": 1e5},
+        {"type": "pyramid-tiling", "height": 1.0, "tile": 10.0},
+        {"type": "dome-tiling", "height": 1.0, "tile": 10.0},
+        {"type": "gaussian-rough", "sigma": 1.0, "xi": 2.0},
+    ])
+    def test_only_short_layer_names(self, layer):
+        with pytest.raises(InvalidParameterError, match="unknown layer type"):
+            synthesize_surface([layer], n=16, extent=10.0)
+
 
 class TestHistogramDensityBridge:
     def test_pyramid_classified_case_two(self):
@@ -493,6 +504,14 @@ class TestHistogramDensityBridge:
         emp = Histogram(25.0, masses)
         rep = case_number(distribution_from_histogram(emp), tol=1e-2)
         assert rep.case_number == 1
+
+    @pytest.mark.parametrize("area", [math.nan, math.inf, 0.0, -1.0])
+    def test_area_must_be_positive_and_finite(self, area):
+        g_r = Histogram(1.0, np.ones(8))
+        with pytest.raises(InvalidParameterError, match="area must be positive and finite"):
+            distribution_from_histogram(g_r, area=area)
+        with pytest.raises(InvalidParameterError, match="area must be positive and finite"):
+            compose_gradient(sphere_distribution(1e4), g_r, area)
 
 
 class TestConvolutionConsistency:

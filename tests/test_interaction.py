@@ -26,7 +26,6 @@ from proxint import (
     evaluate,
     exactness_diagnostic,
     far_field_subtracted,
-    gradient_correction,
     gradient_distribution,
     heat_sio2_kernel,
     pa_interaction,
@@ -200,75 +199,18 @@ def _gradient_from_pyramid(h, l, bins=512):
     return Histogram(delta, (4 * h**2 / l**2) * f_masses)
 
 
-class TestGradientCorrection:
-    def test_zero_gradient(self):
-        g = Histogram(1.0, np.zeros(16))
-        assert gradient_correction(g, heat_sio2_kernel(), 5.0) == 0.0
-
-    def test_pyramid_proportionality(self):
-        # g = (4 h^2 / l^2) f for pyramid tilings, so the correction is the
-        # same multiple of the PA term.
-        h = l = 500.0
-        k = heat_sio2_kernel()
-        g = _gradient_from_pyramid(h, l, bins=4096)
-        f = pyramid_distribution(h, l, per_unit_area=True)
-        for d in (5.0, 50.0):
-            corr = gradient_correction(g, k, d)
-            assert corr == pytest.approx(4 * h**2 / l**2 * pa_interaction(f, k, d), rel=1e-3)
-
-
-
 @pytest.fixture(scope="module")
 def c9_pyramid_gradient():
-    """The composed gradient histogram of acceptance criterion C9's pyramid."""
+    """The composed gradient density of acceptance criterion C9's pyramid."""
     tile = synthesize_surface([{"type": "pyramid", "height": H, "tile": H}], n=512)
     g_r = gradient_distribution(tile, bin_width=H / 512)
     return compose_gradient(sphere_distribution(R), g_r, tile.area)
 
 
-def _step_integral_mpmath(g, nu, d):
-    """sum_k (w_k / width) int_(k width + d)^((k+1) width + d) x^-nu dx at 30 digits."""
-    with mpmath.workdps(30):
-        width, nu, d = mpmath.mpf(g.bin_width), mpmath.mpf(nu), mpmath.mpf(d)
-        if nu == 1:
-            antiderivative = mpmath.log
-        else:
-            def antiderivative(x):
-                return x ** (1 - nu) / (1 - nu)
-        edges = [antiderivative(k * width + d) for k in range(len(g.weights) + 1)]
-        total = mpmath.fsum(
-            mpmath.mpf(w) / width * (hi - lo)
-            for w, lo, hi in zip(g.weights.tolist(), edges[:-1], edges[1:])
-        )
-        return float(total)
-
-
-class TestGradientCorrectionClosedForm:
-    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0, 2.5, 3.0])
-    def test_matches_mpmath_per_bin(self, c9_pyramid_gradient, nu):
-        g = c9_pyramid_gradient
-        for d in (0.1, 2.0, 300.0):
-            want = _step_integral_mpmath(g, nu, d)
-            got = gradient_correction(g, Kernel(1.0, nu), d)
-            assert got == pytest.approx(want, rel=1e-13)
-
-    def test_c9_pyramid_not_flagged_exact(self, c9_pyramid_gradient):
-        k = heat_sio2_kernel()
-        g = c9_pyramid_gradient
-        assert gradient_correction(g, k, 1.0) > 0.0
-        f = convolve(sphere_distribution(R), pyramid_distribution(H, H, per_unit_area=True))
-        res = exactness_diagnostic(f, g, k, np.geomspace(1.0, 300.0, 25))
-        assert not res.asymptotically_exact
-
-    def test_domain_error(self):
-        with pytest.raises(InvalidParameterError):
-            gradient_correction(Histogram(1.0, np.ones(4)), heat_sio2_kernel(), 0.0)
-
-
 class TestExactnessDiagnostic:
     def test_zero_gradient_flagged_exact(self):
         f = convolve(sphere_distribution(R), dome_distribution(H))
-        g = Histogram(1.0, np.zeros(8))
+        g = distribution_from_histogram(Histogram(1.0, np.zeros(8)))
         res = exactness_diagnostic(f, g, heat_sio2_kernel(), np.geomspace(1.0, 100.0, 12))
         assert res.asymptotically_exact
         assert np.all(res.ratios == 0.0)
@@ -276,15 +218,46 @@ class TestExactnessDiagnostic:
     def test_pyramid_constant_ratio_not_flagged(self):
         h = l = 500.0
         f = convolve(sphere_distribution(R), pyramid_distribution(h, l, per_unit_area=True))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            from proxint import compose_gradient
-
-            g = compose_gradient(sphere_distribution(R), _gradient_from_pyramid(h, l), 1.0)
+        g = compose_gradient(sphere_distribution(R), _gradient_from_pyramid(h, l), 1.0)
         res = exactness_diagnostic(f, g, heat_sio2_kernel(), np.geomspace(1.0, 30.0, 16))
         assert not res.asymptotically_exact
         # the ratio stays at the 4 h^2/l^2 plateau
         assert res.ratios[0] == pytest.approx(4.0, rel=0.05)
+
+    @pytest.mark.parametrize("h", [500.0, 5000.0])
+    def test_pyramid_plateau_is_exact(self, h):
+        # g = (4 h^2/l^2) f for a pyramid tiling, and the node densities of
+        # its exact bin masses are exactly that linear density, so the
+        # correction is the PA term times 4 h^2/l^2 up to rounding.
+        l = h
+        f = convolve(sphere_distribution(R), pyramid_distribution(h, l, per_unit_area=True))
+        g = compose_gradient(sphere_distribution(R), _gradient_from_pyramid(h, l), 1.0)
+        res = exactness_diagnostic(f, g, heat_sio2_kernel(), np.geomspace(0.1, 300.0, 25))
+        np.testing.assert_allclose(res.ratios, 4.0 * h**2 / l**2, rtol=1e-12, atol=0)
+
+    def test_c9_pyramid_not_flagged_exact(self, c9_pyramid_gradient):
+        k = heat_sio2_kernel()
+        g = c9_pyramid_gradient
+        assert pa_interaction(g, k, 1.0) > 0.0
+        f = convolve(sphere_distribution(R), pyramid_distribution(H, H, per_unit_area=True))
+        res = exactness_diagnostic(f, g, k, np.geomspace(1.0, 300.0, 25))
+        assert not res.asymptotically_exact
+
+    def test_correction_is_the_sweep_of_g(self, c9_pyramid_gradient):
+        # One integral for f and g: the correction is sweep(g) itself.
+        k = heat_sio2_kernel()
+        g = c9_pyramid_gradient
+        f = convolve(sphere_distribution(R), pyramid_distribution(H, H, per_unit_area=True))
+        d = np.geomspace(1.0, 300.0, 25)
+        res = exactness_diagnostic(f, g, k, d[::-1])
+        np.testing.assert_array_equal(res.separations, d)
+        np.testing.assert_array_equal(res.ratios, sweep(g, k, d).values / sweep(f, k, d).values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_separation(self, c9_pyramid_gradient, bad):
+        f = convolve(sphere_distribution(R), pyramid_distribution(H, H, per_unit_area=True))
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            exactness_diagnostic(f, c9_pyramid_gradient, heat_sio2_kernel(), [1.0, bad])
 
 
 class TestSweep:
@@ -377,10 +350,19 @@ class TestNonFiniteSeparations:
         with pytest.raises(InvalidParameterError, match="finite"):
             sweep(f, k, [1.0, 2.0], subtract_at=bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_gradient_correction_rejects(self, bad):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_plate_plate_rejects(self, bad):
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            plate_plate(heat_sio2_kernel(), bad)
+        with pytest.raises(InvalidParameterError, match="positive and finite"):
+            plate_plate(heat_sio2_kernel(), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_curve_rejects(self, bad):
+        from proxint import InteractionCurve
+
         with pytest.raises(InvalidParameterError, match="finite"):
-            gradient_correction(Histogram(1.0, np.ones(4)), heat_sio2_kernel(), bad)
+            InteractionCurve(np.array([1.0, bad]), np.array([1.0, 2.0]), heat_sio2_kernel())
 
 
 _leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
