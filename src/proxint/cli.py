@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import functools
 import math
@@ -24,6 +25,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import CSV_ROW_HEADER, fit_scaling, predict, smallest_decade, verify
 from .distributions import (
+    GAUSSIAN_SUPPORT_SIGMAS,
     HeightDistribution,
     case_number,
     convolve,
@@ -50,7 +52,7 @@ from .heightmap import (
     load_heightmap,
     shift_to_contact,
 )
-from .interaction import Kernel, curve_to_csv, sweep
+from .interaction import DEFAULT_D_REF, Kernel, curve_to_csv, heat_sio2_kernel, sweep
 
 FMT = "%.17g"
 
@@ -59,9 +61,12 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
+# Default kernel values per [kernel] preset; explicit alpha and nu override
+# them.  Without a preset the kernel is heat-sio2, or custom once alpha is set.
 KERNEL_PRESETS = {
-    "heat-sio2": {"alpha": 0.2558, "nu": 2.0},
+    "heat-sio2": {"alpha": heat_sio2_kernel().alpha, "nu": heat_sio2_kernel().nu},
     "casimir-ideal": {"nu": 3.0},
+    "custom": {},
 }
 
 # Figure-reproduction recipes.  fig1 uses the distribution-figure modulation
@@ -109,91 +114,69 @@ PRESETS: dict[str, dict] = {
 }
 
 
-class ShapeStack:
-    """One curve: optional base-curvature layer plus ordered modulation layers."""
+# The layer catalog: each type's fields in constructor order, its
+# constructor, and its height scale for the coarse-to-fine check.
+LayerType = collections.namedtuple("LayerType", "fields build scale")
 
-    def __init__(self, label: str, base: dict | None, layers: list[dict]):
-        self.label = label
-        self.base = base
-        self.layers = layers
+LAYER_TYPES = {
+    "sphere": LayerType(("radius",), sphere_distribution, lambda radius: radius),
+    "dome": LayerType(("height",), dome_distribution, lambda height: height),
+    # Tilings are per unit area, so the tile base length drops out.
+    "pyramid": LayerType(("height",), functools.partial(pyramid_distribution, base=1.0, per_unit_area=True),
+                         lambda height: height),
+    "rough": LayerType(("sigma", "s0"), truncated_gaussian_distribution,
+                       lambda sigma, s0: s0 + GAUSSIAN_SUPPORT_SIGMAS * sigma),
+}
 
-    def build(self) -> HeightDistribution:
-        dist = None
-        if self.base is not None:
-            dist = _layer_distribution(self.base)
-        for layer in self.layers:
-            mod = _layer_distribution(layer)
-            dist = mod if dist is None else convolve(dist, mod)
-        if dist is None:
-            raise ConfigError(f"curve.{self.label}: empty shape stack")
-        return dist
 
-    def describe(self) -> str:
-        parts = []
-        if self.base is not None:
-            parts.append(_describe_layer(self.base))
-        parts.extend(_describe_layer(l) for l in self.layers)
-        return " + ".join(parts)
+def _layer_args(layer: dict) -> list[float]:
+    return [layer[k] for k in LAYER_TYPES[layer["type"]].fields]
 
 
 def _describe_layer(layer: dict) -> str:
-    items = " ".join(f"{k}={layer[k]:g}" for k in sorted(layer) if k != "type")
-    return f"{layer['type']} {items}".strip()
+    items = " ".join(f"{k}={layer[k]:g}" for k in sorted(LAYER_TYPES[layer["type"]].fields))
+    return f"{layer['type']} {items}"
 
 
-def _layer_distribution(layer: dict) -> HeightDistribution:
-    kind = layer["type"]
-    if kind == "sphere":
-        return sphere_distribution(layer["radius"])
-    if kind == "dome":
-        return dome_distribution(layer["height"])
-    if kind == "pyramid":
-        # Tilings are per unit area, so the tile base length drops out.
-        return pyramid_distribution(layer["height"], 1.0, per_unit_area=True)
-    if kind == "rough":
-        return truncated_gaussian_distribution(layer["sigma"], layer["s0"])
-    raise ConfigError(f"unknown layer type {kind!r}")
+class ShapeStack:
+    """One curve: the base sphere (if any) first, then the modulation layers."""
 
+    def __init__(self, label: str, layers: list[dict]):
+        self.label = label
+        self.layers = layers
 
-def _layer_scale(layer: dict) -> float:
-    if layer["type"] == "rough":
-        return layer["s0"] + 8.0 * layer["sigma"]
-    return layer.get("height", layer.get("radius", 0.0))
+    def build(self) -> HeightDistribution:
+        if not self.layers:
+            raise ConfigError(f"curve.{self.label}: empty shape stack")
+        built = (LAYER_TYPES[l["type"]].build(*_layer_args(l)) for l in self.layers)
+        return functools.reduce(convolve, built)
 
-
-_LAYER_FIELDS = {
-    "sphere": {"radius"},
-    "dome": {"height"},
-    "pyramid": {"height"},
-    "rough": {"sigma", "s0"},
-}
+    def describe(self) -> str:
+        return " + ".join(map(_describe_layer, self.layers))
 
 
 def _parse_layer(text: str, path: str) -> dict:
     toks = text.split()
     if not toks:
         raise ConfigError(f"{path}: empty layer spec")
-    layer: dict = {"type": toks[0]}
-    allowed = _LAYER_FIELDS.get(toks[0])
-    if allowed is None:
+    spec = LAYER_TYPES.get(toks[0])
+    if spec is None:
         raise ConfigError(f"{path}.type: unknown layer type {toks[0]!r}")
+    raw = {}
     for tok in toks[1:]:
         if "=" not in tok:
             raise ConfigError(f"{path}: expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
-        if key not in allowed:
+        if key not in spec.fields:
             raise ConfigError(f"{path}.{key}: unknown field for {toks[0]}")
-        try:
-            layer[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"{path}.{key}: not a number: {val!r}") from None
-        if not math.isfinite(layer[key]):
-            raise ConfigError(f"{path}.{key}: not a finite number: {val!r}")
-    for key in allowed - set(layer):
-        raise ConfigError(f"{path}.{key}: missing required field")
-    for key, val in layer.items():
-        if key != "type" and val <= 0 and not (key == "s0" and val == 0.0):
-            raise ConfigError(f"{path}.{key}: must be positive, got {val:g}")
+        raw[key] = val
+    layer: dict = {"type": toks[0]}
+    for key in spec.fields:
+        if key not in raw:
+            raise ConfigError(f"{path}.{key}: missing required field")
+        layer[key] = _get_float(raw, key, path)
+        if layer[key] <= 0 and not (key == "s0" and layer[key] == 0.0):
+            raise ConfigError(f"{path}.{key}: must be positive, got {layer[key]:g}")
     return layer
 
 
@@ -202,9 +185,9 @@ class ScenarioConfig:
 
     def __init__(self):
         self.curves: list[ShapeStack] = []
-        self.kernel = Kernel(0.2558, 2.0, "heat-sio2")
+        self.kernel: Kernel  # always set by build_config
         self.separations: np.ndarray  # always set by build_config
-        self.d_ref = 300.0
+        self.d_ref = DEFAULT_D_REF
         self.far_field: float | None = None
         self.bins = 512
         self.tol = 0.05
@@ -212,7 +195,7 @@ class ScenarioConfig:
 
     def describe(self) -> str:
         parts = [
-            f"kernel={self.kernel.label or 'custom'} alpha={self.kernel.alpha:g} nu={self.kernel.nu:g}",
+            f"kernel={self.kernel.label} alpha={self.kernel.alpha:g} nu={self.kernel.nu:g}",
             f"dref={self.d_ref:g}",
             f"bins={self.bins}",
             f"d=[{self.separations[0]:g},{self.separations[-1]:g}]x{len(self.separations)}",
@@ -267,19 +250,18 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
     if "bins" in scen:
         cfg.bins = _get_int(scen, "bins", "scenario")
 
-    kern = dict(KERNEL_PRESETS.get(sections.get("kernel", {}).get("preset", ""), {}))
-    label = sections.get("kernel", {}).get("preset", "")
+    sec = sections.get("kernel", {})
+    label = sec.get("preset") or ("custom" if "alpha" in sec else "heat-sio2")
+    if label not in KERNEL_PRESETS:
+        raise ConfigError(f"kernel.preset: unknown preset {label!r} (have {', '.join(sorted(KERNEL_PRESETS))})")
+    kern = dict(KERNEL_PRESETS[label])
     for key in ("alpha", "nu"):
-        if key in sections.get("kernel", {}):
-            kern[key] = _get_float(sections["kernel"], key, "kernel")
-    if "alpha" not in kern:
-        if label:
-            raise ConfigError(f"kernel.alpha: preset {label!r} needs an explicit alpha")
-        kern["alpha"] = 0.2558
-        kern["nu"] = kern.get("nu", 2.0)
-        label = "heat-sio2"
+        if key in sec:
+            kern[key] = _get_float(sec, key, "kernel")
+        elif key not in kern:
+            raise ConfigError(f"kernel.{key}: missing, and kernel {label!r} has no default")
     try:
-        cfg.kernel = Kernel(kern["alpha"], kern["nu"], label or "custom")
+        cfg.kernel = Kernel(kern["alpha"], kern["nu"], label)
     except InvalidParameterError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
 
@@ -308,27 +290,23 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
     for name, sec in sections.items():
         if not name.startswith("curve."):
             continue
-        label = name.split(".", 1)[1]
-        base = None
-        layers = []
-        if "base" in sec:
-            base = _parse_layer(sec["base"], f"{name}.base")
-            if base["type"] != "sphere":
-                raise ConfigError(f"{name}.base: base-curvature layer must be a sphere")
-        idx = 1
-        while f"layer.{idx}" in sec:
-            layers.append(_parse_layer(sec[f"layer.{idx}"], f"{name}.layer.{idx}"))
-            idx += 1
+        base = [_parse_layer(sec["base"], f"{name}.base")] if "base" in sec else []
+        if base and base[0]["type"] != "sphere":
+            raise ConfigError(f"{name}.base: base-curvature layer must be a sphere")
+        mods = []
+        while (key := f"layer.{len(mods) + 1}") in sec:
+            mods.append(_parse_layer(sec[key], f"{name}.{key}"))
         for k in sec:
             if k != "base" and not (k.startswith("layer.") and k[6:].isdigit()):
                 raise ConfigError(f"{name}.{k}: unknown key")
-        for a, b, i in zip(layers[:-1], layers[1:], range(1, len(layers))):
-            if _layer_scale(b) > _layer_scale(a) * (1 + 1e-12):
+        scales = [LAYER_TYPES[l["type"]].scale(*_layer_args(l)) for l in mods]
+        for i, (a, b) in enumerate(zip(scales[:-1], scales[1:]), start=2):
+            if b > a * (1 + 1e-12):
                 raise ConfigError(
-                    f"{name}.layer.{i + 1}: modulation layers must be ordered "
-                    f"coarse to fine ({_layer_scale(b):g} > {_layer_scale(a):g})"
+                    f"{name}.layer.{i}: modulation layers must be ordered "
+                    f"coarse to fine ({b:g} > {a:g})"
                 )
-        cfg.curves.append(ShapeStack(label, base, layers))
+        cfg.curves.append(ShapeStack(name.split(".", 1)[1], base + mods))
 
     if args is not None:
         if getattr(args, "dref", None) is not None:

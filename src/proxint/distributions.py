@@ -180,7 +180,8 @@ class CaseReport:
 
     ``case_number`` is the order n of the first non-vanishing Taylor
     coefficient: f(0) = ... = f^{(n-2)}(0) = 0 and f^{(n-1)}(0) > 0.
-    ``taylor_coeffs`` holds the probed derivatives f^{(k)}(0), k = 0..K-1.
+    ``taylor_coeffs`` holds the probed derivatives f^{(k)}(0), k = 0..K-1
+    (for an analytic (*) sampled distribution, n - 1 zeros and the leading one).
     """
 
     case_number: int
@@ -294,8 +295,11 @@ def projected_area(f: HeightDistribution) -> float:
     """Total projected area int_0^inf f(s) ds.
 
     Exact polynomial antiderivatives on analytic distributions, trapezoid
-    rule on sampled ones.
+    rule on sampled ones, and the product of the two for an analytic (*)
+    sampled distribution.
     """
+    if f.factors:
+        return math.prod(projected_area(part) for part in f.factors)
     if f.kind == "analytic":
         total = 0.0
         for seg in f.segments:
@@ -600,7 +604,10 @@ def case_number(f: HeightDistribution, tol: float = 1e-6) -> CaseReport:
     Analytic distributions read every coefficient of their first segment,
     so any case number their degree allows is found.  Sampled data are
     classified from a windowed polynomial fit of degree SAMPLED_FIT_DEGREE,
-    which resolves case numbers up to SAMPLED_FIT_DEGREE + 1.
+    which resolves case numbers up to SAMPLED_FIT_DEGREE + 1.  An analytic
+    (*) sampled distribution adds its factors' case numbers and multiplies
+    their leading derivatives: a s^(p-1)/(p-1)! (*) b s^(q-1)/(q-1)! is
+    a b s^(p+q-1)/(p+q-1)!.
 
     A probed derivative f^(k)(0) counts as zero when the dimensionless scale
     |f^(k)(0)| * support_max^k / max_s f(s) falls below ``tol``, or (sampled
@@ -608,6 +615,11 @@ def case_number(f: HeightDistribution, tol: float = 1e-6) -> CaseReport:
     """
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError("tol must be in (0, 1)")
+    if f.factors:
+        a, b = (case_number(part, tol) for part in f.factors)
+        n = a.case_number + b.case_number
+        lead = a.leading_coefficient * b.leading_coefficient
+        return CaseReport(n, lead, (0.0,) * (n - 1) + (lead,))
     fmax = _max_density(f)
     if fmax <= 0.0:
         raise UnclassifiableError("distribution is identically zero")

@@ -341,12 +341,18 @@ def _tile_coords(x: np.ndarray, tile: float) -> np.ndarray:
     return np.abs(np.mod(x + 0.5 * tile, tile) - 0.5 * tile)
 
 
+def _field(layer: dict, key: str) -> float:
+    """A layer field, checked to be positive and finite."""
+    value = float(layer[key])
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"{layer['type']} {key} must be positive and finite, got {value!r}")
+    return value
+
+
 def _layer_values(layer: dict, X: np.ndarray, Y: np.ndarray, extent: float, rng) -> np.ndarray:
     kind = layer.get("type")
     if kind == "cap":
-        R = float(layer["radius"])
-        if R <= 0:
-            raise InvalidParameterError("cap radius must be positive")
+        R = _field(layer, "radius")
         r2 = X**2 + Y**2
         if float(r2.max()) >= R**2:
             raise InvalidParameterError(
@@ -355,22 +361,16 @@ def _layer_values(layer: dict, X: np.ndarray, Y: np.ndarray, extent: float, rng)
             )
         return R - np.sqrt(R**2 - r2)
     if kind == "pyramid":
-        h, l = float(layer["height"]), float(layer["tile"])
-        if h <= 0 or l <= 0:
-            raise InvalidParameterError("pyramid height and tile must be positive")
+        h, l = _field(layer, "height"), _field(layer, "tile")
         rho = np.maximum(_tile_coords(X, l), _tile_coords(Y, l))
         return h * (2.0 * rho / l)
     if kind == "dome":
-        h, l = float(layer["height"]), float(layer["tile"])
-        if h <= 0 or l <= 0:
-            raise InvalidParameterError("dome height and tile must be positive")
+        h, l = _field(layer, "height"), _field(layer, "tile")
         rho = np.maximum(_tile_coords(X, l), _tile_coords(Y, l))
         u = np.clip(2.0 * rho / l, 0.0, 1.0)
         return h * (1.0 - np.sqrt(1.0 - u**2))
     if kind == "rough":
-        sigma, xi = float(layer["sigma"]), float(layer["xi"])
-        if sigma <= 0 or xi <= 0:
-            raise InvalidParameterError("roughness sigma and xi must be positive")
+        sigma, xi = _field(layer, "sigma"), _field(layer, "xi")
         from scipy.ndimage import gaussian_filter
 
         noise = rng.standard_normal(X.shape)
@@ -403,12 +403,14 @@ def synthesize_surface(
     if not layers:
         raise InvalidParameterError("need at least one layer")
     if extent is None:
-        tiles = [float(l["tile"]) for l in layers if "tile" in l]
+        tiles = [_field(l, "tile") for l in layers if "tile" in l]
         if not tiles:
             raise InvalidParameterError("extent is required unless a tiling sets the scale")
         extent = max(tiles)
-    if n < 2 or extent <= 0:
-        raise InvalidParameterError("need n >= 2 and positive extent")
+    if n < 2:
+        raise InvalidParameterError("need n >= 2")
+    if not 0 < extent < math.inf:
+        raise InvalidParameterError(f"extent must be positive and finite, got {extent!r}")
     dx = extent / n
     coords = (np.arange(n) + 0.5) * dx - extent / 2.0
     X, Y = np.meshgrid(coords, coords)

@@ -61,10 +61,6 @@ __all__ = [
 # subtracting the value there isolates the near-field divergence.
 DEFAULT_D_REF = 300.0
 
-# Classical far-field transfer for SiO2 at T1=0, T2=300 K (external input,
-# never computed here); divides subtracted curves for the ratio axis.
-SIO2_FAR_FIELD_NW = 4200.0
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -390,6 +386,8 @@ def exactness_diagnostic(
     and ends below 0.01.
     """
     d = np.sort(_separations(d_list))
+    if d.size == 0:
+        raise InvalidParameterError("exactness_diagnostic needs at least one separation")
     pa = _interaction(f, kernel, d)
     ratios = _interaction(g, kernel, d) / pa
 

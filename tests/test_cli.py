@@ -19,9 +19,13 @@ from proxint import (
     InteractionCurve,
     __version__,
     curve_to_csv,
+    dome_distribution,
     heat_sio2_kernel,
+    pyramid_distribution,
     save_heightmap,
+    sphere_distribution,
     synthesize_surface,
+    truncated_gaussian_distribution,
 )
 from proxint.cli import (
     EXIT_CONFIG,
@@ -35,6 +39,7 @@ from proxint.cli import (
     main,
     make_parser,
 )
+from proxint.distributions import distribution_to_text
 from proxint.errors import ConfigError
 
 
@@ -72,7 +77,8 @@ class TestConfig:
         assert cfg.d_ref == 150.0  # flag beats file
         assert cfg.kernel.nu == 2.0 and cfg.kernel.alpha == pytest.approx(0.2558)
         assert len(cfg.curves) == 1
-        assert cfg.curves[0].layers[0]["height"] == 50.0
+        assert cfg.curves[0].layers[0] == {"type": "sphere", "radius": 50000.0}
+        assert cfg.curves[0].layers[1]["height"] == 50.0
 
     def test_bad_layer_field_path(self):
         with pytest.raises(ConfigError, match=r"curve\.x\.layer\.1\.height"):
@@ -186,6 +192,63 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"layer\.1\.tile: unknown field"):
             build_config({"curve.x": {"base": "sphere radius=50000",
                                       "layer.1": "pyramid height=100 tile=500"}})
+
+    # [kernel] lines -> the kernel part of the provenance line, or the start
+    # of the config error, which names the key.
+    @pytest.mark.parametrize("lines, expected", [
+        ("preset = foo", "kernel.preset: unknown preset 'foo' (have casimir-ideal, custom, heat-sio2)"),
+        ("preset = foo\nalpha = 2", "kernel.preset: unknown preset 'foo'"),
+        ("nu = 3", "kernel=heat-sio2 alpha=0.2558 nu=3"),
+        ("alpha = 2", "kernel.nu: "),
+        ("alpha = 2\nnu = 2.5", "kernel=custom alpha=2 nu=2.5"),
+        ("preset = casimir-ideal", "kernel.alpha: "),
+        ("preset = casimir-ideal\nalpha = 2", "kernel=casimir-ideal alpha=2 nu=3"),
+        ("preset = heat-sio2\nnu = 3", "kernel=heat-sio2 alpha=0.2558 nu=3"),
+    ])
+    def test_kernel_section(self, tmp_path, capsys, lines, expected):
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG.replace("preset = heat-sio2", lines))
+        out = tmp_path / "x.csv"
+        rc = main(["sweep", "--config", cfg, "--out", str(out)])
+        if expected.startswith("kernel="):
+            assert rc == EXIT_OK
+            assert f" | sweep | {expected} dref=300 " in out.read_text().splitlines()[0]
+        else:
+            assert rc == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"config error: {expected}")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("spec, described, direct", [
+        ("sphere radius=5e4", "sphere radius=50000", lambda: sphere_distribution(5e4)),
+        ("dome height=50", "dome height=50", lambda: dome_distribution(50.0)),
+        ("pyramid height=100", "pyramid height=100",
+         lambda: pyramid_distribution(100.0, 1.0, per_unit_area=True)),
+        ("rough s0=20 sigma=10", "rough s0=20 sigma=10",
+         lambda: truncated_gaussian_distribution(10.0, 20.0)),
+    ])
+    def test_layer_table_matches_constructors(self, spec, described, direct):
+        (stack,) = build_config({"curve.x": {"layer.1": spec}}).curves
+        assert stack.describe() == described
+        assert distribution_to_text(stack.build()) == distribution_to_text(direct())
+
+    def test_empty_stack(self):
+        (stack,) = build_config({"curve.x": {}}).curves
+        with pytest.raises(ConfigError, match=r"^curve\.x: empty shape stack$"):
+            stack.build()
+
+    @given(st.sampled_from(["sphere", "dome", "pyramid", "rough", "cone", ""]),
+           st.lists(st.tuples(st.sampled_from(["radius", "height", "sigma", "s0", "tile"]),
+                              st.sampled_from(["1", "0", "-2", "nan", "inf", "x", "", "=3"])),
+                    max_size=3),
+           st.booleans())
+    def test_layer_specs_parse_or_name_the_problem(self, kind, fields, as_base):
+        spec = " ".join([kind, *(f"{k}={v}" for k, v in fields)])
+        key = "base" if as_base else "layer.1"
+        try:
+            (stack,) = build_config({"curve.x": {key: spec}}).curves
+        except ConfigError as exc:
+            assert str(exc).startswith(f"curve.x.{key}")
+        else:
+            assert stack.describe().startswith(kind)
 
 
 # Flags each subcommand accepts; every other flag is an argument error.
@@ -522,6 +585,18 @@ class TestAsymptCommand:
         cfg = write_config(tmp_path, f"[curve.stack]\nbase = sphere radius=50000\n{layers}")
         assert main(["asympt", "--config", cfg]) == EXIT_OK
         assert "(case 12)" in capsys.readouterr().out
+
+    def test_rough_stack_case_four_constant_passes(self, tmp_path, capsys):
+        # sphere (*) pyramid (*) rough is case 1 + 2 + 1 = 4; against nu = 2
+        # the law is constant.
+        cfg = write_config(
+            tmp_path,
+            "[separations]\nmin = 0.01\nmax = 300\nper_decade = 20\n"
+            "[curve.spr]\nbase = sphere radius=50000\nlayer.1 = pyramid height=100\n"
+            "layer.2 = rough sigma=10 s0=20\n",
+        )
+        assert main(["asympt", "--config", cfg]) == EXIT_OK
+        assert "(case 4)" in capsys.readouterr().out
 
     def test_fig4_preset_constant_passes(self, tmp_path):
         assert main(["asympt", "--preset", "fig4"]) == EXIT_OK

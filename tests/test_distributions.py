@@ -339,9 +339,23 @@ class TestComposite:
         eager = _convolve_numeric(*factors)
         s = np.linspace(-1.0, f.support_max + 1.0, 4099)
         np.testing.assert_array_equal(evaluate(f, s), evaluate(eager, s))
-        assert case_number(f, tol=1e-3) == case_number(eager, tol=1e-3)
         assert distribution_to_text(f) == distribution_to_text(eager)
-        assert projected_area(f) == projected_area(eager)
+
+    def test_case_and_area_come_from_the_factors(self, factors):
+        f = convolve(*factors)
+        sphere, rough = factors
+        rep = case_number(f, tol=1e-3)
+        a, b = case_number(sphere, tol=1e-3), case_number(rough, tol=1e-3)
+        assert rep.case_number == a.case_number + b.case_number == 2
+        assert rep.leading_coefficient == a.leading_coefficient * b.leading_coefficient
+        assert rep.taylor_coeffs == (0.0, rep.leading_coefficient)
+        assert projected_area(f) == projected_area(sphere) * projected_area(rough)
+        assert projected_area(f) == pytest.approx(math.pi * 5000.0**2, rel=1e-15)
+        assert f._values is None
+        # The joint grid's fit classifies alike; its trapezoid area is close.
+        eager = _convolve_numeric(*factors)
+        assert case_number(eager, tol=1e-3).case_number == rep.case_number
+        assert projected_area(eager) == pytest.approx(projected_area(f), rel=1e-6)
 
     def test_further_layer_keeps_the_factored_form(self, factors):
         sphere, rough = factors
@@ -458,6 +472,41 @@ class TestCaseAdditivity:
             pyramid_distribution(100.0, 100.0, per_unit_area=True),
         )
         assert case_number(f).case_number == 4
+
+    # Each layer's constructor and its leading derivative at s = 0.
+    LAYERS = {
+        "dome": (dome_distribution, lambda h: 2.0 / h),
+        "pyramid": (lambda h: pyramid_distribution(h, 1.0, per_unit_area=True), lambda h: 2.0 / h**2),
+        "rough": (lambda p: truncated_gaussian_distribution(*p),
+                  lambda p: math.exp(-p[1] ** 2 / (2 * p[0] ** 2))
+                  / (truncated_gaussian_norm(*p) * p[0] * math.sqrt(2 * math.pi))),
+    }
+
+    @pytest.mark.parametrize("layers, case", [
+        ([("pyramid", 100.0), ("rough", (10.0, 20.0))], 4),
+        ([("dome", 1000.0), ("pyramid", 100.0), ("rough", (10.0, 20.0))], 5),
+        ([("pyramid", 100.0), ("rough", (2.5, 5.0))], 4),
+        ([("rough", (10.0, 20.0)), ("rough", (10.0, 20.0))], 3),
+        ([("rough", (10.0, 20.0))], 2),
+        ([("dome", 50.0), ("rough", (10.0, 20.0))], 3),
+        ([("rough", (2.5, 5.0))], 2),
+        ([("dome", 12.5), ("rough", (2.5, 5.0))], 3),
+    ])
+    def test_sampled_stacks(self, layers, case):
+        # Case numbers add and leading derivatives multiply; the first four
+        # stacks were misread by a polynomial fit over the joint grid.
+        f = sphere_distribution(5e4)
+        lead = 2 * math.pi * 5e4
+        for kind, p in layers:
+            make, leading = self.LAYERS[kind]
+            f = convolve(f, make(p))
+            lead *= leading(p)
+        rep = case_number(f, tol=1e-3)
+        assert rep.case_number == case
+        # f'(0) of rough (*) rough comes from the fit over its own grid.
+        rel = 1e-2 if [kind for kind, _ in layers].count("rough") > 1 else 1e-4
+        assert rep.leading_coefficient == pytest.approx(lead, rel=rel)
+        assert rep.taylor_coeffs == (0.0,) * (case - 1) + (rep.leading_coefficient,)
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,32 @@ class TestSynthesize:
         with pytest.raises(InvalidParameterError, match="unknown layer type"):
             synthesize_surface([layer], n=16, extent=10.0)
 
+    LAYERS = [
+        {"type": "cap", "radius": 1e5},
+        {"type": "pyramid", "height": 1.0, "tile": 10.0},
+        {"type": "dome", "height": 1.0, "tile": 10.0},
+        {"type": "rough", "sigma": 1.0, "xi": 2.0},
+    ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("layer, key", [
+        (layer, key) for layer in LAYERS for key in layer if key != "type"
+    ])
+    def test_bad_layer_field_named(self, layer, key, bad):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^{layer['type']} {key} must be positive and finite, got {bad!r}$"):
+            synthesize_surface([{**layer, key: bad}], n=16, extent=10.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_tile_named_when_it_sets_the_extent(self, bad):
+        with pytest.raises(InvalidParameterError, match="^pyramid tile must be positive and finite"):
+            synthesize_surface([{"type": "pyramid", "height": 1.0, "tile": bad}], n=16)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_extent_named(self, bad):
+        with pytest.raises(InvalidParameterError, match="^extent must be positive and finite"):
+            synthesize_surface([{"type": "rough", "sigma": 1.0, "xi": 2.0}], n=16, extent=bad)
+
 
 class TestHistogramDensityBridge:
     def test_pyramid_classified_case_two(self):

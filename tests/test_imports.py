@@ -1,10 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every constant.
 
 A static check on the source: the names a module binds by ``import`` and
 ``from ... import`` must each be read somewhere in that module, as a name,
 as the root of an attribute chain, in a string annotation, or (for a
 package ``__init__``) as an entry of ``__all__``.  ``from __future__``
-imports are exempt.
+imports are exempt.  Each module-level UPPER_CASE name must be read
+somewhere in the package, in any of those ways or as an attribute.
 """
 
 import ast
@@ -46,6 +47,47 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     used = _used(tree)
     return sorted(((name, line) for name, line in _imported(tree).items() if name not in used),
                   key=lambda item: item[1])
+
+
+def _constants(tree: ast.Module) -> dict[str, int]:
+    """Module-level UPPER_CASE names the module assigns -> line."""
+    names = {}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and name.id.isupper():
+                    names.setdefault(name.id, node.lineno)
+    return names
+
+
+def unread_constants(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each constant that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read |= _used(tree)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((module, name, line) for module, tree in trees.items()
+                  for name, line in _constants(tree).items() if name not in read)
+
+
+def test_package_reads_every_constant():
+    assert unread_constants({path.name: path.read_text() for path in MODULES}) == []
+
+
+@pytest.mark.parametrize("sources, unread", [
+    ({"a.py": "X = 1\n"}, [("a.py", "X", 1)]),
+    ({"a.py": "X = 1\n", "b.py": "from .a import X\nprint(X)\n"}, []),
+    ({"a.py": "X = 1\n", "b.py": "from . import a\na.X\n"}, []),
+    ({"a.py": "X = 1\n__all__ = ['X']\n"}, []),
+    ({"a.py": "X: int = 1\nY, Z = 1, 2\nprint(Y)\n"}, [("a.py", "X", 1), ("a.py", "Z", 2)]),
+    ({"a.py": "Kernel = 1\n_x = 2\ndef f():\n    LOCAL = 3\n"}, []),
+])
+def test_checker_finds_unread_constants(sources, unread):
+    assert unread_constants(sources) == unread
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

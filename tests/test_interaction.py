@@ -259,6 +259,11 @@ class TestExactnessDiagnostic:
         with pytest.raises(InvalidParameterError, match="positive and finite"):
             exactness_diagnostic(f, c9_pyramid_gradient, heat_sio2_kernel(), [1.0, bad])
 
+    def test_rejects_empty_separations(self):
+        f = sphere_distribution(R)
+        with pytest.raises(InvalidParameterError, match="at least one separation"):
+            exactness_diagnostic(f, f, heat_sio2_kernel(), [])
+
 
 class TestSweep:
     def test_single_point(self):

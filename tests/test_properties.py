@@ -4,10 +4,11 @@ A stack is a sphere carrying one to three dome or pyramid layers, ordered
 coarse to fine, with summed case number at most 6.  Across such stacks the
 case numbers add, the projected areas multiply, I(d) strictly decreases in
 d, and ``predict`` picks the constant, logarithmic or power-law branch by
-the case number n against the kernel exponent nu.  With zero to two
-Gaussian roughness layers added and all layers permuted, I(d) does not
-depend on the layer order (convolution commutes) and still strictly
-decreases.
+the case number n against the kernel exponent nu.  With one Gaussian
+roughness layer put anywhere in the layer order, the case numbers still
+add.  With zero to two roughness layers added and all layers permuted,
+I(d) does not depend on the layer order (convolution commutes) and still
+strictly decreases.
 """
 
 import math
@@ -39,6 +40,7 @@ LAYERS = {
     "pyramid": (lambda h: pyramid_distribution(h, h, per_unit_area=True), 2),
 }
 SPHERE_CASE = 1
+ROUGH_CASE = 1
 MAX_CASE = 6
 
 
@@ -69,6 +71,16 @@ def rough_stacks(draw):
     return (radius, layers), (radius, draw(st.permutations(layers)))
 
 
+@st.composite
+def one_rough_stacks(draw):
+    """A stack with one roughness layer (sigma, s0 <= 3 sigma) at a random place in its layer order."""
+    radius, layers = draw(stacks())
+    sigma = draw(st.floats(min_value=5.0, max_value=10.0))
+    s0 = sigma * draw(st.floats(min_value=0.0, max_value=3.0))
+    at = draw(st.integers(min_value=0, max_value=len(layers)))
+    return radius, layers[:at] + [("rough", (sigma, s0))] + layers[at:]
+
+
 def make_layer(kind, p):
     if kind == "rough":
         sigma, s0 = p
@@ -86,12 +98,17 @@ def build(stack):
 
 
 def cases(stack):
-    return [SPHERE_CASE] + [LAYERS[kind][1] for kind, _ in stack[1]]
+    return [SPHERE_CASE] + [ROUGH_CASE if kind == "rough" else LAYERS[kind][1] for kind, _ in stack[1]]
 
 
 @given(stacks())
 def test_case_numbers_add(stack):
     assert case_number(build(stack)).case_number == compose_cases(cases(stack))
+
+
+@given(one_rough_stacks())
+def test_case_numbers_add_with_one_rough_layer(stack):
+    assert case_number(build(stack), tol=1e-3).case_number == compose_cases(cases(stack))
 
 
 @given(stacks())
