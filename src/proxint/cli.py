@@ -148,7 +148,10 @@ class ShapeStack:
     def build(self) -> HeightDistribution:
         if not self.layers:
             raise ConfigError(f"curve.{self.label}: empty shape stack")
-        built = (LAYER_TYPES[l["type"]].build(*_layer_args(l)) for l in self.layers)
+        # Rough layers are convolved after the others, so that a stack gives
+        # the same bytes wherever its rough layers stand in the config.
+        layers = sorted(self.layers, key=lambda l: l["type"] == "rough")
+        built = (LAYER_TYPES[l["type"]].build(*_layer_args(l)) for l in layers)
         return functools.reduce(convolve, built)
 
     def describe(self) -> str:

@@ -7,12 +7,15 @@ s < 0, and f carries units of nm (area per unit height, nm^2/nm).
 Every distribution is an analytic part (*) a sampled part, either of which
 may be absent:
 
-* analytic -- contiguous piecewise polynomials.  Convolution of two analytic
+* analytic -- contiguous piecewise polynomials.  Every catalog shape is one:
+  the sphere, dome and pyramid exactly, the truncated Gaussian roughness as
+  polynomial pieces within an ulp of its peak.  Convolution of two analytic
   distributions is computed exactly (the result is again piecewise
   polynomial, with breakpoints at pairwise sums of the input breakpoints),
   which makes closed-form regression tests possible at machine precision.
 * sampled -- density values on a uniform grid s_k = k * bin_width, with
-  linear interpolation between nodes.  Two sampled parts are convolved on
+  linear interpolation between nodes: measured data such as a heightmap
+  histogram, or ``to_sampled`` output.  Two sampled parts are convolved on
   their own grid with trapezoid accuracy.
 
 ``convolve`` merges the analytic parts exactly and the sampled parts on
@@ -60,8 +63,90 @@ __all__ = [
 
 # Tail mass of a Gaussian beyond 8 sigma is < 1e-15, far below every test
 # tolerance in this package, so a truncated-Gaussian distribution can be
-# carried on the finite support [0, s0 + 8 sigma].
+# carried on the finite support [s0 - 8 sigma, s0 + 8 sigma] within [0, inf).
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
+
+# exp(-x^2/2) on [-8, 8] as polynomial pieces: row k covers
+# [-8 + k w, -8 + (k + 1) w] and holds the coefficients in t = x - (-8 + k w)
+# of its interpolant at the piece's Chebyshev points.  Each row is within
+# 2^-52, an ulp of the peak, of exp(-x^2/2) on its piece.  The table is the
+# output of tools/derive_gaussian_pieces.py.
+_GAUSSIAN_PIECE_WIDTH = 1.0
+_GAUSSIAN_PIECES = (
+    (1.2664165498925222e-14, 1.0131335006891268e-13, 3.9891903673846784e-13, 1.0300917093251827e-12,
+     1.9590280525241312e-12, 2.944029323546346e-12, 3.4867612757300203e-12, 4.1212889287419755e-12,
+     1.7068775109020594e-12, 6.188671141762582e-12, -5.027909758858519e-12, 9.635953951355512e-12,
+     -7.50241234002665e-12, 5.3155676184303906e-12, -1.9257090698062753e-12, 4.5221356046004905e-13),
+    (2.2897348456868005e-11, 1.6028143898423316e-10, 5.495363807869915e-10, 1.2288237740914292e-09,
+     2.0130688560533487e-09, 2.5724094954538952e-09, 2.666492395659616e-09, 2.294846631177606e-09,
+     1.6889629927987348e-09, 1.0231979443728807e-09, 6.113668349055341e-10, 2.123941356744062e-10,
+     1.5034853092943507e-10, 1.626380553135915e-11, 1.5589571707951192e-11, 3.499608129057705e-12),
+    (1.5229979744715402e-08, 9.137987846685171e-08, 2.665246456549268e-07, 5.025893273745455e-07,
+     6.872529123532182e-07, 7.241846896460788e-07, 6.096496228272059e-07, 4.1906450917467185e-07,
+     2.382346434809658e-07, 1.1185880245237746e-07, 4.413843156748154e-08, 1.2566767589612927e-08,
+     4.1887153640977895e-09, -4.1020321897097187e-10, 3.795059527565106e-10, -1.7905635186599833e-10),
+    (3.726653172078652e-06, 1.863326586040328e-05, 4.471983806408033e-05, 6.832197485169886e-05,
+     7.422250844445565e-05, 6.055812055253542e-05, 3.809462707460696e-05, 1.8559591169640726e-05,
+     6.836709754545305e-06, 1.7395458786477835e-06, 1.7828212593111196e-07, -6.417937580127875e-08,
+     -5.75379022705593e-08, -2.7501496463489926e-09, -6.199869651963702e-09, 2.1782512579554583e-09),
+    (0.0003354626279025112, 0.0013418505116103616, 0.0025159697092423127, 0.0029073427760346253,
+     0.002278350332629352, 0.0012412118809630444, 0.0004477483614079511, 7.854573579769837e-05,
+     -1.6713969803001855e-05, -1.6112358802107448e-05, -4.8469609912265965e-06, -2.109829230643812e-07,
+     2.66340720947643e-07, 1.2571891044933958e-07, 1.8955751779008245e-08, -1.2140209327120733e-08),
+    (0.011108996538242313, 0.033326989614723294, 0.04443598615327649, 0.03332698960444999,
+     0.013886245852872863, 0.0016663475782893403, -0.0014811863912222256, -0.000872912225394484,
+     -0.0001419578939807717, 4.9080408588693875e-05, 3.0002013255315843e-05, 2.272329245653711e-06,
+     -5.368194988338703e-07, -1.235770860762665e-06, 1.8473315860805473e-07, 1.7511467211118932e-08),
+    (0.13533528323661267, 0.27067056647323756, 0.20300292485388624, 0.04511176111354776,
+     -0.02819485128541357, -0.020300285977428924, -0.002067667834373366, 0.0023095115790350484,
+     0.0008350237619713839, -6.898525448568763e-05, -0.00010116737985451564, -6.790041437070108e-06,
+     1.9363133283185624e-06, 4.665272140957988e-06, -1.3550959435632654e-06, 8.997781016961819e-08),
+    (0.6065306597126334, 0.6065306597126224, 9.349939288186192e-13, -0.20217688660247427,
+     -0.0505442210805383, 0.03032652692040427, 0.013478502186759965, -0.002407079852790187,
+     -0.001984917223950931, 4.48688303275248e-05, 0.00020692557870316907, 9.047563996043717e-06,
+     -1.0436280458064385e-05, -6.185899706491749e-06, 2.8594516524661106e-06, -3.2301811609377627e-07),
+    (1.0, -6.710917004582041e-15, -0.4999999999994335, -1.878964135470961e-11,
+     0.12500000032505598, -3.3723226066226034e-09, -0.020833310610332573, -1.0428554138218129e-07,
+     0.0026045013362821423, -7.571834136578001e-07, -0.00025922534214027317, -1.2326944225742866e-06,
+     2.238388090929073e-05, 7.047876181271142e-08, -1.9858200889405337e-06, 3.2301811609377627e-07),
+    (0.6065306597126334, -0.6065306597126214, -1.0163575897718297e-12, 0.20217688660498087,
+     -0.05054422224313582, -0.030326526600370364, 0.013478414594527, 0.0024070816634090726,
+     -0.0019863980261179506, -4.4984041830626645e-05, 0.00019995900075325752, -9.901732921975898e-06,
+     -1.9788976076308474e-05, 4.8584010011178185e-06, -5.428791018992597e-09, -8.997781016961819e-08),
+    (0.1353352832366127, -0.27067056647322985, 0.20300292485529903, -0.045111761091674044,
+     -0.028194850447475533, 0.02030029005255402, -0.002067605229186185, -0.0023093762253571836,
+     0.0008360679224187717, 7.011712861097456e-05, -9.635809034199798e-05, 9.413609403331323e-06,
+     8.176594325643583e-06, -3.1891974169175894e-06, 4.4740516677483874e-07, -1.7511467211118932e-08),
+    (0.011108996538242306, -0.03332698961472635, 0.04443598615292015, -0.03332698961306371,
+     0.013886245643078412, -0.0016663491580749916, -0.001481201849085756, 0.0008728612286534877,
+     -0.00014220985574306546, -4.948561747618012e-05, 2.8883981747564463e-05, -3.1196886593950236e-06,
+     -1.8981352751611254e-06, 8.836225439922219e-07, -1.6314738812780274e-07, 1.2140209327120733e-08),
+    (0.0003354626279025119, -0.001341850511610069, 0.0025159697092707275, -0.00290734277522059,
+     0.0022783503490469933, -0.0012412117369325145, 0.00044774952751120556, -7.854140074262094e-05,
+     -1.6696144616617225e-05, 1.6142185524938266e-05, -4.776516350571104e-06, 2.5258546166879833e-07,
+     3.336263363679406e-07, -1.3916805731148232e-07, 2.6473899217368176e-08, -2.1782512579554583e-09),
+    (3.7266531720786692e-06, -1.863326586039238e-05, 4.47198380648585e-05, -6.83219748184037e-05,
+     7.422250895259212e-05, -6.055811336293234e-05, 3.80946714737996e-05, -1.8559294288191946e-05,
+     6.837621252658033e-06, -1.7362312904223853e-06, 1.8368920251365403e-07, 7.543625261466727e-08,
+     -4.8079524880711624e-08, 1.3898036826309649e-08, -2.3063393252334646e-09, 1.7905635186599833e-10),
+    (1.5229979744713347e-08, -9.1379878468644e-08, 2.6652464556393727e-07, -5.025893326431045e-07,
+     6.872528550898589e-07, -7.241857447754741e-07, 6.096448913468488e-07, -4.19103876732309e-07,
+     2.3814378712757408e-07, -1.1224970276017018e-07, 4.3636638241854865e-08, -1.3736722536131643e-08,
+     3.3727507269819183e-09, -6.019766629937349e-10, 6.808369364381676e-11, -3.499608129057705e-12),
+    (2.2897348456393113e-11, -1.6028143916321692e-10, 5.495363602312302e-10, -1.2288242752697312e-09,
+     2.0130569205408587e-09, -2.5724995511761795e-09, 2.6656359706724238e-09, -2.2976482969144315e-09,
+     1.675612722150684e-09, -1.0440464855999794e-09, 5.564232513208308e-10, -2.5053468872708895e-10,
+     9.211761135651969e-11, -2.5838064489447685e-11, 4.857494337094461e-12, -4.5221356046004905e-13),
+)
+# An offset s0 above this many sigma places the piece breaks less
+# accurately than about 1e-10 sigma.
+_GAUSSIAN_MAX_OFFSET = 1e6
+
+# Narrowest first piece of a truncated Gaussian, as a fraction of the piece
+# width.  A sliver of a piece would make the exact convolution scale its
+# coefficients by powers of the sliver's width.  Extending a degree-15
+# interpolant by this fraction grows its error by less than half.
+_GAUSSIAN_MIN_PIECE = 2.0**-10
 
 # Grid used when an analytic operand of a numeric convolution has to be
 # sampled: spacing is min(bin_width of the sampled operand, support/256).
@@ -85,9 +170,10 @@ class PolySegment:
             raise InvalidParameterError(f"segment needs lo < hi, got [{self.lo}, {self.hi}]")
         if len(self.coeffs) == 0:
             raise InvalidParameterError("segment needs at least one coefficient")
-        if not all(math.isfinite(c) for c in self.coeffs):
+        coeffs = tuple(map(float, self.coeffs))
+        if not all(map(math.isfinite, coeffs)):
             raise InvalidParameterError("segment coefficients must be finite")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def width(self) -> float:
@@ -193,19 +279,28 @@ class CaseReport:
 # catalog constructors
 # ---------------------------------------------------------------------------
 
+def _check_length(name: str, value: float, power: int) -> float:
+    """``value`` as a float, checked positive and finite with value**power and
+    value**-power normal floats, so that a shape's coefficients and area are."""
+    if not 0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be positive and finite")
+    if not abs(math.log2(value)) * power < 1000:
+        raise InvalidParameterError(
+            f"{name} {value:g} is out of range: x**{power} and x**-{power} must be normal floats"
+        )
+    return float(value)
+
+
 def sphere_distribution(radius: float) -> HeightDistribution:
     """Sphere of radius R in front of a plate: f(s) = 2 pi (R - s) on [0, R]."""
-    if not 0 < radius < math.inf:
-        raise InvalidParameterError("sphere radius must be positive and finite")
-    seg = PolySegment(0.0, float(radius), (2.0 * math.pi * radius, -2.0 * math.pi))
+    r = _check_length("sphere radius", radius, 2)
+    seg = PolySegment(0.0, r, (2.0 * math.pi * r, -2.0 * math.pi))
     return HeightDistribution.analytic([seg], unit_area_normalized=False)
 
 
 def dome_distribution(height: float) -> HeightDistribution:
     """Square-base dome tiling, per unit area: f(s) = 2 (h - s) / h^2 on [0, h]."""
-    if not 0 < height < math.inf:
-        raise InvalidParameterError("dome height must be positive and finite")
-    h = float(height)
+    h = _check_length("dome height", height, 2)
     seg = PolySegment(0.0, h, (2.0 / h, -2.0 / h**2))
     return HeightDistribution.analytic([seg], unit_area_normalized=True)
 
@@ -217,12 +312,9 @@ def pyramid_distribution(height: float, base: float, per_unit_area: bool = False
     l^2, giving 2 s / h^2 (unit-area normalized), the form used when the
     pyramids tile a larger surface.
     """
-    if not 0 < height < math.inf:
-        raise InvalidParameterError("pyramid height must be positive and finite")
-    if not 0 < base < math.inf:
-        raise InvalidParameterError("pyramid base length must be positive and finite")
-    h = float(height)
-    slope = 2.0 / h**2 if per_unit_area else 2.0 * base**2 / h**2
+    h = _check_length("pyramid height", height, 2)
+    l = _check_length("pyramid base length", base, 2)
+    slope = 2.0 / h**2 if per_unit_area else 2.0 * l**2 / h**2
     seg = PolySegment(0.0, h, (0.0, slope))
     return HeightDistribution.analytic([seg], unit_area_normalized=per_unit_area)
 
@@ -240,29 +332,49 @@ def truncated_gaussian_norm(sigma: float, s0: float) -> float:
     return 0.5 * (1.0 + math.erf(s0 / (sigma * math.sqrt(2.0))))
 
 
-def truncated_gaussian_distribution(
-    sigma: float,
-    s0: float,
-    bin_width: float | None = None,
-) -> HeightDistribution:
+def truncated_gaussian_distribution(sigma: float, s0: float) -> HeightDistribution:
     """Gaussian roughness model truncated to s >= 0 and renormalized to unit area.
 
     ``s0`` is the touching distance (position of the Gaussian peak above the
-    contact point).  The distribution is carried as a sampled density on
-    [0, s0 + 8 sigma] with default spacing sigma/32; after sampling, the
-    node values are rescaled so the trapezoid integral is exactly 1.
+    contact point).  The density is carried on [s0 - 8 sigma, s0 + 8 sigma]
+    within s >= 0 as exact polynomial pieces of width sigma from a fixed
+    table, each within an ulp of the peak of the Gaussian, and scaled to unit
+    area over that support; the piece across s = 0 is re-anchored there, and
+    below s0 - 8 sigma the density is zero.  The distribution is analytic, so
+    it convolves exactly with every other catalog shape.  s0 may be at most
+    1e6 sigma, and sigma raised to the pieces' degree + 1 must neither over-
+    nor underflow.
     """
     _check_gaussian(sigma, s0)
-    support = s0 + GAUSSIAN_SUPPORT_SIGMAS * sigma
-    delta = bin_width if bin_width is not None else sigma / 32.0
-    if not 0 < delta < math.inf:
-        raise InvalidParameterError("bin_width must be positive and finite")
-    n = int(math.ceil(support / delta - 1e-12)) + 1
-    delta = support / (n - 1)
-    s = np.linspace(0.0, support, n)
-    vals = np.exp(-((s - s0) ** 2) / (2.0 * sigma**2))
-    vals /= np.trapezoid(vals, dx=delta)
-    return HeightDistribution.sampled(delta, vals, unit_area_normalized=True)
+    degree = len(_GAUSSIAN_PIECES[0]) - 1
+    sigma = _check_length("rough sigma", sigma, degree + 1)
+    s0 = float(s0)
+    if s0 > _GAUSSIAN_MAX_OFFSET * sigma:
+        raise InvalidParameterError(
+            f"rough s0 {s0:g} is more than {_GAUSSIAN_MAX_OFFSET:g} sigma ({sigma:g}) "
+            "from contact; its pieces would not resolve"
+        )
+    w = _GAUSSIAN_PIECE_WIDTH
+    x_lo = -GAUSSIAN_SUPPORT_SIGMAS
+    # Unit area over the carried support [max(-s0/sigma, -8), 8] in x.
+    inner = min(s0 / sigma, GAUSSIAN_SUPPORT_SIGMAS)
+    area = 0.5 * (math.erf(GAUSSIAN_SUPPORT_SIGMAS / math.sqrt(2.0)) + math.erf(inner / math.sqrt(2.0)))
+    peak = 1.0 / (area * sigma * math.sqrt(2.0 * math.pi))
+    scale = [peak / sigma**j for j in range(degree + 1)]
+
+    breaks = [s0 + sigma * (x_lo + k * w) for k in range(len(_GAUSSIAN_PIECES) + 1)]
+    # The first piece starts at s = 0: a zero segment below s0 - 8 sigma, or
+    # the piece across s = 0 re-anchored there.  A first piece narrower than
+    # _GAUSSIAN_MIN_PIECE joins the next one, whose polynomial then reaches
+    # that little below its own piece.
+    first = next(k for k, b in enumerate(breaks) if b > _GAUSSIAN_MIN_PIECE * w * sigma)
+    segments = [PolySegment(0.0, breaks[0], (0.0,))] if first == 0 else []
+    for k, row in enumerate(_GAUSSIAN_PIECES[max(first - 1, 0):], start=max(first - 1, 0)):
+        lo, hi = breaks[k], breaks[k + 1]
+        if k == first - 1:
+            row, lo = _taylor_shift(row, -lo / sigma), 0.0
+        segments.append(PolySegment(lo, hi, tuple(c * f for c, f in zip(row, scale))))
+    return HeightDistribution.analytic(segments, unit_area_normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +392,15 @@ def evaluate(f: HeightDistribution, s):
         if f.kind == "sampled":
             out[inside] = np.interp(xi, f.grid, f.values)
         else:
-            vals = np.empty_like(xi)
-            edges = np.array([seg.lo for seg in f.segments] + [f.support_max])
-            idx = np.clip(np.searchsorted(edges, xi, side="right") - 1, 0, len(f.segments) - 1)
-            for i, seg in enumerate(f.segments):
-                m = idx == i
-                if m.any():
-                    vals[m] = seg(xi[m])
+            # PolySegment's Horner sum for every point at once; a shorter
+            # segment's zero top coefficients leave its sum at 0 until its own.
+            n = max(len(seg.coeffs) for seg in f.segments)
+            lo, _, coeffs = _segment_arrays(f, n)
+            idx = np.clip(np.searchsorted(lo, xi, side="right") - 1, 0, len(f.segments) - 1)
+            t = xi - lo[idx]
+            vals = np.zeros_like(t)
+            for k in range(n - 1, -1, -1):
+                vals = vals * t + coeffs[idx, k]
             out[inside] = vals
     return float(out[0]) if scalar else out
 
@@ -498,20 +612,30 @@ def _pair_convolve(seg_a: PolySegment, seg_b: PolySegment):
     return pieces
 
 
-def _convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> HeightDistribution:
-    pieces = []
-    for sa in fa.segments:
-        for sb in fb.segments:
-            pieces.extend(_pair_convolve(sa, sb))
-    total = fa.support_max + fb.support_max
-    tol = 1e-12 * total
-
-    cuts = sorted({p[0] for p in pieces} | {p[1] for p in pieces} | {0.0, total})
+def _merged_cuts(cuts, total: float, tol: float) -> list[float]:
+    """Sorted piece ends, with any end within tol above the last kept one
+    dropped, and the first and last set to 0 and ``total``."""
+    cuts = sorted(set(cuts) | {0.0, total})
     merged = [cuts[0]]
     for c in cuts[1:]:
         if c - merged[-1] > tol:
             merged.append(c)
     merged[0], merged[-1] = 0.0, total
+    return merged
+
+
+def _segment(g0: float, g1: float, acc) -> PolySegment:
+    """A merged interval's segment, its trailing zero coefficients dropped."""
+    last = max((k for k, c in enumerate(acc) if c != 0.0), default=0)
+    return PolySegment(g0, g1, tuple(acc[: last + 1]))
+
+
+def _convolve_pairwise(fa: HeightDistribution, fb: HeightDistribution, tol: float) -> list[PolySegment]:
+    pieces = []
+    for sa in fa.segments:
+        for sb in fb.segments:
+            pieces.extend(_pair_convolve(sa, sb))
+    merged = _merged_cuts([p[0] for p in pieces] + [p[1] for p in pieces], fa.support_max + fb.support_max, tol)
 
     # Each piece covers the merged intervals whose midpoint lies within tol
     # of it; the midpoints are sorted, so that is one contiguous run.
@@ -528,8 +652,190 @@ def _convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> Height
         for p0, coeffs in covers:
             for k, c in enumerate(_taylor_shift(coeffs, g0 - p0)):
                 acc[k] += c
-        last = max((k for k, c in enumerate(acc) if c != 0.0), default=0)
-        segments.append(PolySegment(g0, g1, tuple(acc[: last + 1])))
+        segments.append(_segment(g0, g1, acc))
+    return segments
+
+
+# Batched exact convolution.  Each function below does for a stack of m
+# rows what its scalar namesake above does for one, and sums every element's
+# terms in the same order, so the results are the same bits.  Powers that the
+# scalar code takes with Python's float ** come from np.float_power, which
+# calls the C library's pow per element as float ** does; np.power may use a
+# vectorised pow that rounds some results differently.
+
+# A convolution of at least this many segment pairs runs batched; smaller
+# ones, such as those of the catalog stacks without roughness, run pair by
+# pair on Python floats, which costs less there.
+_BATCH_PAIRS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _binomial_array(n: int, signed: bool = False) -> np.ndarray:
+    """[j, k] = C(j, k), times (-1)^k if ``signed``, for j, k < n; zero for k > j."""
+    out = np.zeros((n, n))
+    for j, row in enumerate(_binomials(n)):
+        out[j, : j + 1] = row
+    if signed:
+        out[:, 1::2] *= -1.0
+    out.setflags(write=False)
+    return out
+
+
+def _powers(base: np.ndarray, n: int) -> np.ndarray:
+    """base ** e for e = 0..n-1 along a new last axis, as float ** gives each."""
+    return np.float_power(base[:, None], np.arange(n))
+
+
+def _taylor_shift_rows(coeffs: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """_taylor_shift of each row of ``coeffs``, with pw[:, m] = delta ** m."""
+    n = coeffs.shape[1]
+    binom = _binomial_array(n)
+    out = np.zeros_like(coeffs)
+    for j in range(n):
+        out[:, : j + 1] += (binom[j, : j + 1] * coeffs[:, j, None]) * pw[:, j::-1]
+    return out
+
+
+def _reverse_rows(coeffs: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """_reverse of each row of ``coeffs``, with pw[:, m] = length ** m."""
+    n = coeffs.shape[1]
+    signed = _binomial_array(n, signed=True)
+    out = np.zeros_like(coeffs)
+    for k in range(n):
+        out[:, : k + 1] += (coeffs[:, k, None] * signed[k, : k + 1]) * pw[:, k::-1]
+    return out
+
+
+def _bivariate_integral_rows(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """_bivariate_integral of each row pair, as (m, len(pb), len(pa) + len(pb))."""
+    m, na = pa.shape
+    nb = pb.shape[1]
+    signed = _binomial_array(nb, signed=True)
+    # The term pa[k] pb[q] C(q, j) (-1)^j lands in B[q - j, k + j].  One j at
+    # a time, from the top, so each cell sums its terms in ascending k.  The
+    # rows run along the last axis here.
+    pa, pb = pa.T, pb.T
+    B = np.zeros((nb, na + nb - 1, m))
+    for j in range(nb - 1, -1, -1):
+        B[: nb - j, j : j + na] += (pb[j:, None] * pa) * signed[j:, j, None, None]
+    Bi = np.zeros((m, nb, na + nb))
+    Bi[:, :, 1:] = B.transpose(2, 0, 1) / np.arange(1, na + nb)
+    return Bi
+
+
+def _rising_rows(Bi: np.ndarray) -> np.ndarray:
+    """_rising of each row; entries past degree na + nb - 1 are zero and dropped."""
+    m, nb, n = Bi.shape
+    out = np.zeros((m, n))
+    for i in range(nb):
+        out[:, i:] += Bi[:, i, : n - i]
+    return out
+
+
+def _plateau_rows(Bi: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """_plateau of each row, with pw[:, j] = la ** j."""
+    out = np.zeros(Bi.shape[:2])
+    for j in range(Bi.shape[2]):
+        out += Bi[:, :, j] * pw[:, j, None]
+    return out
+
+
+def _pair_convolve_rows(a, b, La, Lb, s0):
+    """_pair_convolve of m segment pairs at once.
+
+    ``a`` (m, na) and ``b`` (m, nb) hold the coefficients of each pair's
+    shorter and longer segment, zero-padded to common lengths, La <= Lb
+    their widths and s0 the sums of their lo.  Returns lo, hi (m, 3) and
+    coefficients (m, 3, na + nb) of the rising, plateau and falling pieces;
+    the plateau is empty where la == lb.  A zero coefficient adds only zero
+    terms to each sum, so the padding leaves every bit as it is.
+    """
+    m, na = a.shape
+    nb = b.shape[1]
+    n = na + nb
+    scale = La + Lb
+    a = a * scale[:, None] ** np.arange(na)
+    b = b * scale[:, None] ** np.arange(nb)
+    la, lb = La / scale, Lb / scale
+    pw_a, pw_b = _powers(la, n), _powers(lb, nb)
+
+    Bi = _bivariate_integral_rows(a, b)
+    coeffs = np.zeros((m, 3, n))
+    coeffs[:, 0] = _rising_rows(Bi)
+    coeffs[:, 1, :nb] = _taylor_shift_rows(_plateau_rows(Bi, pw_a), pw_a[:, :nb])
+    Bi_rev = _bivariate_integral_rows(_reverse_rows(a, pw_a[:, :na]), _reverse_rows(b, pw_b))
+    coeffs[:, 2] = _reverse_rows(_rising_rows(Bi_rev), pw_a)
+    coeffs *= (scale[:, None] ** (1.0 - np.arange(n)))[:, None, :]
+
+    x = np.stack([np.zeros(m), la, lb, la + lb], axis=1)
+    edges = s0[:, None] + x * scale[:, None]
+    return edges[:, :3], edges[:, 1:], coeffs
+
+
+def _segment_arrays(f: HeightDistribution, n: int):
+    """lo, widths and coefficients (zero-padded to n columns) of f's segments."""
+    lo = np.array([seg.lo for seg in f.segments])
+    width = np.array([seg.hi for seg in f.segments]) - lo
+    coeffs = np.zeros((len(f.segments), n))
+    for i, seg in enumerate(f.segments):
+        coeffs[i, : len(seg.coeffs)] = seg.coeffs
+    return lo, width, coeffs
+
+
+def _pieces(fa: HeightDistribution, fb: HeightDistribution):
+    """Every piece of every segment pair's convolution, in the order of the
+    pairs (fa's segments outer) and of the phases within a pair: lo, hi and
+    coefficients zero-padded to a common length."""
+    len_a = np.array([len(seg.coeffs) for seg in fa.segments])
+    len_b = np.array([len(seg.coeffs) for seg in fb.segments])
+    n = int(len_a.max() + len_b.max())
+    lo_a, w_a, c_a = _segment_arrays(fa, n)
+    lo_b, w_b, c_b = _segment_arrays(fb, n)
+    i = np.repeat(np.arange(len(w_a)), len(w_b))
+    j = np.tile(np.arange(len(w_b)), len(w_a))
+    # Each pair's shorter segment comes first, as in _pair_convolve.
+    swap = w_a[i] > w_b[j]
+    ns = int(np.where(swap, len_b[j], len_a[i]).max())
+    nl = int(np.where(swap, len_a[i], len_b[j]).max())
+    short = np.where(swap[:, None], c_b[j, :ns], c_a[i, :ns])
+    long = np.where(swap[:, None], c_a[i, :nl], c_b[j, :nl])
+    La = np.where(swap, w_b[j], w_a[i])
+    Lb = np.where(swap, w_a[i], w_b[j])
+    lo, hi, coeffs = _pair_convolve_rows(short, long, La, Lb, lo_a[i] + lo_b[j])
+    # Piece h of pair p is row 3 p + h; absent plateaus are dropped.
+    keep = np.ones(lo.shape, dtype=bool)
+    keep[:, 1] = La / (La + Lb) < Lb / (La + Lb)
+    keep = keep.ravel()
+    return lo.ravel()[keep], hi.ravel()[keep], coeffs.reshape(-1, ns + nl)[keep]
+
+
+def _convolve_rows(fa: HeightDistribution, fb: HeightDistribution, tol: float) -> list[PolySegment]:
+    lo, hi, coeffs = _pieces(fa, fb)
+    merged = _merged_cuts(lo.tolist() + hi.tolist(), fa.support_max + fb.support_max, tol)
+
+    # As in _convolve_pairwise: every (interval, covering piece) incidence,
+    # ordered by interval and then by piece, is re-anchored and summed.
+    edges = np.array(merged)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    first = np.searchsorted(mids, lo - tol, side="left")
+    count = np.maximum(np.searchsorted(mids, hi + tol, side="right") - first, 0)
+    piece = np.repeat(np.arange(len(lo)), count)
+    interval = np.arange(len(piece)) - np.repeat(np.cumsum(count) - count - first, count)
+    order = np.argsort(interval, kind="stable")
+    piece, interval = piece[order], interval[order]
+    n = coeffs.shape[1]
+    shifted = _taylor_shift_rows(coeffs[piece], _powers(edges[interval] - lo[piece], n))
+    acc = np.zeros((len(mids), n))
+    np.add.at(acc, interval, shifted)
+    return [_segment(g0, g1, row) for g0, g1, row in zip(merged[:-1], merged[1:], acc.tolist())]
+
+
+def _convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> HeightDistribution:
+    tol = 1e-12 * (fa.support_max + fb.support_max)
+    if len(fa.segments) * len(fb.segments) < _BATCH_PAIRS:
+        segments = _convolve_pairwise(fa, fb, tol)
+    else:
+        segments = _convolve_rows(fa, fb, tol)
     unit = fa.unit_area_normalized and fb.unit_area_normalized
     return HeightDistribution.analytic(segments, unit_area_normalized=unit)
 
@@ -590,6 +896,9 @@ def _convolve_numeric(fa: HeightDistribution, fb: HeightDistribution) -> HeightD
         - 2.0 * a_pad[k] * b[0] - 2.0 * a[0] * b_pad[k]
         - a_pad[k + 1] * b[0] - a[0] * b_pad[k + 1]
     )
+    # At s = 0 the integral runs over an empty interval; the stencil's terms
+    # cancel there only to rounding.
+    out[0] = 0.0
     unit = fa.unit_area_normalized and fb.unit_area_normalized
     return HeightDistribution.sampled(delta, out, unit_area_normalized=unit)
 

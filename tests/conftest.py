@@ -8,10 +8,19 @@ deterministic and fast.  No example database is written.
 import contextlib
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from proxint import convolve, dome_distribution, pyramid_distribution, sphere_distribution
+from proxint import (
+    HeightDistribution,
+    convolve,
+    dome_distribution,
+    pyramid_distribution,
+    sphere_distribution,
+    to_sampled,
+    truncated_gaussian_distribution,
+)
 
 settings.register_profile("proxint", derandomize=True, database=None, max_examples=25, deadline=None)
 settings.load_profile("proxint")
@@ -55,3 +64,12 @@ def deep_stack():
     assert len(f.segments) == 127
     assert max(len(seg.coeffs) for seg in f.segments) - 1 == 13
     return f
+
+
+def sampled_rough(sigma: float, s0: float, per_sigma: int = 32) -> HeightDistribution:
+    """Gaussian roughness as measured data: the density at nodes sigma/per_sigma
+    apart from s = 0 past s0 + 8 sigma, scaled to unit trapezoid area.  The
+    sampled operand of the fold and of the factored analytic (*) sampled form."""
+    f = to_sampled(truncated_gaussian_distribution(sigma, s0), bin_width=sigma / per_sigma)
+    v = np.asarray(f.values)
+    return HeightDistribution.sampled(f.bin_width, v / np.trapezoid(v, dx=f.bin_width), unit_area_normalized=True)

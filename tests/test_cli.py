@@ -184,6 +184,24 @@ class TestConfig:
         assert err == f"config error: curve.main.layer.1.{field}: not a finite number: " \
             f"{layer.split(field + '=')[1].split()[0]!r}\n"
 
+    # Layer fields of extreme magnitude: each is a config error that names
+    # the layer field, under every command that builds the stack.
+    @pytest.mark.parametrize("command", ["shape", "sweep"])
+    @pytest.mark.parametrize("base, layer, message", [
+        ("sphere radius=50000", "pyramid height=1e-300", "pyramid height 1e-300 is out of range"),
+        ("sphere radius=50000", "dome height=1e300", "dome height 1e+300 is out of range"),
+        ("sphere radius=50000", "rough sigma=1e-30 s0=1e300", "rough sigma 1e-30 is out of range"),
+        ("sphere radius=50000", "rough sigma=1 s0=1e300", "rough s0 1e+300 is more than 1e+06 sigma"),
+        ("sphere radius=1e-300", "rough sigma=5e4 s0=5e4", "sphere radius 1e-300 is out of range"),
+    ])
+    def test_extreme_layer_field_exits_config(self, tmp_path, capsys, command, base, layer, message):
+        text = SPHERE_DOME_CFG.replace("sphere radius=50000", base).replace("dome height=50", layer)
+        out = tmp_path / "x.csv"
+        rc = main([command, "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="senario: unknown section"):
             build_config({"senario": {"dref": "100"}, "curve.s": {"base": "sphere radius=1"}})

@@ -1,8 +1,11 @@
 """Height distribution construction, exact convolution, classification, serialization."""
 
+import importlib.util
 import math
+import pathlib
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,9 +32,16 @@ from proxint import (
     truncated_gaussian_norm,
     write_distribution,
 )
-from proxint.distributions import _convolve_numeric, distribution_to_text, text_to_distribution
+from proxint.distributions import (
+    _GAUSSIAN_PIECE_WIDTH,
+    _GAUSSIAN_PIECES,
+    GAUSSIAN_SUPPORT_SIGMAS,
+    _convolve_numeric,
+    distribution_to_text,
+    text_to_distribution,
+)
 
-from conftest import DEEP_STACK_LAYERS
+from conftest import DEEP_STACK_LAYERS, sampled_rough
 from convolution_oracle import assert_same_segments, convolve_analytic
 
 R = 50000.0
@@ -157,6 +167,41 @@ class TestTruncatedGaussian:
         with pytest.raises(InvalidParameterError):
             truncated_gaussian_distribution(10.0, -1.0)
 
+    # (sigma, s0): s0 on the piece grid, off it, at contact, past 8 sigma,
+    # and at the extremes of scale and offset.
+    SHAPES = [(250.0, 500.0), (8.27955, 3.58073), (10.0, 0.0), (2.5, 30.0),
+              (1e-3, 7.7e-4), (3e5, 1e5), (1.0, 1e6)]
+
+    @pytest.mark.parametrize("sigma, s0", SHAPES)
+    def test_pieces_match_the_continuous_density(self, sigma, s0):
+        # Analytic pieces within a few ulp of the peak of the density
+        # normalized over [max(s0 - 8 sigma, 0), s0 + 8 sigma], here against
+        # 30-digit values.
+        f = truncated_gaussian_distribution(sigma, s0)
+        assert f.kind == "analytic" and f.unit_area_normalized
+        assert f.support_max == s0 + 8.0 * sigma
+        inner = min(s0 / sigma, 8.0)
+        norm = 0.5 * (math.erf(8.0 / math.sqrt(2.0)) + math.erf(inner / math.sqrt(2.0)))
+        peak = 1.0 / (norm * sigma * math.sqrt(2.0 * math.pi))
+        s = np.linspace(max(s0 - 8.0 * sigma, 0.0), f.support_max, 257)
+        with mpmath.workdps(30):
+            want = [float(peak * mpmath.exp(-((mpmath.mpf(x) - s0) / sigma) ** 2 / 2)) for x in s.tolist()]
+        np.testing.assert_allclose(evaluate(f, s), want, rtol=0.0, atol=4 * np.finfo(float).eps * peak)
+
+    @pytest.mark.parametrize("sigma, s0", SHAPES)
+    def test_unit_area_within_1e15(self, sigma, s0):
+        assert projected_area(truncated_gaussian_distribution(sigma, s0)) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 3.3, 8.0, 20.0, 1e6])
+    def test_at_most_seventeen_pieces(self, offset):
+        # Sixteen pieces of width sigma span s0 -/+ 8 sigma; below that one zero
+        # segment reaches down to contact, however far s0 lies from it.
+        f = truncated_gaussian_distribution(2.0, 2.0 * offset)
+        assert len(f.segments) <= 17
+        if offset > 8.0:
+            assert f.segments[0] == PolySegment(0.0, 2.0 * (offset - 8.0), (0.0,))
+            assert evaluate(f, 2.0 * (offset - 8.5)) == 0.0
+
 
 NAN, INF = math.nan, math.inf
 
@@ -166,8 +211,6 @@ NAN, INF = math.nan, math.inf
     (truncated_gaussian_distribution, (INF, 1.0), "sigma"),
     (truncated_gaussian_distribution, (1.0, INF), "s0"),
     (truncated_gaussian_distribution, (1.0, NAN), "s0"),
-    (truncated_gaussian_distribution, (1.0, 1.0, NAN), "bin_width"),
-    (truncated_gaussian_distribution, (1.0, 1.0, INF), "bin_width"),
     (truncated_gaussian_norm, (NAN, 1.0), "sigma"),
     (truncated_gaussian_norm, (INF, 1.0), "sigma"),
     (truncated_gaussian_norm, (1.0, NAN), "s0"),
@@ -181,6 +224,59 @@ NAN, INF = math.nan, math.inf
 def test_non_finite_parameter_is_named(make, args, field):
     with pytest.raises(InvalidParameterError, match=f"{field} must be .* finite"):
         make(*args)
+
+
+@pytest.mark.parametrize("make, args, field", [
+    (sphere_distribution, (1e-300,), "sphere radius 1e-300"),
+    (sphere_distribution, (1e300,), "sphere radius 1e\\+300"),
+    (dome_distribution, (1e300,), "dome height 1e\\+300"),
+    (pyramid_distribution, (1e-300, 1.0), "pyramid height 1e-300"),
+    (pyramid_distribution, (1.0, 1e200), "pyramid base length 1e\\+200"),
+    (truncated_gaussian_distribution, (1e-30, 1e300), "rough sigma 1e-30"),
+    (truncated_gaussian_distribution, (1e30, 0.0), "rough sigma 1e\\+30"),
+])
+def test_out_of_range_length_is_named(make, args, field):
+    # A length whose powers in the shape's coefficients over- or underflow.
+    with pytest.raises(InvalidParameterError, match=f"{field} is out of range"):
+        make(*args)
+
+
+def test_gaussian_offset_beyond_the_piece_resolution_is_named():
+    with pytest.raises(InvalidParameterError, match="rough s0 1e\\+300 is more than 1e\\+06 sigma"):
+        truncated_gaussian_distribution(1.0, 1e300)
+
+
+def _derivation():
+    """tools/derive_gaussian_pieces.py, loaded as a module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "derive_gaussian_pieces.py"
+    spec = importlib.util.spec_from_file_location("derive_gaussian_pieces", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGaussianPieceTable:
+    """The literal table of truncated_gaussian_distribution against its derivation."""
+
+    def test_rows_rederive(self):
+        derive = _derivation()
+        width, degree = _GAUSSIAN_PIECE_WIDTH, len(_GAUSSIAN_PIECES[0]) - 1
+        ks = list(derive.pieces(width))
+        assert len(ks) == len(_GAUSSIAN_PIECES)
+        # Both tails and the two pieces at the peak.
+        for i in (0, len(ks) // 2 - 1, len(ks) // 2, len(ks) - 1):
+            assert derive.piece(ks[i], width, degree) == _GAUSSIAN_PIECES[i]
+
+    def test_every_row_within_an_ulp_of_the_peak(self):
+        # Row i covers [-8 + i w, -8 + (i + 1) w]; evaluated exactly, it is
+        # within 2^-52 of exp(-x^2/2), whose peak is 1.
+        width = _GAUSSIAN_PIECE_WIDTH
+        with mpmath.workdps(30):
+            for i, row in enumerate(_GAUSSIAN_PIECES):
+                coeffs = [mpmath.mpf(c) for c in reversed(row)]
+                for t in np.linspace(0.0, width, 17).tolist():
+                    x = -GAUSSIAN_SUPPORT_SIGMAS + i * width + t
+                    assert abs(mpmath.polyval(coeffs, t) - mpmath.exp(-mpmath.mpf(x) ** 2 / 2)) <= 2.0**-52
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +348,19 @@ class TestConvolveAnalytic:
         assert f.support_max == pytest.approx(R + 11 * 50.0, rel=1e-15)
         assert projected_area(f) == pytest.approx(math.pi * R**2, rel=1e-12)
 
-    @pytest.mark.parametrize("layers", [
-        [dome_distribution(H)],
-        [pyramid_distribution(H, H, per_unit_area=True)],
-        DEEP_STACK_LAYERS,
-        [dome_distribution(50.0)] * 11,
-    ], ids=["sphere-dome", "sphere-pyramid", "deep-stack", "sphere-11-domes"])
-    def test_bit_identical_to_triple_loop_oracle(self, layers):
-        radius = 1e5 if layers is DEEP_STACK_LAYERS else R
-        got = want = sphere_distribution(radius)
+    @pytest.mark.parametrize("base, layers", [
+        (sphere_distribution(R), [dome_distribution(H)]),
+        (sphere_distribution(R), [pyramid_distribution(H, H, per_unit_area=True)]),
+        (sphere_distribution(1e5), DEEP_STACK_LAYERS),
+        (sphere_distribution(R), [dome_distribution(50.0)] * 11),
+        # s0 off the piece grid, so the first piece is re-anchored at contact.
+        (sphere_distribution(R), [truncated_gaussian_distribution(8.27955, 3.58073)]),
+        # Pieces sigma apart at unequal sigma: the pairs' cuts do not line up.
+        (truncated_gaussian_distribution(10.0, 0.0), [truncated_gaussian_distribution(7.0, 0.0)]),
+    ], ids=["sphere-dome", "sphere-pyramid", "deep-stack", "sphere-11-domes", "sphere-rough",
+            "rough-rough"])
+    def test_bit_identical_to_triple_loop_oracle(self, base, layers):
+        got = want = base
         for layer in layers:
             got = convolve(got, layer)
             want = convolve_analytic(want, layer)
@@ -309,7 +409,7 @@ class TestConvolveNumeric:
         np.testing.assert_allclose(evaluate(g, s), evaluate(f, s), rtol=1e-3)
 
     def test_numeric_nonnegative(self):
-        f = convolve(sphere_distribution(R), truncated_gaussian_distribution(250.0, 500.0))
+        f = convolve(sphere_distribution(R), sampled_rough(250.0, 500.0))
         assert np.all(np.asarray(f.values) >= 0.0)
 
     def test_zero_bin_width_rejected(self):
@@ -323,7 +423,7 @@ class TestComposite:
     @pytest.fixture(params=[(10.0, 20.0), (2.5, 5.0), (10.0, 0.0)])
     def factors(self, request):
         sigma, s0 = request.param
-        return sphere_distribution(5000.0), truncated_gaussian_distribution(sigma, s0)
+        return sphere_distribution(5000.0), sampled_rough(sigma, s0)
 
     def test_keeps_factors_and_defers_the_grid(self, factors):
         f = convolve(*factors)
@@ -503,10 +603,9 @@ class TestCaseAdditivity:
             lead *= leading(p)
         rep = case_number(f, tol=1e-3)
         assert rep.case_number == case
-        # f'(0) of rough (*) rough comes from the fit over its own grid.
-        rel = 1e-2 if [kind for kind, _ in layers].count("rough") > 1 else 1e-4
-        assert rep.leading_coefficient == pytest.approx(lead, rel=rel)
-        assert rep.taylor_coeffs == (0.0,) * (case - 1) + (rep.leading_coefficient,)
+        # Every stack is analytic, so f^(n-1)(0) is read from exact coefficients.
+        assert rep.leading_coefficient == pytest.approx(lead, rel=1e-12)
+        assert rep.taylor_coeffs[:case] == (0.0,) * (case - 1) + (rep.leading_coefficient,)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +626,7 @@ class TestSerialization:
             assert sb.coeffs == sa.coeffs  # bit-exact
 
     def test_sampled_round_trip(self, tmp_path):
-        f = truncated_gaussian_distribution(250.0, 500.0)
+        f = sampled_rough(250.0, 500.0)
         path = tmp_path / "dist.txt"
         write_distribution(f, path)
         g = read_distribution(path)

@@ -41,6 +41,8 @@ from proxint import (
 import proxint.distributions
 from proxint.interaction import _FAR_FALLBACK, _FAR_NU_MAX, _FAR_ORDERS, _closed_form
 
+from conftest import sampled_rough
+
 R = 50000.0
 H = 5000.0
 ALPHA = 0.2558
@@ -560,7 +562,7 @@ def _fold_reference(rough, d):
 class TestInteractionSpaceFold:
     @pytest.mark.parametrize("sigma, s0", FIG2_ROUGHNESS)
     def test_matches_per_cell_quad(self, sigma, s0):
-        rough = truncated_gaussian_distribution(sigma, s0)
+        rough = sampled_rough(sigma, s0)
         f = convolve(sphere_distribution(R), rough)
         d = [1e-3, 1e-2, 0.1, 1.0, 300.0]
         got = sweep(f, heat_sio2_kernel(), d).values
@@ -573,7 +575,7 @@ class TestInteractionSpaceFold:
             raise AssertionError("convolution grid built")
 
         monkeypatch.setattr(proxint.distributions, "_convolve_numeric", forbidden)
-        f = convolve(sphere_distribution(R), truncated_gaussian_distribution(sigma, s0))
+        f = convolve(sphere_distribution(R), sampled_rough(sigma, s0))
         k = heat_sio2_kernel()
         d = np.geomspace(1e-3, 300.0, 97)
         curve = sweep(f, k, d, subtract_at=300.0)
@@ -585,7 +587,7 @@ class TestInteractionSpaceFold:
         assert f._values is None
 
     def test_layer_order_gives_identical_values(self):
-        sphere, rough = sphere_distribution(R), truncated_gaussian_distribution(10.0, 20.0)
+        sphere, rough = sphere_distribution(R), sampled_rough(10.0, 20.0)
         pyramid = pyramid_distribution(100.0, 1.0, per_unit_area=True)
         rough_first = convolve(convolve(sphere, rough), pyramid)
         pyramid_first = convolve(convolve(sphere, pyramid), rough)
@@ -630,8 +632,8 @@ def _scan_distribution():
 PURE_SAMPLED = {
     "sphere-dome": lambda: to_sampled(convolve(sphere_distribution(R), dome_distribution(50.0)), 2048),
     "sphere": lambda: to_sampled(sphere_distribution(R), 2048),
-    "rough-s0-0": lambda: truncated_gaussian_distribution(10.0, 0.0),
-    "rough-s0-20": lambda: truncated_gaussian_distribution(10.0, 20.0),
+    "rough-s0-0": lambda: sampled_rough(10.0, 0.0),
+    "rough-s0-20": lambda: sampled_rough(10.0, 20.0),
     "scan": _scan_distribution,
 }
 

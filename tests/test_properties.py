@@ -4,21 +4,24 @@ A stack is a sphere carrying one to three dome or pyramid layers, ordered
 coarse to fine, with summed case number at most 6.  Across such stacks the
 case numbers add, the projected areas multiply, I(d) strictly decreases in
 d, and ``predict`` picks the constant, logarithmic or power-law branch by
-the case number n against the kernel exponent nu.  With one Gaussian
-roughness layer put anywhere in the layer order, the case numbers still
-add.  With zero to two roughness layers added and all layers permuted,
-I(d) does not depend on the layer order (convolution commutes) and still
-strictly decreases.
+the case number n against the kernel exponent nu.  With one measured
+(sampled) Gaussian roughness layer put anywhere in the layer order, the
+case numbers still add.  With zero to two such layers added and all layers
+permuted, I(d) does not depend on the layer order (convolution commutes)
+and still strictly decreases.  The exact convolution equals the
+term-by-term oracle bit for bit, on catalog stacks and on the analytic
+roughness.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxint import (
+    HeightDistribution,
     Kernel,
     LawForm,
     case_number,
@@ -33,6 +36,7 @@ from proxint import (
     truncated_gaussian_distribution,
 )
 
+from conftest import sampled_rough
 from convolution_oracle import assert_same_segments, convolve_analytic
 
 LAYERS = {
@@ -83,9 +87,10 @@ def one_rough_stacks(draw):
 
 def make_layer(kind, p):
     if kind == "rough":
-        sigma, s0 = p
-        # A coarse grid keeps the fold cheap; order independence holds on any grid.
-        return truncated_gaussian_distribution(sigma, s0, bin_width=sigma / 8.0)
+        # Measured roughness, so that the stacks take the factored form and
+        # the fold.  A coarse grid keeps the fold cheap; order independence
+        # holds on any grid.
+        return sampled_rough(*p, per_sigma=8)
     return LAYERS[kind][0](p)
 
 
@@ -118,6 +123,28 @@ def test_exact_convolution_bit_identical_to_triple_loop_oracle(stack):
     for kind, p in layers:
         want = convolve_analytic(want, make_layer(kind, p))
     assert_same_segments(build(stack), want)
+
+
+@st.composite
+def rough_operands(draw):
+    """Operands of sphere (*) rough and of rough (*) rough at unequal sigma.
+
+    The rough (*) rough operands keep their first three pieces, so that the
+    oracle stays quick; their nine pairs still run batched, with cuts that
+    do not line up."""
+    radius = draw(st.floats(min_value=1e3, max_value=2e5))
+    sigmas = draw(st.lists(st.floats(min_value=1.0, max_value=20.0), min_size=2, max_size=2, unique=True))
+    roughs = [truncated_gaussian_distribution(sigma, sigma * draw(st.floats(min_value=0.0, max_value=3.0)))
+              for sigma in sigmas]
+    leading = [HeightDistribution.analytic(f.segments[:3], unit_area_normalized=True) for f in roughs]
+    return [(sphere_distribution(radius), roughs[0]), tuple(leading)]
+
+
+@given(rough_operands())
+@settings(max_examples=3)
+def test_exact_convolution_with_roughness_bit_identical_to_triple_loop_oracle(pairs):
+    for a, b in pairs:
+        assert_same_segments(convolve(a, b), convolve_analytic(a, b))
 
 
 @given(stacks())
