@@ -410,15 +410,15 @@ def cmd_shape(args) -> int:
         dist = stack.build()
         s = np.linspace(0.0, dist.support_max, cfg.bins)
         f = evaluate(dist, s)
+        # Before the file is opened, so that an area that overflows leaves
+        # no partial table.
+        area = projected_area(dist)
         path = _curve_path(args.out, stack.label, many)
         with open(path, "w") as fh:
             fh.write(f"# {_provenance(cfg, 'shape', f'curve={stack.label}: {stack.describe()}')}\n")
             fh.write("s_nm,f\n")
             fh.write("".join(line + "\n" for line in _csv_rows(s, f)))
-        print(
-            f"{stack.label}: support={dist.support_max:g} nm, "
-            f"area={projected_area(dist):.6g} nm^2 -> {path}"
-        )
+        print(f"{stack.label}: support={dist.support_max:g} nm, area={area:.6g} nm^2 -> {path}")
     return EXIT_OK
 
 

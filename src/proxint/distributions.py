@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, ParseError, UnclassifiableError
+from .errors import InvalidParameterError, NumericError, ParseError, UnclassifiableError
 
 __all__ = [
     "PolySegment",
@@ -410,10 +410,21 @@ def projected_area(f: HeightDistribution) -> float:
 
     Exact polynomial antiderivatives on analytic distributions, trapezoid
     rule on sampled ones, and the product of the two for an analytic (*)
-    sampled distribution.
+    sampled distribution.  An area beyond the float range raises
+    NumericError.
     """
+    try:
+        area = _projected_area(f)
+    except OverflowError:  # w ** (k + 1) on Python floats
+        area = math.inf
+    if not math.isfinite(area):
+        raise NumericError(f"projected area is not a finite float: {area!r}")
+    return area
+
+
+def _projected_area(f: HeightDistribution) -> float:
     if f.factors:
-        return math.prod(projected_area(part) for part in f.factors)
+        return math.prod(_projected_area(part) for part in f.factors)
     if f.kind == "analytic":
         total = 0.0
         for seg in f.segments:

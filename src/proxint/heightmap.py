@@ -17,6 +17,7 @@ Heightmaps are immutable after construction; all functions are pure.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -49,6 +50,10 @@ __all__ = [
 DEFAULT_BIN_FRACTION = 512
 
 
+def _is_normal(x: float) -> bool:
+    return sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
 @dataclass(frozen=True, eq=False)
 class Heightmap:
     """Grid of separations; values[j, i] is S at row j (y), column i (x)."""
@@ -61,9 +66,23 @@ class Heightmap:
     def __post_init__(self):
         if not all(math.isfinite(h) and h > 0 for h in (self.dx, self.dy)):
             raise InvalidParameterError("grid spacings must be positive and finite")
+        # The histograms weigh each cell by dx*dy and the gradients divide
+        # by dx and dy; outside the normal floats they lose every digit or
+        # overflow.
+        dx, dy = float(self.dx), float(self.dy)
+        for name, h in (("dx", dx), ("dy", dy)):
+            if not _is_normal(1.0 / h):
+                raise InvalidParameterError(f"grid spacing {name}={h!r}: 1/{name} is not a normal float")
+        if not _is_normal(dx * dy):
+            raise InvalidParameterError(f"grid spacings dx={dx!r} dy={dy!r}: cell area dx*dy is not a normal float")
         v = np.ascontiguousarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
             raise InvalidParameterError("heightmap needs at least a 2x2 grid")
+        if not math.isfinite(v.shape[1] * dx * v.shape[0] * dy):
+            raise InvalidParameterError(
+                f"grid spacings dx={dx!r} dy={dy!r}: the area of the {v.shape[0]}x{v.shape[1]} grid "
+                "is not a finite float"
+            )
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("heightmap values must be finite")
         if self.contact_shifted and abs(float(v.min())) > 1e-12:
@@ -127,9 +146,10 @@ class GaussianFit:
 # around a number, float() rejects it), so any other character sends the
 # file to the line scanner.
 _FAST_CHARS = b"0123456789+-.eE, \t\n"
-# The check encodes the text a slice at a time, so that it never holds a
-# second copy of the whole file beside the text and its lines.
-_CHECK_SLICE = 1 << 20
+# Characters of data rows per call of numpy's reader: a block is whole
+# lines, read until they reach this many characters.  Beside the rows
+# parsed so far the reader holds one block, as text and as lines.
+_BLOCK_CHARS = 1 << 16
 
 
 def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> Heightmap:
@@ -139,23 +159,35 @@ def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> He
     Rows are split on commas if they contain one, else on whitespace;
     blank lines are skipped.  Parse failures carry the 1-based line number
     (and column for bad or non-finite entries).
+
+    Rows are parsed a block of lines at a time, so the reader holds about
+    two grids' bytes at most: the rows parsed so far and the grid they are
+    joined into.  A malformed or unusual file is read whole by the line
+    scanner instead.
     """
     try:
         with open(path) as fh:
-            text = fh.read()
+            first = fh.readline()
+            try:
+                # A first line that str.splitlines() would cut elsewhere, or
+                # a header that does not parse, goes to the line scanner.
+                (line,) = first.splitlines()
+                shape, dx, dy = _parse_header(line, dx, dy)
+            except ValueError:
+                values = None
+            else:
+                values = _read_blocks(fh, [first] if shape is None else [])
+        if values is None:
+            # The whole text, so that a file that cannot be decoded is
+            # reported as such before any error in its lines.
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            if not lines:
+                raise ParseError("line 1: empty heightmap file")
+            shape, dx, dy = _parse_header(lines[0], dx, dy)
+            values = _scan_lines(lines, 0 if shape is None else 1)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: cannot decode as text ({exc.reason})") from exc
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("line 1: empty heightmap file")
-    shape, dx, dy = _parse_header(lines[0], dx, dy)
-    start = 0 if shape is None else 1
-    # Text mode leaves one character between lines, so the data rows are
-    # text[offset:].
-    offset = len(lines[0]) + 1 if start else 0
-    values = _read_block(text, offset, lines[start:])
-    if values is None:
-        values = _scan_lines(lines, start)
     if shape is not None and values.shape != shape:
         raise ParseError(
             f"grid is {values.shape[0]}x{values.shape[1]}, header says ny={shape[0]} nx={shape[1]}"
@@ -180,21 +212,32 @@ def _parse_header(first: str, dx, dy) -> tuple[tuple[int, int] | None, float, fl
         raise ParseError(f"line 1: malformed header fields ({exc})") from exc
 
 
-def _read_block(text: str, offset: int, lines: list[str]) -> np.ndarray | None:
-    # The data rows `lines`, which are text[offset:], parsed by numpy's C
-    # reader; None where its result could differ from the line scanner's
-    # or the input is malformed.
-    if not any(ln.strip() for ln in lines) or not text.isascii() or any(
-        text[i:i + _CHECK_SLICE].encode("ascii").translate(None, _FAST_CHARS)
-        for i in range(offset, len(text), _CHECK_SLICE)
-    ):
+def _read_blocks(fh, lines: list[str]) -> np.ndarray | None:
+    # The data rows, `lines` and then the rest of fh, parsed by numpy's C
+    # reader a block of lines at a time; None where its result could differ
+    # from the line scanner's or the input is malformed.  A block that holds
+    # a comma is split on commas; its rows without one then agree with the
+    # scanner's whitespace split where they hold one value, and otherwise
+    # fail numpy's parse.
+    blocks = []
+    lines += fh.readlines(_BLOCK_CHARS)
+    while lines:
+        block = "".join(lines)
+        if not block.isascii() or block.encode("ascii").translate(None, _FAST_CHARS):
+            return None
+        if not block.isspace():
+            try:
+                values = np.loadtxt(lines, dtype=float, comments=None,
+                                    delimiter="," if "," in block else None, ndmin=2)
+            except ValueError:
+                return None
+            if not np.isfinite(values).all() or (blocks and values.shape[1] != blocks[0].shape[1]):
+                return None
+            blocks.append(values)
+        lines = fh.readlines(_BLOCK_CHARS)
+    if not blocks:
         return None
-    try:
-        values = np.loadtxt(lines, dtype=float, comments=None,
-                            delimiter="," if text.find(",", offset) >= 0 else None, ndmin=2)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 
 def _scan_lines(lines: list[str], data_start: int) -> np.ndarray:
@@ -258,8 +301,11 @@ def _bin_indices(hm: Heightmap, bin_width: float | None, op: str) -> tuple[float
         bin_width = max(float(hm.values.max()), 1.0) / DEFAULT_BIN_FRACTION
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise InvalidParameterError("bin_width must be positive and finite")
-    idx = np.floor(hm.values.ravel() / bin_width).astype(np.int64)
-    return bin_width, np.maximum(idx, 0)
+    scaled = hm.values.ravel() / bin_width
+    np.floor(scaled, out=scaled)
+    idx = scaled.astype(np.int64)
+    np.maximum(idx, 0, out=idx)
+    return bin_width, idx
 
 
 def empirical_distribution(hm: Heightmap, bin_width: float | None = None) -> Histogram:
@@ -279,9 +325,46 @@ def gradient_distribution(hm: Heightmap, bin_width: float | None = None) -> Hist
     differences at the boundary rows/columns.
     """
     bin_width, idx = _bin_indices(hm, bin_width, "gradient_distribution")
-    gy, gx = np.gradient(hm.values, hm.dy, hm.dx)
-    weights = np.bincount(idx, weights=(gx**2 + gy**2).ravel()) * (hm.dx * hm.dy)
+    slope2 = _squared_gradient(hm.values, hm.dx, hm.dy)
+    weights = np.bincount(idx, weights=slope2.ravel()) * (hm.dx * hm.dy)
     return Histogram(bin_width, weights)
+
+
+# Grid values per block of rows in which _squared_gradient forms d/dy.
+_GRADIENT_BLOCK = 1 << 15
+
+
+def _squared_gradient(S: np.ndarray, dx: float, dy: float) -> np.ndarray:
+    # gx**2 + gy**2 for (gy, gx) = np.gradient(S, dy, dx), bit for bit: its
+    # central differences (f[j+1] - f[j-1]) / (2 h) inside and one-sided
+    # (f[1] - f[0]) / h, (f[-1] - f[-2]) / h on the edges.  gx**2 is formed
+    # in the result and gy**2 added a block of rows at a time, so besides
+    # the result only one block is alive.
+    ny, nx = S.shape
+    out = np.empty_like(S)
+    inner = out[:, 1:-1]
+    np.subtract(S[:, 2:], S[:, :-2], out=inner)
+    np.divide(inner, 2.0 * dx, out=inner)
+    for edge, (a, b) in ((0, (1, 0)), (-1, (-1, -2))):
+        np.subtract(S[:, a], S[:, b], out=out[:, edge])
+        np.divide(out[:, edge], dx, out=out[:, edge])
+    np.square(out, out=out)
+    rows = max(1, _GRADIENT_BLOCK // nx)
+    buf = np.empty((min(rows, ny), nx))
+    for j in range(1, ny - 1, rows):
+        k = min(j + rows, ny - 1)
+        gy = buf[:k - j]
+        np.subtract(S[j + 1:k + 1], S[j - 1:k - 1], out=gy)
+        np.divide(gy, 2.0 * dy, out=gy)
+        np.square(gy, out=gy)
+        out[j:k] += gy
+    gy = buf[0]
+    for edge, (a, b) in ((0, (1, 0)), (-1, (-1, -2))):
+        np.subtract(S[a], S[b], out=gy)
+        np.divide(gy, dy, out=gy)
+        np.square(gy, out=gy)
+        out[edge] += gy
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,37 +432,48 @@ def _field(layer: dict, key: str) -> float:
     return value
 
 
-def _layer_values(layer: dict, X: np.ndarray, Y: np.ndarray, extent: float, rng) -> np.ndarray:
+def _layer_values(layer: dict, coords: np.ndarray, extent: float, rng) -> np.ndarray:
+    # The layer's heights on the n x n grid whose rows and columns both sit
+    # at `coords`, formed in place in one new array.  A tiling's height is a
+    # non-decreasing function g of rho = max(t(x), t(y)), t the distance to
+    # the nearest tile center along one axis.  Each rounded step of g is
+    # non-decreasing too, so g(rho) = max(g(t(x)), g(t(y))) bit for bit, and
+    # g runs on the n coordinates alone.
     kind = layer.get("type")
+    n = len(coords)
     if kind == "cap":
         R = _field(layer, "radius")
-        r2 = X**2 + Y**2
-        if float(r2.max()) >= R**2:
+        c2 = coords**2
+        # The largest x^2 + y^2 of the grid, as the grid would round it.
+        corner = float(c2.max() + c2.max())
+        if corner >= R**2:
             raise InvalidParameterError(
-                f"cap extent invalid: corner radius {math.sqrt(float(r2.max())):.6g} nm "
+                f"cap extent invalid: corner radius {math.sqrt(corner):.6g} nm "
                 f"reaches past the sphere radius {R:.6g} nm"
             )
-        return R - np.sqrt(R**2 - r2)
-    if kind == "pyramid":
+        out = np.add(c2[np.newaxis, :], c2[:, np.newaxis])
+        np.subtract(R**2, out, out=out)
+        np.sqrt(out, out=out)
+        np.subtract(R, out, out=out)
+        return out
+    if kind in ("pyramid", "dome"):
         h, l = _field(layer, "height"), _field(layer, "tile")
-        rho = np.maximum(_tile_coords(X, l), _tile_coords(Y, l))
-        return h * (2.0 * rho / l)
-    if kind == "dome":
-        h, l = _field(layer, "height"), _field(layer, "tile")
-        rho = np.maximum(_tile_coords(X, l), _tile_coords(Y, l))
-        u = np.clip(2.0 * rho / l, 0.0, 1.0)
-        return h * (1.0 - np.sqrt(1.0 - u**2))
+        g = 2.0 * _tile_coords(coords, l) / l
+        if kind == "dome":
+            g = 1.0 - np.sqrt(1.0 - np.clip(g, 0.0, 1.0)**2)
+        g = h * g
+        return np.maximum(g[np.newaxis, :], g[:, np.newaxis])
     if kind == "rough":
         sigma, xi = _field(layer, "sigma"), _field(layer, "xi")
         from scipy.ndimage import gaussian_filter
 
-        noise = rng.standard_normal(X.shape)
-        dx = extent / X.shape[1]
-        field = gaussian_filter(noise, sigma=xi / dx, mode="wrap")
+        field = rng.standard_normal((n, n))
+        gaussian_filter(field, sigma=xi / (extent / n), mode="wrap", output=field)
         std = float(field.std())
         if std == 0.0:
             raise InvalidParameterError("roughness field degenerate (xi too large for grid)")
-        return field * (sigma / std)
+        field *= sigma / std
+        return field
     raise InvalidParameterError(f"unknown layer type {kind!r}")
 
 
@@ -398,6 +492,7 @@ def synthesize_surface(
     physical side length in nm (default: one tile for pure tilings).
 
     Coordinates are cell-centered on an n x n grid, so dx = dy = extent / n.
+    At most the sum and one layer's grid are alive at once.
     """
     layers = [dict(layer) for layer in layers]
     if not layers:
@@ -413,11 +508,10 @@ def synthesize_surface(
         raise InvalidParameterError(f"extent must be positive and finite, got {extent!r}")
     dx = extent / n
     coords = (np.arange(n) + 0.5) * dx - extent / 2.0
-    X, Y = np.meshgrid(coords, coords)
     rng = np.random.default_rng(seed)
-    S = np.zeros_like(X)
+    S = np.zeros((n, n))
     for layer in layers:
-        S = S + _layer_values(layer, X, Y, extent, rng)
+        S += _layer_values(layer, coords, extent, rng)
     S -= S.min()
     return Heightmap(dx, dx, S, contact_shifted=True)
 

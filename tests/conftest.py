@@ -7,6 +7,7 @@ deterministic and fast.  No example database is written.
 
 import contextlib
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return limit
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees allocated while ``fn()`` runs.
+
+    One untraced call first loads every module and cache that ``fn`` uses,
+    so the traced call counts only its own arrays and objects."""
+    fn()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 DEEP_STACK_LAYERS = [dome_distribution(h) for h in (4000.0, 2000.0, 1000.0, 500.0, 250.0)] + [

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,8 @@ from proxint.cli import (
 )
 from proxint.distributions import distribution_to_text
 from proxint.errors import ConfigError
+
+from conftest import traced_peak
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -200,6 +203,16 @@ class TestConfig:
         rc = main([command, "--config", write_config(tmp_path, text), "--out", str(out)])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
+    def test_overflowing_area_exits_numeric_before_writing(self, tmp_path, capsys):
+        # The exact area of this stack is beyond the float range.
+        text = SPHERE_DOME_CFG.replace("sphere radius=50000", "sphere radius=1e150") \
+            .replace("dome height=50", "dome height=1e150")
+        out = tmp_path / "x.csv"
+        rc = main(["shape", "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric error: projected area is not a finite float: inf\n"
         assert not out.exists()
 
     def test_unknown_section_rejected(self):
@@ -442,6 +455,40 @@ class TestHeightmapCommand:
         rc = main(["heightmap", str(path), "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
         assert "grid spacings must be positive and finite" in capsys.readouterr().err
+
+    # Spacings whose reciprocal or cell area leaves the normal floats: a
+    # config error naming the spacing, before any binning (which would warn).
+    @pytest.mark.parametrize("route", ["header", "flags"])
+    @pytest.mark.parametrize("spacing, message", [
+        ("1e-320", "grid spacing dx=1e-320: 1/dx is not a normal float"),
+        ("1e300", "grid spacings dx=1e+300 dy=1e+300: cell area dx*dy is not a normal float"),
+    ])
+    def test_spacing_outside_normal_floats_is_config_error(self, tmp_path, capsys, route, spacing, message):
+        rows = "0 1 2\n3 4 5\n6 7 9\n"
+        out = tmp_path / "x.csv"
+        if route == "header":
+            path = tmp_path / "h3.txt"
+            path.write_text(f"# heightmap v1 nx=3 ny=3 dx={spacing} dy={spacing}\n" + rows)
+            argv = ["heightmap", str(path), "--out", str(out)]
+        else:
+            path = tmp_path / "h3.csv"
+            path.write_text(rows.replace(" ", ","))
+            argv = ["heightmap", str(path), "--dx", spacing, "--dy", spacing, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_memory_budget(self, tmp_path, capsys):
+        # At 512^2 the command holds at most four grids' bytes at once.
+        hm = synthesize_surface([{"type": "cap", "radius": 5e4},
+                                 {"type": "pyramid", "height": 200.0, "tile": 500.0}],
+                                n=512, extent=8000.0)
+        save_heightmap(hm, tmp_path / "scan.txt")
+        argv = ["heightmap", str(tmp_path / "scan.txt"), "--out", str(tmp_path / "out.csv")]
+        assert traced_peak(lambda: main(argv)) <= 4 * hm.values.nbytes
 
     def test_fit_error_exit_code(self, tmp_path):
         # Two-level map: enough to histogram, too degenerate to fit.

@@ -15,6 +15,7 @@ from proxint import (
     HeightDistribution,
     Histogram,
     InvalidParameterError,
+    NumericError,
     ParseError,
     PolySegment,
     UnclassifiableError,
@@ -79,6 +80,15 @@ class TestSphere:
         trapz = np.trapezoid(evaluate(f, s), s)
         assert projected_area(f) == pytest.approx(math.pi * R**2, rel=1e-14)
         assert projected_area(f) == pytest.approx(trapz, rel=1e-9)
+
+    @pytest.mark.parametrize("f", [
+        # w ** (k + 1) overflows a Python float, and c * w^(k+1) overflows to inf.
+        convolve(sphere_distribution(1e150), dome_distribution(1e150)),
+        HeightDistribution.analytic([PolySegment(0.0, 1e100, (1e300,))]),
+    ], ids=["power-overflows", "product-overflows"])
+    def test_area_beyond_the_float_range_is_numeric_error(self, f):
+        with pytest.raises(NumericError, match="^projected area is not a finite float: inf$"):
+            projected_area(f)
 
     def test_not_unit_normalized(self):
         assert not sphere_distribution(R).unit_area_normalized

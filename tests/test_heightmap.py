@@ -36,6 +36,9 @@ from proxint import (
 from proxint import heightmap as heightmap_module
 from proxint.heightmap import Histogram, _gaussian_bin_masses, _scan_lines
 
+from conftest import traced_peak
+from synthesis_oracle import gradient_weights, synthesize_heights
+
 R = 50000.0
 
 
@@ -110,6 +113,21 @@ class TestLoadSave:
         with pytest.raises(InvalidParameterError, match="grid spacings"):
             load_heightmap(path, dx=math.nan, dy=1.0)
 
+    # Spacings whose reciprocal, cell area or grid area leaves the normal
+    # floats, each named.
+    @pytest.mark.parametrize("dx, dy, message", [
+        (1e-320, 1e-320, "grid spacing dx=1e-320: 1/dx is not a normal float"),
+        (1.0, 1e-309, "grid spacing dy=1e-309: 1/dy is not a normal float"),
+        (1e308, 1.0, "grid spacing dx=1e+308: 1/dx is not a normal float"),
+        (1e300, 1e300, "grid spacings dx=1e+300 dy=1e+300: cell area dx*dy is not a normal float"),
+        (1e-200, 1e-200, "grid spacings dx=1e-200 dy=1e-200: cell area dx*dy is not a normal float"),
+        (1e154, 1e154, "grid spacings dx=1e+154 dy=1e+154: the area of the 2x2 grid is not a finite float"),
+    ])
+    def test_spacings_outside_the_normal_floats_named(self, dx, dy, message):
+        with pytest.raises(InvalidParameterError) as info:
+            Heightmap(dx, dy, np.zeros((2, 2)))
+        assert str(info.value) == message
+
 
 def _save_per_value(hm, path):
     # Reference writer, one "%.17g" call per value: save_heightmap must
@@ -162,22 +180,35 @@ def _write_raw(path, text):
         fh.write(text)
 
 
+def _load_in_blocks(path, block_chars, dx=None, dy=None):
+    # load_heightmap with blocks of lines of at least `block_chars` characters.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heightmap_module, "_BLOCK_CHARS", block_chars)
+        return load_heightmap(path, dx=dx, dy=dy)
+
+
+# The reader's own block size, and one of a few characters, at which rows,
+# blank lines and commas fall in different blocks.
+BLOCK_SIZES = pytest.mark.parametrize("block_chars", [heightmap_module._BLOCK_CHARS, 5])
+
+
+@BLOCK_SIZES
 class TestReaderMatchesLineScanner:
     """load_heightmap reads every file as the token-by-token scanner does."""
 
     @given(grid_files())
-    def test_random_grids_bit_exact(self, tmp_path_factory, case):
+    def test_random_grids_bit_exact(self, tmp_path_factory, block_chars, case):
         text, values, header = case
         path = tmp_path_factory.mktemp("grid") / "map.txt"
         _write_raw(path, text)
-        hm = load_heightmap(path, dx=None if header else 1.0, dy=None if header else 1.0)
+        hm = _load_in_blocks(path, block_chars, dx=None if header else 1.0, dy=None if header else 1.0)
         with open(path) as fh:
             scanned = _scan_lines(fh.read().splitlines(), 1 if header else 0)
         assert hm.values.tobytes() == scanned.tobytes()
         assert hm.values.tobytes() == values.tobytes()
 
     @given(grid_files(numpy_readable=True))
-    def test_well_formed_files_skip_the_line_scanner(self, tmp_path_factory, case):
+    def test_well_formed_files_skip_the_line_scanner(self, tmp_path_factory, block_chars, case):
         text, values, header = case
         path = tmp_path_factory.mktemp("grid") / "map.txt"
         _write_raw(path, text)
@@ -187,7 +218,7 @@ class TestReaderMatchesLineScanner:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(heightmap_module, "_scan_lines", refuse)
-            hm = load_heightmap(path, dx=None if header else 1.0, dy=None if header else 1.0)
+            hm = _load_in_blocks(path, block_chars, dx=None if header else 1.0, dy=None if header else 1.0)
         assert hm.values.tobytes() == values.tobytes()
 
     HEADER = "# heightmap v1 nx=2 ny=2 dx=1 dy=1\n"
@@ -227,16 +258,71 @@ class TestReaderMatchesLineScanner:
         # A header line ended by a break the "\n" split does not see.
         ("# heightmap v1 nx=2 ny=1 dx=1 dy=1\f0 1\n2 3\n", "grid is 2x2, header says ny=1 nx=2"),
     ])
-    def test_malformed_and_unusual_files(self, tmp_path, text, expected):
+    def test_malformed_and_unusual_files(self, tmp_path, block_chars, text, expected):
         path = tmp_path / "map.txt"
         _write_raw(path, text)
         if isinstance(expected, str):
             with pytest.raises(ParseError, match=re.escape(expected)) as info:
-                load_heightmap(path, dx=1.0, dy=1.0)
+                _load_in_blocks(path, block_chars, dx=1.0, dy=1.0)
             assert str(info.value) == expected
         else:
-            hm = load_heightmap(path, dx=1.0, dy=1.0)
+            hm = _load_in_blocks(path, block_chars, dx=1.0, dy=1.0)
             np.testing.assert_array_equal(hm.values, expected)
+
+
+class TestBlockReader:
+    """Files of many blocks: the scanner's messages, and bounded memory."""
+
+    @staticmethod
+    def _grid_text(rows=200, cols=100):
+        # 17-digit values, ~380 kB: five or more blocks of lines.
+        values = np.random.default_rng(3).uniform(0.0, 1e4, (rows, cols))
+        lines = [" ".join("%.17g" % v for v in row) for row in values]
+        assert sum(map(len, lines)) > 5 * heightmap_module._BLOCK_CHARS
+        return values, lines
+
+    @pytest.mark.parametrize("last, expected", [
+        ("1 2 nan", "line 201, column 3: non-finite value 'nan'"),
+        ("1 2", "line 201: row has 2 values, expected 100"),
+        ("1 # 2", "line 201, column 2: not a number: '#'"),
+    ])
+    @BLOCK_SIZES
+    def test_malformed_line_in_last_block(self, tmp_path, block_chars, last, expected):
+        _, lines = self._grid_text()
+        path = tmp_path / "map.csv"
+        path.write_text("\n".join(lines + [last]) + "\n")
+        with pytest.raises(ParseError) as info:
+            _load_in_blocks(path, block_chars, dx=1.0, dy=1.0)
+        assert str(info.value) == expected
+
+    @BLOCK_SIZES
+    def test_comma_rows_in_last_block_split_as_the_scanner(self, tmp_path, block_chars):
+        values, lines = self._grid_text()
+        path = tmp_path / "map.csv"
+        lines[-2:] = [ln.replace(" ", ",") for ln in lines[-2:]]
+        path.write_text("\n".join(lines) + "\n")
+        assert _load_in_blocks(path, block_chars, dx=1.0, dy=1.0).values.tobytes() == values.tobytes()
+
+    @BLOCK_SIZES
+    def test_many_blocks_bit_exact(self, tmp_path, block_chars):
+        values, lines = self._grid_text()
+        path = tmp_path / "map.txt"
+        path.write_text("# heightmap v1 nx=100 ny=200 dx=1 dy=1\n" + "\n \n".join(lines) + "\n")
+        assert _load_in_blocks(path, block_chars).values.tobytes() == values.tobytes()
+
+    def test_header_size_is_not_allocated(self, tmp_path):
+        # 10^12 cells would be 8 TB: the reader must meet the two rows
+        # before it trusts the header, and then report the mismatch.
+        path = tmp_path / "map.txt"
+        path.write_text("# heightmap v1 nx=1000000 ny=1000000 dx=1 dy=1\n0 1\n2 3\n")
+        expected = "grid is 2x2, header says ny=1000000 nx=1000000"
+
+        def load():
+            with pytest.raises(ParseError) as info:
+                load_heightmap(path)
+            assert str(info.value) == expected
+
+        assert traced_peak(load) < 1 << 20
 
 
 class TestWriter:
@@ -352,6 +438,17 @@ class TestNonFiniteBins:
 
 
 class TestGradientDistribution:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (3, 3), (7, 40), (61, 33)])
+    @pytest.mark.parametrize("block", [heightmap_module._GRADIENT_BLOCK, 1, 80])
+    def test_matches_np_gradient_bit_for_bit(self, shape, block):
+        # Blocks of one row, of two or more rows and of the whole grid.
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        hm = shift_to_contact(Heightmap(0.37, 1.29, rng.standard_normal(shape) * 50.0))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heightmap_module, "_GRADIENT_BLOCK", block)
+            g = gradient_distribution(hm, 2.5)
+        assert g.weights.tobytes() == gradient_weights(hm.values, hm.dx, hm.dy, 2.5).tobytes()
+
     def test_flat_map_zero(self):
         hm = Heightmap(1.0, 1.0, np.zeros((8, 8)), contact_shifted=True)
         g = gradient_distribution(hm, 1.0)
@@ -415,6 +512,45 @@ class TestFitGaussian:
     def test_degenerate_histogram_raises(self):
         with pytest.raises(FitError):
             fit_gaussian(Histogram(1.0, np.array([10.0, 0.0, 0.0])))
+
+
+CAP = {"type": "cap", "radius": R}
+PYRAMID = {"type": "pyramid", "height": 200.0, "tile": 500.0}
+DOME = {"type": "dome", "height": 50.0, "tile": 500.0}
+ROUGH = {"type": "rough", "sigma": 5.0, "xi": 60.0}
+
+
+class TestSynthesizeMatchesMeshgridOracle:
+    @pytest.mark.parametrize("layers", [
+        [CAP], [PYRAMID], [DOME], [ROUGH], [CAP, PYRAMID], [CAP, ROUGH], [DOME, PYRAMID],
+        [CAP, DOME, PYRAMID, ROUGH],
+    ], ids=lambda layers: "+".join(l["type"] for l in layers))
+    @pytest.mark.parametrize("n", [2, 63, 64, 255])
+    def test_bytes_match(self, layers, n):
+        extent = 8000.0 if layers[0] is CAP else 1700.0
+        hm = synthesize_surface(layers, n=n, extent=extent, seed=n)
+        assert hm.values.tobytes() == synthesize_heights(layers, n, extent, seed=n).tobytes()
+
+    @pytest.mark.parametrize("n", [31, 32])
+    def test_default_extent_bytes_match(self, n):
+        hm = synthesize_surface([DOME], n=n)
+        assert hm.values.tobytes() == synthesize_heights([DOME], n).tobytes()
+
+
+# Traced peaks at 512^2, in multiples of the grid's own bytes: a few
+# grid-sized arrays at most, with no copy of the text or the coordinates.
+GRID_BYTES = 512 * 512 * 8
+
+
+class TestMemoryBudget:
+    def test_load_text(self, tmp_path):
+        hm = synthesize_surface([CAP, PYRAMID], n=512, extent=8000.0)
+        save_heightmap(hm, tmp_path / "scan.txt")
+        assert traced_peak(lambda: load_heightmap(tmp_path / "scan.txt")) <= 2.5 * GRID_BYTES
+
+    def test_synthesize_cap_pyramid(self):
+        peak = traced_peak(lambda: synthesize_surface([CAP, PYRAMID], n=512, extent=8000.0))
+        assert peak <= 3 * GRID_BYTES
 
 
 class TestSynthesize:
