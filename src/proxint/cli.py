@@ -478,13 +478,10 @@ def cmd_heightmap(args) -> int:
             print(f"classification: unclassifiable ({exc})")
 
     lines.append("s_nm,f_nm,g_nm")
-    n = max(len(emp.weights), len(grad.weights))
-    fw = np.zeros(n)
-    fw[: len(emp.weights)] = emp.weights / bin_width
-    gw = np.zeros(n)
-    gw[: len(grad.weights)] = grad.weights / bin_width
+    # Both histograms bin the same cells, so they have the same length.
+    n = len(emp.weights)
     centers = (np.arange(n) + 0.5) * bin_width
-    lines.extend(_csv_rows(centers, fw, gw))
+    lines.extend(_csv_rows(centers, emp.weights / bin_width, grad.weights / bin_width))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"area={hm.area:.6g} nm^2, bins={n} -> {args.out}")
@@ -500,8 +497,7 @@ def cmd_asympt(args) -> int:
     all_passed = True
     for stack in cfg.curves:
         dist = stack.build()
-        tol_cls = 1e-6 if dist.kind == "analytic" else 1e-3
-        report = case_number(dist, tol=tol_cls)
+        report = case_number(dist)
         predicted = predict(report, cfg.kernel)
         curve = sweep(dist, cfg.kernel, cfg.separations)
         window = cfg.window or smallest_decade(cfg.separations)

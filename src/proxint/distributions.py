@@ -477,6 +477,13 @@ def convolve(f_c: HeightDistribution, f_r: HeightDistribution) -> HeightDistribu
             "result scales with its projected area",
             stacklevel=2,
         )
+    return _convolve(f_c, f_r)
+
+
+def _convolve(f_c: HeightDistribution, f_r: HeightDistribution) -> HeightDistribution:
+    """``convolve`` without the unit-area warning, for operands that carry
+    their own area on purpose (a gradient density integrates to the mean
+    squared slope)."""
     (a_c, s_c), (a_r, s_r) = _parts(f_c), _parts(f_r)
     analytic = _convolve_analytic(a_c, a_r) if a_c and a_r else a_c or a_r
     sampled = _convolve_numeric(s_c, s_r) if s_c and s_r else s_c or s_r
@@ -858,7 +865,7 @@ def _numeric_grid(fa: HeightDistribution, fb: HeightDistribution) -> tuple[float
         if abs(wa - wb) > 1e-9 * max(wa, wb):
             warnings.warn(
                 f"bin widths differ ({wa:g} vs {wb:g} nm); resampling to the finer grid",
-                stacklevel=4,
+                stacklevel=5,
             )
         delta = min(wa, wb)
     else:

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HeightDistribution, convolve
+from .distributions import HeightDistribution, _convolve
 from .errors import FitError, InvalidParameterError, ParseError
 
 # SciPy is imported inside its only callers, the Gaussian fit and the
@@ -558,10 +557,8 @@ def compose_gradient(
     convolution of the base height distribution with the modulation's
     per-unit-area gradient density (the base's own gradient is negligible on
     the modulation scale).  The result is the factored analytic (*) sampled
-    distribution that ``convolve`` returns, integrated as f is.
+    distribution that ``convolve`` returns, integrated as f is.  g integrates
+    to the mean squared slope rather than to 1, so it is convolved without
+    ``convolve``'s unit-area warning.
     """
-    with warnings.catch_warnings():
-        # g is intentionally not unit-area normalized (it integrates to the
-        # mean squared slope).
-        warnings.simplefilter("ignore")
-        return convolve(f_c, distribution_from_histogram(g_r, area=area))
+    return _convolve(f_c, distribution_from_histogram(g_r, area=area))

@@ -23,9 +23,11 @@ part f_c, and is folded in interaction space,
 
     I(d) = int f_s(t) I_c(d + t) dt,
 
-by Gauss-Legendre on each linear piece of f_s against the closed-form I_c
-of f_c, or against alpha / x^nu when there is no analytic part (f_c is a
-delta at 0); no convolution grid is built.  The leading correction beyond
+where I_c is the closed form of f_c, or alpha / x^nu when there is no
+analytic part (f_c is a delta at 0).  The two linear pieces of f_s next to
+the singularity, convolved exactly with f_c, take the closed form; every
+later piece takes Gauss-Legendre against I_c.  No convolution grid is
+built.  The leading correction beyond
 PA is the same integral with the gradient density g in place of f, so
 ``exactness_diagnostic`` integrates g along the same path.  Everything is
 pure and safe for concurrent use.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HeightDistribution, PolySegment
+from .distributions import HeightDistribution, PolySegment, _convolve_analytic
 from .errors import InvalidParameterError, ParseError
 
 __all__ = [
@@ -265,55 +267,27 @@ def _closed_form(segments, d: np.ndarray, kernel: Kernel) -> np.ndarray:
     return total.reshape(d.shape)
 
 
-# Interaction-space fold of a distribution with a sampled part f_s.  Each
-# linear piece of f_s gets 8-point Gauss-Legendre against I_c(d + t), which
-# is analytic for d + t > 0 with its singularity at t = -d: every piece
-# k >= 1 lies at least its own width from it (error ~ 6e-13 of the piece's
-# share, ~ 1e-16 from k = 2 on).  With an analytic part, I_c is its closed
-# form and the first piece is split at d, 2d, 4d, ... so that each part
-# keeps that ratio.  Without one, I_c is the kernel itself and pieces 0 and
-# 1 are integrated exactly as degree-1 segments.  The (separation x node)
-# products are formed in blocks of about _FOLD_BLOCK.
+# Interaction-space fold of a distribution with a sampled part f_s.  Pieces 0
+# and 1 of f_s are integrated exactly as degree-1 segments, after their exact
+# convolution with the analytic part when there is one.  Every later piece
+# gets 8-point Gauss-Legendre against I_c(d + t), the closed form of the
+# analytic part or else the kernel itself (f_c is a delta at 0).  I_c is
+# analytic for d + t > 0 with its singularity at t = -d, and piece k >= 2
+# lies at least twice its own width from it (error ~ 1e-16 of the piece's
+# share).  The (separation x node) products are formed in blocks of about
+# _FOLD_BLOCK.
 _FOLD_X, _FOLD_W = np.polynomial.legendre.leggauss(8)
 _FOLD_BLOCK = 1 << 15
 
 
-def _fold_rule(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray):
-    """Gauss-Legendre nodes on the intervals [lo, hi] (along a new last axis) and
-    their weights times the density running linearly from f_lo to f_hi."""
-    half = 0.5 * (hi - lo)[..., None]
-    t = 0.5 * (lo + hi)[..., None] + half * _FOLD_X
-    lam = 0.5 * (1.0 + _FOLD_X)
-    w = half * _FOLD_W * (f_lo[..., None] * (1.0 - lam) + f_hi[..., None] * lam)
-    return t, w
-
-
 def _fold_sum(i_c, d: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j I_c(d_i + t_j) for each d_i; ``t``, ``w`` are (nodes,) or (len(d), nodes)."""
+    """sum_j w_j I_c(d_i + t_j) for each d_i."""
     out = np.empty_like(d)
-    rows = max(1, _FOLD_BLOCK // max(t.shape[-1], 1))
+    rows = max(1, _FOLD_BLOCK // max(len(t), 1))
     for i in range(0, len(d), rows):
         sl = slice(i, i + rows)
-        tb, wb = (t, w) if t.ndim == 1 else (t[sl], w[sl])
-        out[sl] = (i_c(d[sl, None] + tb) * wb).sum(axis=1)
+        out[sl] = (i_c(d[sl, None] + t) * w).sum(axis=1)
     return out
-
-
-def _graded_first_piece(i_c, v: np.ndarray, delta: float, d: np.ndarray) -> np.ndarray:
-    """Fold of piece 0, split at d, 2d, ..., 2^(m-1) d < delta; one rule per m."""
-    total = np.zeros_like(d)
-    if v[0] == 0.0 and v[1] == 0.0:
-        return total
-    m = np.maximum(np.ceil(np.log2(delta / d)), 0).astype(int)
-    for mi in np.unique(m):
-        rows = np.nonzero(m == mi)[0]
-        dr = d[rows, None]
-        inner = np.minimum(dr * 2.0 ** np.arange(mi), delta)
-        edges = np.concatenate([np.zeros_like(dr), inner, np.full_like(dr, delta)], axis=1)
-        f_edges = v[0] + (v[1] - v[0]) * (edges / delta)
-        t0, w0 = _fold_rule(edges[:, :-1], edges[:, 1:], f_edges[:, :-1], f_edges[:, 1:])
-        total[rows] = _fold_sum(i_c, d[rows], t0.reshape(len(rows), -1), w0.reshape(len(rows), -1))
-    return total
 
 
 def _fold(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:
@@ -321,26 +295,28 @@ def _fold(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:
     analytic, sampled = f.factors or (None, f)
     v = np.asarray(sampled.values)
     delta = sampled.bin_width
+    first = min(2, len(v) - 1)
+    near = HeightDistribution.analytic(
+        PolySegment(k * delta, (k + 1) * delta, (v[k], (v[k + 1] - v[k]) / delta)) for k in range(first)
+    )
     if analytic is None:
         def i_c(x):
             return kernel.alpha * x ** (-kernel.nu)
-
-        first = min(2, len(v) - 1)
-        near = _closed_form(
-            [PolySegment(k * delta, (k + 1) * delta, (v[k], (v[k + 1] - v[k]) / delta)) for k in range(first)],
-            d, kernel,
-        )
     else:
         def i_c(x):
             return _closed_form(analytic.segments, x, kernel)
 
-        first = 1
-        near = _graded_first_piece(i_c, v, delta, d)
+        near = _convolve_analytic(analytic, near)
 
-    # The remaining pieces share one rule over all separations; empty pieces drop out.
+    # The remaining pieces share one rule over all separations; empty pieces
+    # drop out.  Each piece's nodes t carry weights w times its linear density.
     k = np.nonzero((v[first:-1] != 0.0) | (v[first + 1:] != 0.0))[0] + first
-    t, w = _fold_rule(k * delta, (k + 1) * delta, v[k], v[k + 1])
-    return _fold_sum(i_c, d, t.ravel(), w.ravel()) + near
+    lo, hi = k * delta, (k + 1) * delta
+    half = 0.5 * (hi - lo)[:, None]
+    t = 0.5 * (lo + hi)[:, None] + half * _FOLD_X
+    lam = 0.5 * (1.0 + _FOLD_X)
+    w = half * _FOLD_W * (v[k][:, None] * (1.0 - lam) + v[k + 1][:, None] * lam)
+    return _fold_sum(i_c, d, t.ravel(), w.ravel()) + _closed_form(near.segments, d, kernel)
 
 
 def _interaction(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -674,6 +675,29 @@ class TestHistogramDensityBridge:
             distribution_from_histogram(g_r, area=area)
         with pytest.raises(InvalidParameterError, match="area must be positive and finite"):
             compose_gradient(sphere_distribution(1e4), g_r, area)
+
+
+def test_compose_gradient_leaves_the_warnings_filter_alone(monkeypatch):
+    # The filter is process-wide, so changing it is not safe under
+    # concurrent calls; g carries its own area and warns about nothing.
+    f_c, g_r = sphere_distribution(1e4), Histogram(2.0, np.arange(1.0, 9.0))
+    want = compose_gradient(f_c, g_r, 16.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("warnings filter changed")
+
+    # The patches are undone before a failure propagates, so pytest's own
+    # warning capture still works when it reports it.
+    with warnings.catch_warnings(), monkeypatch.context() as patch:
+        warnings.simplefilter("error")
+        patch.setattr(warnings, "catch_warnings", forbidden)
+        patch.setattr(warnings, "simplefilter", forbidden)
+        got = compose_gradient(f_c, g_r, 16.0)
+    (a_got, s_got), (a_want, s_want) = got.factors, want.factors
+    assert a_got.segments == a_want.segments
+    np.testing.assert_array_equal(s_got.values, s_want.values)
+    assert (got.bin_width, got.support_max, got.unit_area_normalized) == \
+        (want.bin_width, want.support_max, want.unit_area_normalized)
 
 
 class TestConvolutionConsistency:

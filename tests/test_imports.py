@@ -4,8 +4,9 @@ A static check on the source: the names a module binds by ``import`` and
 ``from ... import`` must each be read somewhere in that module, as a name,
 as the root of an attribute chain, in a string annotation, or (for a
 package ``__init__``) as an entry of ``__all__``.  ``from __future__``
-imports are exempt.  Each module-level UPPER_CASE name must be read
-somewhere in the package, in any of those ways or as an attribute.
+imports are exempt.  Each module-level UPPER_CASE name, function and
+class must be read somewhere in the package, in any of those ways or as
+an attribute; a public one counts through its module's ``__all__``.
 """
 
 import ast
@@ -62,8 +63,14 @@ def _constants(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def unread_constants(sources: dict[str, str]) -> list[tuple[str, str, int]]:
-    """(module, name, line) of each constant that no module reads."""
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions and classes the module defines -> line."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def _unread(sources: dict[str, str], defined) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each name ``defined(tree)`` gives that no module reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -71,11 +78,25 @@ def unread_constants(sources: dict[str, str]) -> list[tuple[str, str, int]]:
         read |= {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return sorted((module, name, line) for module, tree in trees.items()
-                  for name, line in _constants(tree).items() if name not in read)
+                  for name, line in defined(tree).items() if name not in read)
+
+
+def unread_constants(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each constant that no module reads."""
+    return _unread(sources, _constants)
+
+
+def unread_definitions(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of each module-level function or class that no module reads."""
+    return _unread(sources, _definitions)
 
 
 def test_package_reads_every_constant():
     assert unread_constants({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_package_reads_every_definition():
+    assert unread_definitions({path.name: path.read_text() for path in MODULES}) == []
 
 
 @pytest.mark.parametrize("sources, unread", [
@@ -88,6 +109,21 @@ def test_package_reads_every_constant():
 ])
 def test_checker_finds_unread_constants(sources, unread):
     assert unread_constants(sources) == unread
+
+
+@pytest.mark.parametrize("sources, unread", [
+    ({"a.py": "def f():\n    pass\n"}, [("a.py", "f", 1)]),
+    ({"a.py": "class C:\n    pass\n"}, [("a.py", "C", 1)]),
+    ({"a.py": "def f():\n    pass\n__all__ = ['f']\n"}, []),
+    ({"a.py": "def _f():\n    pass\n", "b.py": "from .a import _f\n_f()\n"}, []),
+    ({"a.py": "def _f():\n    pass\n", "b.py": "from . import a\na._f()\n"}, []),
+    ({"a.py": "def f():\n    def inner():\n        pass\n    return 1\nf()\n"}, []),
+    ({"a.py": "class C:\n    def method(self):\n        pass\nC()\n"}, []),
+    ({"a.py": "@decorate\ndef f():\n    pass\nasync def g():\n    pass\n"},
+     [("a.py", "f", 2), ("a.py", "g", 4)]),
+])
+def test_checker_finds_unread_definitions(sources, unread):
+    assert unread_definitions(sources) == unread
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -39,6 +39,7 @@ from proxint import (
     truncated_gaussian_distribution,
 )
 import proxint.distributions
+from proxint.distributions import _convolve_analytic
 from proxint.interaction import _FAR_FALLBACK, _FAR_NU_MAX, _FAR_ORDERS, _closed_form
 
 from conftest import sampled_rough
@@ -567,7 +568,25 @@ class TestInteractionSpaceFold:
         d = [1e-3, 1e-2, 0.1, 1.0, 300.0]
         got = sweep(f, heat_sio2_kernel(), d).values
         want = [_fold_reference(rough, di) for di in d]
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("nu", [2.0, 3.0])
+    @pytest.mark.parametrize("sigma, s0", FIG2_ROUGHNESS)
+    def test_matches_exact_convolution_of_linear_pieces(self, sigma, s0, nu):
+        # The sphere folded against measured roughness equals the closed form
+        # of the sphere convolved exactly with the roughness's linear pieces,
+        # from far field down to separations far below one bin.
+        rough = sampled_rough(sigma, s0)
+        v, width = np.asarray(rough.values), rough.bin_width
+        pieces = HeightDistribution.analytic(
+            PolySegment(k * width, (k + 1) * width, (v[k], (v[k + 1] - v[k]) / width))
+            for k in range(len(v) - 1)
+        )
+        exact = _convolve_analytic(sphere_distribution(R), pieces)
+        kernel = Kernel(ALPHA, nu)
+        d = np.array([1e-9, 1e-6, 1e-3, 1.0, 300.0])
+        got = sweep(convolve(sphere_distribution(R), rough), kernel, d).values
+        np.testing.assert_allclose(got, _closed_form(exact.segments, d, kernel), rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("sigma, s0", FIG2_ROUGHNESS[:2])
     def test_no_grid(self, monkeypatch, sigma, s0):
