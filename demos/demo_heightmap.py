@@ -19,7 +19,6 @@ import numpy as np
 
 from proxint import (
     HeightDistribution,
-    PolySegment,
     convolve,
     empirical_distribution,
     evaluate,
@@ -59,7 +58,7 @@ print(f"projected area {hm.area:.4g} nm^2, histogram bins {len(emp.weights)}")
 # sampled tip quantum h*dx/l.
 half = EXTENT / 2
 sag = half**2 / (R + math.sqrt(R**2 - half**2))
-f_cap = HeightDistribution.analytic([PolySegment(0.0, sag, (2 * math.pi * R, -2 * math.pi))])
+f_cap = HeightDistribution.analytic([0.0, sag], [[2 * math.pi * R, -2 * math.pi]])
 f_conv = convolve(f_cap, pyramid_distribution(H_TILE, L_TILE, per_unit_area=True))
 kmax = int(550.0 / delta)
 s_min = H_TILE * (EXTENT / N) / L_TILE

@@ -29,7 +29,6 @@ from .asymptotics import (
 from .distributions import (
     CaseReport,
     HeightDistribution,
-    PolySegment,
     case_number,
     convolve,
     dome_distribution,
@@ -83,7 +82,7 @@ from .interaction import (
 __all__ = [
     "__version__",
     # distributions
-    "PolySegment", "HeightDistribution", "CaseReport",
+    "HeightDistribution", "CaseReport",
     "sphere_distribution", "dome_distribution", "pyramid_distribution",
     "truncated_gaussian_distribution", "truncated_gaussian_norm",
     "convolve", "case_number", "evaluate", "projected_area", "to_sampled",

@@ -90,9 +90,15 @@ def predict(case_report: CaseReport, kernel: Kernel) -> AsymptoticLaw:
             nu=nu,
         )
     if nu > n:
+        try:
+            prefactor = kernel.alpha * lead * math.gamma(nu - n) / math.gamma(nu)
+        except OverflowError:
+            # Gamma(nu) overflows past nu ~ 171.6; Gamma(nu - n) / Gamma(nu)
+            # is 1 / ((nu - 1) ... (nu - n)).
+            prefactor = kernel.alpha * lead / math.prod(nu - k for k in range(1, n + 1))
         return AsymptoticLaw(
             LawForm.POWER_LAW,
-            prefactor=kernel.alpha * lead * math.gamma(nu - n) / math.gamma(nu),
+            prefactor=prefactor,
             exponent=nu - n,
             case_n=n,
             nu=nu,

@@ -284,8 +284,14 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
             raise ConfigError("separations: need 0 < min < max")
         if per_decade < 1:
             raise ConfigError("separations.per_decade: must be positive")
-        npts = max(2, int(round(np.log10(hi / lo) * per_decade)) + 1)
-        d = np.geomspace(lo, hi, npts)
+        if not math.isfinite(hi / lo):
+            raise ConfigError(f"separations: max/min = {hi:g}/{lo:g} overflows a float")
+        try:
+            npts = max(2, int(round(np.log10(hi / lo) * per_decade)) + 1)
+            d = np.geomspace(lo, hi, npts)
+        except (OverflowError, ValueError):
+            # A per_decade past the float range, or a grid past numpy's size limit.
+            raise ConfigError("separations.per_decade: too many points for one grid") from None
     if np.any(d <= 0) or np.any(np.diff(d) <= 0):
         raise ConfigError("separations: must be positive and increasing")
     cfg.separations = d

@@ -7,7 +7,8 @@ s < 0, and f carries units of nm (area per unit height, nm^2/nm).
 Every distribution is an analytic part (*) a sampled part, either of which
 may be absent:
 
-* analytic -- contiguous piecewise polynomials.  Every catalog shape is one:
+* analytic -- piecewise polynomials on contiguous segments, held as the
+  arrays ``breaks`` and ``coeffs``.  Every catalog shape is one:
   the sphere, dome and pyramid exactly, the truncated Gaussian roughness as
   polynomial pieces within an ulp of its peak.  Convolution of two analytic
   distributions is computed exactly (the result is again piecewise
@@ -42,7 +43,6 @@ import numpy as np
 from .errors import InvalidParameterError, NumericError, ParseError, UnclassifiableError
 
 __all__ = [
-    "PolySegment",
     "HeightDistribution",
     "CaseReport",
     "sphere_distribution",
@@ -157,40 +157,14 @@ ANALYTIC_RESAMPLE_FRACTION = 256
 SAMPLED_FIT_DEGREE = 5
 
 
-@dataclass(frozen=True)
-class PolySegment:
-    """One polynomial piece: f(s) = sum_k coeffs[k] * (s - lo)**k on [lo, hi)."""
-
-    lo: float
-    hi: float
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise InvalidParameterError(f"segment needs lo < hi, got [{self.lo}, {self.hi}]")
-        if len(self.coeffs) == 0:
-            raise InvalidParameterError("segment needs at least one coefficient")
-        coeffs = tuple(map(float, self.coeffs))
-        if not all(map(math.isfinite, coeffs)):
-            raise InvalidParameterError("segment coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def __call__(self, s):
-        x = np.asarray(s, dtype=float) - self.lo
-        out = np.zeros_like(x)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class HeightDistribution:
     """Area density of separations; analytic (piecewise polynomial) or sampled.
 
+    The analytic kind holds two read-only arrays: ``breaks`` (m + 1,), from
+    0 strictly increasing to ``support_max``, and ``coeffs`` (m, k), where
+    row i is f(s) = sum_j coeffs[i, j] (s - breaks[i])**j on
+    [breaks[i], breaks[i + 1]), zero-padded to k = the highest degree + 1.
     For the sampled kind, ``values[k]`` is the density at s = k * bin_width
     and ``support_max = (len(values) - 1) * bin_width``.  A sampled
     distribution made by ``convolve`` from analytic and sampled layers holds
@@ -200,14 +174,15 @@ class HeightDistribution:
 
     support_max: float
     unit_area_normalized: bool
-    segments: tuple[PolySegment, ...] = ()
+    breaks: np.ndarray | None = None
+    coeffs: np.ndarray | None = None
     bin_width: float = 0.0
     _values: np.ndarray | None = field(default=None, repr=False)
     factors: tuple = ()
 
     @property
     def kind(self) -> str:
-        return "analytic" if self.segments else "sampled"
+        return "sampled" if self.coeffs is None else "analytic"
 
     @property
     def values(self) -> np.ndarray | None:
@@ -218,21 +193,35 @@ class HeightDistribution:
         return self._values
 
     @classmethod
-    def analytic(cls, segments, unit_area_normalized: bool = False) -> "HeightDistribution":
-        segments = tuple(segments)
-        if not segments:
-            raise InvalidParameterError("analytic distribution needs at least one segment")
-        if segments[0].lo != 0.0:
+    def analytic(cls, breaks, coeffs, unit_area_normalized: bool = False) -> "HeightDistribution":
+        """Piecewise polynomial from ``breaks`` (m + 1,) and ``coeffs`` (m, k);
+        columns past the highest degree are dropped."""
+        try:
+            breaks = np.array(breaks, dtype=float)
+            coeffs = np.array(coeffs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"breaks and coeffs must be numeric arrays: {exc}") from None
+        if breaks.ndim != 1 or len(breaks) < 2:
+            raise InvalidParameterError(f"breaks must be 1-D with >= 2 entries, got shape {breaks.shape}")
+        m = len(breaks) - 1
+        if coeffs.ndim != 2 or coeffs.shape[0] != m or coeffs.shape[1] < 1:
+            raise InvalidParameterError(f"coeffs must have shape ({m}, k >= 1), got {coeffs.shape}")
+        if breaks[0] != 0.0:
             raise InvalidParameterError("first segment must start at s = 0")
-        for a, b in zip(segments[:-1], segments[1:]):
-            if a.hi != b.lo:
-                raise InvalidParameterError(
-                    f"segments must be contiguous: {a.hi} != {b.lo}"
-                )
+        # Increasing from 0 to a finite end, so every break is finite.
+        if not ((breaks[1:] > breaks[:-1]).all() and math.isfinite(breaks[-1])):
+            raise InvalidParameterError("breaks must be finite and strictly increasing")
+        if not np.isfinite(coeffs).all():
+            raise InvalidParameterError("coefficients must be finite")
+        if coeffs.shape[1] > 1 and not coeffs[:, -1].any():
+            coeffs = np.ascontiguousarray(coeffs[:, : _degrees(coeffs).max() + 1])
+        breaks.setflags(write=False)
+        coeffs.setflags(write=False)
         return cls(
-            support_max=segments[-1].hi,
+            support_max=float(breaks[-1]),
             unit_area_normalized=unit_area_normalized,
-            segments=segments,
+            breaks=breaks,
+            coeffs=coeffs,
         )
 
     @classmethod
@@ -275,6 +264,18 @@ class CaseReport:
     taylor_coeffs: tuple[float, ...]
 
 
+def _degrees(coeffs: np.ndarray) -> np.ndarray:
+    """Each row's degree: the index of its last nonzero coefficient, 0 for a zero row."""
+    return ((coeffs != 0.0) * np.arange(coeffs.shape[1])).max(axis=1)
+
+
+def _rows(f: HeightDistribution) -> list[tuple[float, float, list[float]]]:
+    """(lo, width, coefficients up to the row's degree) of each row of an
+    analytic f, on Python floats."""
+    breaks, rows, degrees = f.breaks.tolist(), f.coeffs.tolist(), _degrees(f.coeffs).tolist()
+    return [(lo, hi - lo, row[: deg + 1]) for lo, hi, row, deg in zip(breaks, breaks[1:], rows, degrees)]
+
+
 # ---------------------------------------------------------------------------
 # catalog constructors
 # ---------------------------------------------------------------------------
@@ -294,15 +295,13 @@ def _check_length(name: str, value: float, power: int) -> float:
 def sphere_distribution(radius: float) -> HeightDistribution:
     """Sphere of radius R in front of a plate: f(s) = 2 pi (R - s) on [0, R]."""
     r = _check_length("sphere radius", radius, 2)
-    seg = PolySegment(0.0, r, (2.0 * math.pi * r, -2.0 * math.pi))
-    return HeightDistribution.analytic([seg], unit_area_normalized=False)
+    return HeightDistribution.analytic([0.0, r], [[2.0 * math.pi * r, -2.0 * math.pi]])
 
 
 def dome_distribution(height: float) -> HeightDistribution:
     """Square-base dome tiling, per unit area: f(s) = 2 (h - s) / h^2 on [0, h]."""
     h = _check_length("dome height", height, 2)
-    seg = PolySegment(0.0, h, (2.0 / h, -2.0 / h**2))
-    return HeightDistribution.analytic([seg], unit_area_normalized=True)
+    return HeightDistribution.analytic([0.0, h], [[2.0 / h, -2.0 / h**2]], unit_area_normalized=True)
 
 
 def pyramid_distribution(height: float, base: float, per_unit_area: bool = False) -> HeightDistribution:
@@ -315,8 +314,7 @@ def pyramid_distribution(height: float, base: float, per_unit_area: bool = False
     h = _check_length("pyramid height", height, 2)
     l = _check_length("pyramid base length", base, 2)
     slope = 2.0 / h**2 if per_unit_area else 2.0 * l**2 / h**2
-    seg = PolySegment(0.0, h, (0.0, slope))
-    return HeightDistribution.analytic([seg], unit_area_normalized=per_unit_area)
+    return HeightDistribution.analytic([0.0, h], [[0.0, slope]], unit_area_normalized=per_unit_area)
 
 
 def _check_gaussian(sigma: float, s0: float) -> None:
@@ -368,13 +366,12 @@ def truncated_gaussian_distribution(sigma: float, s0: float) -> HeightDistributi
     # _GAUSSIAN_MIN_PIECE joins the next one, whose polynomial then reaches
     # that little below its own piece.
     first = next(k for k, b in enumerate(breaks) if b > _GAUSSIAN_MIN_PIECE * w * sigma)
-    segments = [PolySegment(0.0, breaks[0], (0.0,))] if first == 0 else []
-    for k, row in enumerate(_GAUSSIAN_PIECES[max(first - 1, 0):], start=max(first - 1, 0)):
-        lo, hi = breaks[k], breaks[k + 1]
-        if k == first - 1:
-            row, lo = _taylor_shift(row, -lo / sigma), 0.0
-        segments.append(PolySegment(lo, hi, tuple(c * f for c, f in zip(row, scale))))
-    return HeightDistribution.analytic(segments, unit_area_normalized=True)
+    coeffs = np.array(_GAUSSIAN_PIECES[max(first - 1, 0):])
+    if first == 0:
+        coeffs = np.vstack([np.zeros(degree + 1), coeffs])
+    else:
+        coeffs[0] = _taylor_shift(coeffs[0].tolist(), -breaks[first - 1] / sigma)
+    return HeightDistribution.analytic([0.0] + breaks[first:], coeffs * scale, unit_area_normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +389,14 @@ def evaluate(f: HeightDistribution, s):
         if f.kind == "sampled":
             out[inside] = np.interp(xi, f.grid, f.values)
         else:
-            # PolySegment's Horner sum for every point at once; a shorter
-            # segment's zero top coefficients leave its sum at 0 until its own.
-            n = max(len(seg.coeffs) for seg in f.segments)
-            lo, _, coeffs = _segment_arrays(f, n)
-            idx = np.clip(np.searchsorted(lo, xi, side="right") - 1, 0, len(f.segments) - 1)
+            # Each row's Horner sum for every point at once; a lower-degree
+            # row's zero padding leaves its sum at 0 until its own top term.
+            lo = f.breaks[:-1]
+            idx = np.clip(np.searchsorted(lo, xi, side="right") - 1, 0, len(lo) - 1)
             t = xi - lo[idx]
             vals = np.zeros_like(t)
-            for k in range(n - 1, -1, -1):
-                vals = vals * t + coeffs[idx, k]
+            for c in f.coeffs.T[::-1]:
+                vals = vals * t + c[idx]
             out[inside] = vals
     return float(out[0]) if scalar else out
 
@@ -427,9 +423,8 @@ def _projected_area(f: HeightDistribution) -> float:
         return math.prod(_projected_area(part) for part in f.factors)
     if f.kind == "analytic":
         total = 0.0
-        for seg in f.segments:
-            w = seg.width
-            total += sum(c * w ** (k + 1) / (k + 1) for k, c in enumerate(seg.coeffs))
+        for _, w, coeffs in _rows(f):
+            total += sum(c * w ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
         return total
     return float(np.trapezoid(f.values, dx=f.bin_width))
 
@@ -562,10 +557,13 @@ def _bivariate_integral(pa, pb) -> list[list[float]]:
 
 
 def _rising(Bi) -> list[float]:
-    """sum_ij Bi[i][j] x^(i+j): the antiderivative taken from t = 0 to t = x."""
-    out = [0.0] * (len(Bi) + len(Bi[0]) - 1)
+    """sum_ij Bi[i][j] x^(i+j): the antiderivative taken from t = 0 to t = x.
+    Bi[i][j] is zero where i + j reaches the length of a row, so the sum
+    has no more terms than a row."""
+    n = len(Bi[0])
+    out = [0.0] * n
     for i, row in enumerate(Bi):
-        for j, c in enumerate(row):
+        for j, c in enumerate(row[: n - i]):
             if c != 0.0:
                 out[i + j] += c
     return out
@@ -584,20 +582,19 @@ def _plateau(Bi, la: float) -> list[float]:
     return out
 
 
-def _pair_convolve(seg_a: PolySegment, seg_b: PolySegment):
-    """Exact convolution of two polynomial segments.
+def _pair_convolve(row_a, row_b):
+    """Exact convolution of two polynomial segments, each a ``_rows`` entry.
 
     Returns pieces (lo, hi, coeffs) in absolute coordinates, coefficients
     anchored at each piece's lo.  The polynomial algebra runs in a scaled
     coordinate (lengths divided by La + Lb) to keep coefficient magnitudes
     near the value scale.
     """
-    a = np.asarray(seg_a.coeffs)
-    b = np.asarray(seg_b.coeffs)
-    La, Lb = seg_a.width, seg_b.width
+    (lo_a, La, a), (lo_b, Lb, b) = row_a, row_b
+    a, b = np.asarray(a), np.asarray(b)
     if La > Lb:
         a, b, La, Lb = b, a, Lb, La
-    s0 = seg_a.lo + seg_b.lo
+    s0 = lo_a + lo_b
     scale = La + Lb
     a = (a * scale ** np.arange(len(a))).tolist()
     b = (b * scale ** np.arange(len(b))).tolist()
@@ -642,17 +639,13 @@ def _merged_cuts(cuts, total: float, tol: float) -> list[float]:
     return merged
 
 
-def _segment(g0: float, g1: float, acc) -> PolySegment:
-    """A merged interval's segment, its trailing zero coefficients dropped."""
-    last = max((k for k, c in enumerate(acc) if c != 0.0), default=0)
-    return PolySegment(g0, g1, tuple(acc[: last + 1]))
-
-
-def _convolve_pairwise(fa: HeightDistribution, fb: HeightDistribution, tol: float) -> list[PolySegment]:
+def _convolve_pairwise(fa: HeightDistribution, fb: HeightDistribution, tol: float):
+    """Breaks and coefficient rows of the exact convolution, pair by pair."""
     pieces = []
-    for sa in fa.segments:
-        for sb in fb.segments:
-            pieces.extend(_pair_convolve(sa, sb))
+    rows_b = _rows(fb)
+    for row_a in _rows(fa):
+        for row_b in rows_b:
+            pieces.extend(_pair_convolve(row_a, row_b))
     merged = _merged_cuts([p[0] for p in pieces] + [p[1] for p in pieces], fa.support_max + fb.support_max, tol)
 
     # Each piece covers the merged intervals whose midpoint lies within tol
@@ -664,14 +657,14 @@ def _convolve_pairwise(fa: HeightDistribution, fb: HeightDistribution, tol: floa
             covering[g].append((p0, coeffs))
 
     max_len = max(len(p[2]) for p in pieces)
-    segments = []
-    for g0, g1, covers in zip(merged[:-1], merged[1:], covering):
+    rows = []
+    for g0, covers in zip(merged[:-1], covering):
         acc = [0.0] * max_len
         for p0, coeffs in covers:
             for k, c in enumerate(_taylor_shift(coeffs, g0 - p0)):
                 acc[k] += c
-        segments.append(_segment(g0, g1, acc))
-    return segments
+        rows.append(acc)
+    return merged, rows
 
 
 # Batched exact convolution.  Each function below does for a stack of m
@@ -790,25 +783,16 @@ def _pair_convolve_rows(a, b, La, Lb, s0):
     return edges[:, :3], edges[:, 1:], coeffs
 
 
-def _segment_arrays(f: HeightDistribution, n: int):
-    """lo, widths and coefficients (zero-padded to n columns) of f's segments."""
-    lo = np.array([seg.lo for seg in f.segments])
-    width = np.array([seg.hi for seg in f.segments]) - lo
-    coeffs = np.zeros((len(f.segments), n))
-    for i, seg in enumerate(f.segments):
-        coeffs[i, : len(seg.coeffs)] = seg.coeffs
-    return lo, width, coeffs
-
-
 def _pieces(fa: HeightDistribution, fb: HeightDistribution):
     """Every piece of every segment pair's convolution, in the order of the
     pairs (fa's segments outer) and of the phases within a pair: lo, hi and
     coefficients zero-padded to a common length."""
-    len_a = np.array([len(seg.coeffs) for seg in fa.segments])
-    len_b = np.array([len(seg.coeffs) for seg in fb.segments])
+    len_a, len_b = _degrees(fa.coeffs) + 1, _degrees(fb.coeffs) + 1
     n = int(len_a.max() + len_b.max())
-    lo_a, w_a, c_a = _segment_arrays(fa, n)
-    lo_b, w_b, c_b = _segment_arrays(fb, n)
+    lo_a, w_a = fa.breaks[:-1], np.diff(fa.breaks)
+    lo_b, w_b = fb.breaks[:-1], np.diff(fb.breaks)
+    c_a = np.pad(fa.coeffs, ((0, 0), (0, n - fa.coeffs.shape[1])))
+    c_b = np.pad(fb.coeffs, ((0, 0), (0, n - fb.coeffs.shape[1])))
     i = np.repeat(np.arange(len(w_a)), len(w_b))
     j = np.tile(np.arange(len(w_b)), len(w_a))
     # Each pair's shorter segment comes first, as in _pair_convolve.
@@ -827,7 +811,8 @@ def _pieces(fa: HeightDistribution, fb: HeightDistribution):
     return lo.ravel()[keep], hi.ravel()[keep], coeffs.reshape(-1, ns + nl)[keep]
 
 
-def _convolve_rows(fa: HeightDistribution, fb: HeightDistribution, tol: float) -> list[PolySegment]:
+def _convolve_rows(fa: HeightDistribution, fb: HeightDistribution, tol: float):
+    """Breaks and coefficients of the exact convolution, batched over pairs."""
     lo, hi, coeffs = _pieces(fa, fb)
     merged = _merged_cuts(lo.tolist() + hi.tolist(), fa.support_max + fb.support_max, tol)
 
@@ -845,17 +830,15 @@ def _convolve_rows(fa: HeightDistribution, fb: HeightDistribution, tol: float) -
     shifted = _taylor_shift_rows(coeffs[piece], _powers(edges[interval] - lo[piece], n))
     acc = np.zeros((len(mids), n))
     np.add.at(acc, interval, shifted)
-    return [_segment(g0, g1, row) for g0, g1, row in zip(merged[:-1], merged[1:], acc.tolist())]
+    return edges, acc
 
 
 def _convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> HeightDistribution:
     tol = 1e-12 * (fa.support_max + fb.support_max)
-    if len(fa.segments) * len(fb.segments) < _BATCH_PAIRS:
-        segments = _convolve_pairwise(fa, fb, tol)
-    else:
-        segments = _convolve_rows(fa, fb, tol)
+    convolve_pairs = _convolve_pairwise if len(fa.coeffs) * len(fb.coeffs) < _BATCH_PAIRS else _convolve_rows
+    breaks, coeffs = convolve_pairs(fa, fb, tol)
     unit = fa.unit_area_normalized and fb.unit_area_normalized
-    return HeightDistribution.analytic(segments, unit_area_normalized=unit)
+    return HeightDistribution.analytic(breaks, coeffs, unit_area_normalized=unit)
 
 
 def _numeric_grid(fa: HeightDistribution, fb: HeightDistribution) -> tuple[float, int, int]:
@@ -953,7 +936,7 @@ def case_number(f: HeightDistribution, tol: float = 1e-6) -> CaseReport:
     T = f.support_max
 
     if f.kind == "analytic":
-        coeffs = f.segments[0].coeffs
+        coeffs = f.coeffs[0, : _degrees(f.coeffs[:1])[0] + 1].tolist()
         derivs = np.array([math.factorial(k) * c for k, c in enumerate(coeffs)])
         errs = np.zeros(len(coeffs))
     else:
@@ -1044,9 +1027,8 @@ def distribution_to_text(f: HeightDistribution) -> str:
         f"# height-distribution v1, kind={f.kind}, unit_area={int(f.unit_area_normalized)}"
     ]
     if f.kind == "analytic":
-        for seg in f.segments:
-            fields = [seg.lo, seg.hi, *seg.coeffs]
-            lines.append(",".join("%.17g" % v for v in fields))
+        for hi, (lo, _, coeffs) in zip(f.breaks[1:].tolist(), _rows(f)):
+            lines.append(",".join("%.17g" % v for v in [lo, hi, *coeffs]))
     else:
         for k, v in enumerate(f.values):
             lines.append("%.17g,%.17g" % (k * f.bin_width, v))
@@ -1080,12 +1062,16 @@ def text_to_distribution(text: str) -> HeightDistribution:
         raise ParseError("no data rows")
 
     if kind == "analytic":
-        segs = []
         for i, row in enumerate(rows, start=2):
             if len(row) < 3:
                 raise ParseError(f"line {i}: segment rows need lo,hi,c0,...")
-            segs.append(PolySegment(row[0], row[1], tuple(row[2:])))
-        return HeightDistribution.analytic(segs, unit_area_normalized=unit)
+        for i, (prev, row) in enumerate(zip(rows, rows[1:]), start=3):
+            if row[0] != prev[1]:
+                raise ParseError(f"line {i}: segment starts at {row[0]!r}, not where line {i - 1} ends")
+        k = max(map(len, rows))
+        coeffs = [row[2:] + [0.0] * (k - len(row)) for row in rows]
+        breaks = [row[0] for row in rows] + [rows[-1][1]]
+        return HeightDistribution.analytic(breaks, coeffs, unit_area_normalized=unit)
 
     s = np.array([r[0] for r in rows])
     v = np.array([r[1] for r in rows])

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import HeightDistribution, PolySegment, _convolve_analytic
+from .distributions import HeightDistribution, _convolve_analytic, _degrees
 from .errors import InvalidParameterError, ParseError
 
 __all__ = [
@@ -193,9 +193,10 @@ def _expanded(coeffs, a: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarra
     return kernel.alpha * total
 
 
-def _segment_integrals(segments, d: np.ndarray, kernel: Kernel) -> np.ndarray:
+def _segment_integrals(breaks: np.ndarray, coeffs: np.ndarray, d: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Exact integral of sum_k c_k (u - lo)^k * alpha / (u + d)^nu over [lo, hi]
-    for each segment (rows) and each separation of the 1-D array ``d`` (columns).
+    for each row of ``coeffs`` on [lo, hi] = breaks[i:i + 2] (rows) and each
+    separation of the 1-D array ``d`` (columns).
 
     Near the kernel singularity (lo + d below the segment width) the
     binomial expansion in powers of (u + d) is evaluated term by term.  Far
@@ -205,25 +206,22 @@ def _segment_integrals(segments, d: np.ndarray, kernel: Kernel) -> np.ndarray:
     The branch and the order are chosen for each (segment, separation) on
     its own, and each order's pairs are evaluated together across segments.
     """
-    lo = np.array([seg.lo for seg in segments])
-    hi = np.array([seg.hi for seg in segments])
+    lo, hi = breaks[:-1], breaks[1:]
     width = hi - lo
     base = lo[:, None] + d
     far = base >= width[:, None]
     out = np.empty_like(base)
+    degree = _degrees(coeffs)
     for s in np.nonzero(~far.all(axis=1))[0]:
-        coeffs, near = segments[s].coeffs, ~far[s]
+        row, near = coeffs[s, : degree[s] + 1].tolist(), ~far[s]
         if near.all():
-            out[s] = _expanded(coeffs, base[s], hi[s] + d, kernel)
+            out[s] = _expanded(row, base[s], hi[s] + d, kernel)
         else:
-            out[s][near] = _expanded(coeffs, base[s][near], hi[s] + d[near], kernel)
+            out[s][near] = _expanded(row, base[s][near], hi[s] + d[near], kernel)
     if not far.any():
         return out
 
-    degree = np.array([len(seg.coeffs) - 1 for seg in segments])
-    coeffs = np.zeros((len(segments), degree.max() + 1))
-    for s, seg in enumerate(segments):
-        coeffs[s, : len(seg.coeffs)] = seg.coeffs
+    coeffs = coeffs[:, : degree.max() + 1]
     if kernel.nu <= _FAR_NU_MAX:
         band = np.minimum(np.searchsorted(_FAR_EDGES, width[:, None] / base), len(_FAR_EDGES) - 1)
         order = _FAR_ORDER_BY[band, np.minimum(degree, _FAR_MAX_DEGREE + 1)[:, None]]
@@ -253,7 +251,7 @@ def _segment_integrals(segments, d: np.ndarray, kernel: Kernel) -> np.ndarray:
     return out
 
 
-def _closed_form(segments, d: np.ndarray, kernel: Kernel) -> np.ndarray:
+def _closed_form(f: HeightDistribution, d: np.ndarray, kernel: Kernel) -> np.ndarray:
     """I(d) of an analytic distribution, for each separation in the array ``d``.
 
     Segments are taken _FAR_FALLBACK at a time and summed in segment order,
@@ -261,8 +259,9 @@ def _closed_form(segments, d: np.ndarray, kernel: Kernel) -> np.ndarray:
     """
     flat = d.ravel()
     total = np.zeros_like(flat)
-    for i in range(0, len(segments), _FAR_FALLBACK):
-        for row in _segment_integrals(segments[i:i + _FAR_FALLBACK], flat, kernel):
+    for i in range(0, len(f.coeffs), _FAR_FALLBACK):
+        j = i + _FAR_FALLBACK
+        for row in _segment_integrals(f.breaks[i:j + 1], f.coeffs[i:j], flat, kernel):
             total += row
     return total.reshape(d.shape)
 
@@ -297,14 +296,14 @@ def _fold(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:
     delta = sampled.bin_width
     first = min(2, len(v) - 1)
     near = HeightDistribution.analytic(
-        PolySegment(k * delta, (k + 1) * delta, (v[k], (v[k + 1] - v[k]) / delta)) for k in range(first)
+        np.arange(first + 1) * delta, np.stack([v[:first], np.diff(v[: first + 1]) / delta], axis=1)
     )
     if analytic is None:
         def i_c(x):
             return kernel.alpha * x ** (-kernel.nu)
     else:
         def i_c(x):
-            return _closed_form(analytic.segments, x, kernel)
+            return _closed_form(analytic, x, kernel)
 
         near = _convolve_analytic(analytic, near)
 
@@ -316,13 +315,13 @@ def _fold(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:
     t = 0.5 * (lo + hi)[:, None] + half * _FOLD_X
     lam = 0.5 * (1.0 + _FOLD_X)
     w = half * _FOLD_W * (v[k][:, None] * (1.0 - lam) + v[k + 1][:, None] * lam)
-    return _fold_sum(i_c, d, t.ravel(), w.ravel()) + _closed_form(near.segments, d, kernel)
+    return _fold_sum(i_c, d, t.ravel(), w.ravel()) + _closed_form(near, d, kernel)
 
 
 def _interaction(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.ndarray:
     """I(d) for each separation of the validated 1-D array ``d``."""
     if f.kind == "analytic":
-        return _closed_form(f.segments, d, kernel)
+        return _closed_form(f, d, kernel)
     return _fold(f, kernel, d)
 
 

@@ -77,9 +77,18 @@ def deep_stack():
     f = sphere_distribution(1e5)
     for layer in DEEP_STACK_LAYERS:
         f = convolve(f, layer)
-    assert len(f.segments) == 127
-    assert max(len(seg.coeffs) for seg in f.segments) - 1 == 13
+    assert f.coeffs.shape == (127, 14)
     return f
+
+
+def rows(f: HeightDistribution) -> list[tuple[float, float, tuple[float, ...]]]:
+    """(lo, hi, coefficients up to the last nonzero one) of each row of an
+    analytic f, read from its breaks and coeffs arrays."""
+    out = []
+    for lo, hi, row in zip(f.breaks[:-1].tolist(), f.breaks[1:].tolist(), f.coeffs.tolist()):
+        last = max((k for k, c in enumerate(row) if c != 0.0), default=0)
+        out.append((lo, hi, tuple(row[: last + 1])))
+    return out
 
 
 def sampled_rough(sigma: float, s0: float, per_sigma: int = 32) -> HeightDistribution:

@@ -3,7 +3,7 @@
 These are the triple Python loops over numpy scalars, with per-term
 ``math.comb``, that ``proxint.distributions`` used before its convolution
 moved to Python floats and precomputed binomials.  The library must give
-the same segments bit for bit: tests compare every segment's lo, hi and
+the same segments bit for bit: tests compare the breaks and the
 coefficients with ``==``.
 """
 
@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
-from proxint import HeightDistribution, PolySegment
+from proxint import HeightDistribution
+
+from conftest import rows
 
 
 def taylor_shift(coeffs: np.ndarray, delta: float) -> np.ndarray:
@@ -26,14 +28,16 @@ def taylor_shift(coeffs: np.ndarray, delta: float) -> np.ndarray:
     return out
 
 
-def pair_convolve(seg_a: PolySegment, seg_b: PolySegment):
-    """Exact convolution of two polynomial segments, as pieces (lo, hi, coeffs)."""
-    a = np.asarray(seg_a.coeffs)
-    b = np.asarray(seg_b.coeffs)
-    La, Lb = seg_a.width, seg_b.width
+def pair_convolve(seg_a, seg_b):
+    """Exact convolution of two polynomial segments, each (lo, hi, coeffs),
+    as pieces (lo, hi, coeffs)."""
+    (lo_a, hi_a, a), (lo_b, hi_b, b) = seg_a, seg_b
+    a = np.asarray(a)
+    b = np.asarray(b)
+    La, Lb = hi_a - lo_a, hi_b - lo_b
     if La > Lb:
         a, b, La, Lb = b, a, Lb, La
-    s0 = seg_a.lo + seg_b.lo
+    s0 = lo_a + lo_b
     scale = La + Lb
     a = a * scale ** np.arange(len(a))
     b = b * scale ** np.arange(len(b))
@@ -102,8 +106,8 @@ def pair_convolve(seg_a: PolySegment, seg_b: PolySegment):
 def convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> HeightDistribution:
     """Exact convolution of two analytic distributions."""
     pieces = []
-    for sa in fa.segments:
-        for sb in fb.segments:
+    for sa in rows(fa):
+        for sb in rows(fb):
             pieces.extend(pair_convolve(sa, sb))
     total = fa.support_max + fb.support_max
     tol = 1e-12 * total
@@ -116,7 +120,7 @@ def convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> HeightD
     merged[0], merged[-1] = 0.0, total
 
     max_len = max(len(p[2]) for p in pieces)
-    segments = []
+    out = []
     for g0, g1 in zip(merged[:-1], merged[1:]):
         mid = 0.5 * (g0 + g1)
         acc = np.zeros(max_len)
@@ -124,14 +128,13 @@ def convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> HeightD
             if p0 - tol <= mid <= p1 + tol:
                 shifted = taylor_shift(coeffs, g0 - p0)
                 acc[: len(shifted)] += shifted
-        last = max((k for k, c in enumerate(acc) if c != 0.0), default=0)
-        segments.append(PolySegment(g0, g1, tuple(acc[: last + 1])))
+        out.append(acc)
     unit = fa.unit_area_normalized and fb.unit_area_normalized
-    return HeightDistribution.analytic(segments, unit_area_normalized=unit)
+    return HeightDistribution.analytic(merged, out, unit_area_normalized=unit)
 
 
 def assert_same_segments(got: HeightDistribution, want: HeightDistribution) -> None:
-    """Every segment's lo, hi and coefficients equal, bit for bit."""
-    assert len(got.segments) == len(want.segments)
-    for g, w in zip(got.segments, want.segments):
-        assert (g.lo, g.hi, g.coeffs) == (w.lo, w.hi, w.coeffs)
+    """The breaks and every coefficient equal, bit for bit."""
+    assert got.breaks.shape == want.breaks.shape and got.coeffs.shape == want.coeffs.shape
+    assert (got.breaks == want.breaks).all()
+    assert (got.coeffs == want.coeffs).all()

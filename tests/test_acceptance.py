@@ -14,7 +14,6 @@ from proxint import (
     HeightDistribution,
     Kernel,
     LawForm,
-    PolySegment,
     case_number,
     compose_cases,
     compose_gradient,
@@ -135,7 +134,7 @@ def test_criterion_4_table_exponent_recovery():
     failures = []
     for n in (1, 2, 3):
         coeffs = [0.0] * (n - 1) + [1.0 / math.factorial(n - 1)]
-        f = HeightDistribution.analytic([PolySegment(0.0, 1.0, tuple(coeffs))])
+        f = HeightDistribution.analytic([0.0, 1.0], [coeffs])
         d = np.geomspace(1e-8, 1e-6, 121)
         for dnu in (0.5, 1.0):
             law = fit_scaling(sweep(f, Kernel(ALPHA, n + dnu), d), smallest_decade(d))
@@ -248,9 +247,7 @@ def test_criterion_8_heightmap_pipeline():
     )
     half = extent / 2
     sag_in = half**2 / (R + math.sqrt(R**2 - half**2))
-    fcap = HeightDistribution.analytic(
-        [PolySegment(0.0, sag_in, (2 * math.pi * R, -2 * math.pi))]
-    )
+    fcap = HeightDistribution.analytic([0.0, sag_in], [[2 * math.pi * R, -2 * math.pi]])
     fconv = convolve(fcap, pyramid_distribution(h, l, per_unit_area=True))
     delta = 10.0
     emp = empirical_distribution(hm, delta)

@@ -6,7 +6,7 @@ import proxint
 PUBLIC = {
     "__version__",
     # distributions
-    "PolySegment", "HeightDistribution", "CaseReport",
+    "HeightDistribution", "CaseReport",
     "sphere_distribution", "dome_distribution", "pyramid_distribution",
     "truncated_gaussian_distribution", "truncated_gaussian_norm",
     "convolve", "case_number", "evaluate", "projected_area", "to_sampled",

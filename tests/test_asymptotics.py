@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,7 +25,6 @@ from proxint import (
     sweep,
     verify,
     HeightDistribution,
-    PolySegment,
 )
 
 R = 50000.0
@@ -35,7 +35,7 @@ ALPHA = 0.2558
 def monomial(n):
     """Pure case-n distribution f(s) = s^(n-1)/(n-1)! on [0, 1]."""
     coeffs = [0.0] * (n - 1) + [1.0 / math.factorial(n - 1)]
-    return HeightDistribution.analytic([PolySegment(0.0, 1.0, tuple(coeffs))])
+    return HeightDistribution.analytic([0.0, 1.0], [coeffs])
 
 
 class TestPredict:
@@ -80,6 +80,25 @@ class TestPredict:
             k = Kernel(ALPHA, n + dnu)
             law = predict(rep, k)
             assert d**dnu * pa_interaction(f, k, d) == pytest.approx(law.prefactor, rel=1e-4)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("nu", [172.0, 200.0, 1000.5])
+    def test_prefactor_past_the_gamma_range(self, n, nu):
+        # Gamma(nu) overflows a float from nu ~ 171.6; the ratio
+        # Gamma(nu - n) / Gamma(nu) does not.
+        rep = case_number(monomial(n))
+        law = predict(rep, Kernel(ALPHA, nu))
+        with mpmath.workdps(30):
+            want = ALPHA * rep.leading_coefficient * mpmath.gamma(nu - n) / mpmath.gamma(nu)
+        assert law.exponent == nu - n
+        assert law.prefactor == pytest.approx(float(want), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_prefactor_within_the_gamma_range_uses_gamma(self, n):
+        rep = case_number(monomial(n))
+        for nu in np.linspace(n + 0.01, 171.5, 97).tolist():
+            law = predict(rep, Kernel(ALPHA, nu))
+            assert law.prefactor == ALPHA * rep.leading_coefficient * math.gamma(nu - n) / math.gamma(nu)
 
     def test_marginal_log_detection(self):
         rep = case_number(monomial(2))

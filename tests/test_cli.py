@@ -205,6 +205,21 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["shape", "sweep", "asympt"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("min = 1\nmax = 300", "min = 5e-324\nmax = 1", "separations: max/min = 1/4.94066e-324 overflows"),
+        ("min = 1\nmax = 300", "min = 1e-300\nmax = 1e300", "separations: max/min = 1e+300/1e-300 overflows"),
+        ("per_decade = 20", f"per_decade = {10**400}", "separations.per_decade: too many points"),
+    ])
+    def test_separation_range_past_the_float_range_exits_config(self, tmp_path, capsys, command, old, new,
+                                                                 message):
+        out = tmp_path / "x.csv"
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG.replace(old, new))
+        rc = main([command, "--config", cfg, "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+
     def test_overflowing_area_exits_numeric_before_writing(self, tmp_path, capsys):
         # The exact area of this stack is beyond the float range.
         text = SPHERE_DOME_CFG.replace("sphere radius=50000", "sphere radius=1e150") \
@@ -662,6 +677,15 @@ class TestAsymptCommand:
         )
         assert main(["asympt", "--config", cfg]) == EXIT_OK
         assert "(case 4)" in capsys.readouterr().out
+
+    def test_kernel_exponent_past_the_gamma_range(self, tmp_path):
+        # Gamma(200) overflows a float; the predicted prefactor of the sphere
+        # is still alpha 2 pi R Gamma(199) / Gamma(200) = 2 pi R / 199.
+        cfg = write_config(tmp_path, "[kernel]\nalpha = 1\nnu = 200\n[curve.s]\nbase = sphere radius=100\n")
+        out = tmp_path / "rep.csv"
+        assert main(["asympt", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        row = dict(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:3])))
+        assert float(row["prefactor_pred"]) == pytest.approx(2 * np.pi * 100 / 199, rel=1e-14)
 
     def test_fig4_preset_constant_passes(self, tmp_path):
         assert main(["asympt", "--preset", "fig4"]) == EXIT_OK

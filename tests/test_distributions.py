@@ -17,7 +17,6 @@ from proxint import (
     InvalidParameterError,
     NumericError,
     ParseError,
-    PolySegment,
     UnclassifiableError,
     case_number,
     convolve,
@@ -42,7 +41,7 @@ from proxint.distributions import (
     text_to_distribution,
 )
 
-from conftest import DEEP_STACK_LAYERS, sampled_rough
+from conftest import DEEP_STACK_LAYERS, rows, sampled_rough
 from convolution_oracle import assert_same_segments, convolve_analytic
 
 R = 50000.0
@@ -84,7 +83,7 @@ class TestSphere:
     @pytest.mark.parametrize("f", [
         # w ** (k + 1) overflows a Python float, and c * w^(k+1) overflows to inf.
         convolve(sphere_distribution(1e150), dome_distribution(1e150)),
-        HeightDistribution.analytic([PolySegment(0.0, 1e100, (1e300,))]),
+        HeightDistribution.analytic([0.0, 1e100], [[1e300]]),
     ], ids=["power-overflows", "product-overflows"])
     def test_area_beyond_the_float_range_is_numeric_error(self, f):
         with pytest.raises(NumericError, match="^projected area is not a finite float: inf$"):
@@ -207,9 +206,9 @@ class TestTruncatedGaussian:
         # Sixteen pieces of width sigma span s0 -/+ 8 sigma; below that one zero
         # segment reaches down to contact, however far s0 lies from it.
         f = truncated_gaussian_distribution(2.0, 2.0 * offset)
-        assert len(f.segments) <= 17
+        assert len(f.coeffs) <= 17
         if offset > 8.0:
-            assert f.segments[0] == PolySegment(0.0, 2.0 * (offset - 8.0), (0.0,))
+            assert rows(f)[0] == (0.0, 2.0 * (offset - 8.0), (0.0,))
             assert evaluate(f, 2.0 * (offset - 8.5)) == 0.0
 
 
@@ -293,6 +292,42 @@ class TestGaussianPieceTable:
 # evaluation
 # ---------------------------------------------------------------------------
 
+class TestAnalyticConstructor:
+    @pytest.mark.parametrize("breaks, coeffs", [
+        ([[0.0, 1.0]], [[1.0]]),                    # breaks not 1-D
+        ([0.0], np.zeros((0, 1))),                  # fewer than 2 breaks
+        ([], np.zeros((0, 1))),
+        ([1.0, 2.0], [[1.0]]),                      # first break not at s = 0
+        ([0.0, 1.0, 1.0], [[1.0], [1.0]]),          # a segment with lo == hi
+        ([0.0, 2.0, 1.0], [[1.0], [1.0]]),          # breaks decreasing
+        ([0.0, 1.0], [1.0]),                        # coeffs not 2-D
+        ([0.0, 1.0], [[1.0], [2.0]]),               # one row per segment
+        ([0.0, 1.0], np.zeros((1, 0))),             # at least one coefficient
+        ([0.0, 1.0, 2.0], [[1.0, 2.0], [3.0]]),     # ragged rows
+        ([0.0, math.inf], [[1.0]]),                 # non-finite values
+        ([0.0, math.nan], [[1.0]]),
+        ([0.0, 1.0], [[1.0, math.nan]]),
+        ([0.0, 1.0], [[-math.inf]]),
+    ])
+    def test_rejects(self, breaks, coeffs):
+        with pytest.raises(InvalidParameterError):
+            HeightDistribution.analytic(breaks, coeffs)
+
+    def test_trailing_zero_columns_dropped(self):
+        f = HeightDistribution.analytic([0.0, 1.0, 2.0], [[1.0, 0.0, 0.0], [2.0, 3.0, 0.0]])
+        assert f.coeffs.tolist() == [[1.0, 0.0], [2.0, 3.0]]
+        assert HeightDistribution.analytic([0.0, 1.0], [[0.0, 0.0]]).coeffs.shape == (1, 1)
+
+    def test_arrays_are_read_only_copies(self):
+        breaks, coeffs = np.array([0.0, 1.0]), np.array([[1.0, 2.0]])
+        f = HeightDistribution.analytic(breaks, coeffs)
+        breaks[1], coeffs[0, 0] = 5.0, 5.0
+        assert f.support_max == f.breaks[-1] == 1.0 and f.coeffs[0, 0] == 1.0
+        for a in (f.breaks, f.coeffs):
+            with pytest.raises(ValueError):
+                a[0] = 7.0
+
+
 class TestEvaluate:
     def test_zero_below_support(self):
         assert evaluate(sphere_distribution(R), -1.0) == 0.0
@@ -354,7 +389,7 @@ class TestConvolveAnalytic:
         f = sphere_distribution(R)
         for _ in range(11):
             f = convolve(f, dome_distribution(50.0))
-        assert max(len(seg.coeffs) for seg in f.segments) - 1 == 23
+        assert f.coeffs.shape[1] - 1 == 23
         assert f.support_max == pytest.approx(R + 11 * 50.0, rel=1e-15)
         assert projected_area(f) == pytest.approx(math.pi * R**2, rel=1e-12)
 
@@ -471,7 +506,7 @@ class TestComposite:
         sphere, rough = factors
         layer = pyramid_distribution(5.0, 1.0, per_unit_area=True)
         f = convolve(convolve(*factors), layer)
-        assert f.factors[0].segments == convolve(sphere, layer).segments
+        assert_same_segments(f.factors[0], convolve(sphere, layer))
         assert f.factors[1] is rough
         assert f._values is None
         np.testing.assert_array_equal(f.values, _convolve_numeric(*f.factors).values)
@@ -481,7 +516,7 @@ class TestComposite:
         layer = pyramid_distribution(5.0, 1.0, per_unit_area=True)
         rough_first = convolve(convolve(sphere, rough), layer)
         layer_first = convolve(convolve(sphere, layer), rough)
-        assert rough_first.factors[0].segments == layer_first.factors[0].segments
+        assert_same_segments(rough_first.factors[0], layer_first.factors[0])
         assert rough_first.factors[1] is layer_first.factors[1] is rough
         assert (rough_first.support_max, rough_first.bin_width) == (
             layer_first.support_max, layer_first.bin_width)
@@ -526,7 +561,7 @@ class TestCaseNumber:
         assert rep.leading_coefficient == pytest.approx(4 * math.pi * R / H**2, rel=1e-12)
 
     def test_unclassifiable_zero_distribution(self):
-        f = HeightDistribution.analytic([PolySegment(0.0, 1.0, (0.0,))])
+        f = HeightDistribution.analytic([0.0, 1.0], [[0.0]])
         with pytest.raises(UnclassifiableError):
             case_number(f)
 
@@ -631,9 +666,7 @@ class TestSerialization:
         assert g.kind == "analytic"
         assert g.support_max == f.support_max
         assert g.unit_area_normalized == f.unit_area_normalized
-        for sa, sb in zip(f.segments, g.segments):
-            assert sb.lo == sa.lo and sb.hi == sa.hi
-            assert sb.coeffs == sa.coeffs  # bit-exact
+        assert_same_segments(g, f)  # bit-exact
 
     def test_sampled_round_trip(self, tmp_path):
         f = sampled_rough(250.0, 500.0)
@@ -656,6 +689,30 @@ class TestSerialization:
     def test_bad_number_names_line(self):
         text = "# height-distribution v1, kind=analytic, unit_area=0\n0,1,1\n1,2,oops\n"
         with pytest.raises(ParseError, match="line 3"):
+            text_to_distribution(text)
+
+    def test_rows_of_different_degrees_write_back_the_same_bytes(self):
+        text = ("# height-distribution v1, kind=analytic, unit_area=0\n"
+                "0,1,1\n1,2.5,0.5,-0.25,0.125\n2.5,3,0\n3,4,0,0.75\n")
+        f = text_to_distribution(text)
+        assert f.coeffs.shape == (4, 3)
+        assert distribution_to_text(f) == text
+
+    def test_trailing_zero_coefficients_are_not_kept(self):
+        head = "# height-distribution v1, kind=analytic, unit_area=0\n"
+        f = text_to_distribution(head + "0,1,1,0,0\n1,2,2,3,0\n")
+        assert distribution_to_text(f) == head + "0,1,1\n1,2,2,3\n"
+
+    @pytest.mark.parametrize("body", ["0,1,1\n1.5,2,1\n", "0,1,1\n0.5,2,1\n"])
+    def test_segments_that_are_not_contiguous_rejected(self, body):
+        text = "# height-distribution v1, kind=analytic, unit_area=0\n" + body
+        with pytest.raises(ParseError, match="line 3"):
+            text_to_distribution(text)
+
+    @pytest.mark.parametrize("body", ["1,2,1\n", "0,1,1\n1,1,1\n", "0,1,nan\n"])
+    def test_invalid_segments_rejected(self, body):
+        text = "# height-distribution v1, kind=analytic, unit_area=0\n" + body
+        with pytest.raises(InvalidParameterError):
             text_to_distribution(text)
 
     def test_nonuniform_sampled_grid_rejected(self):

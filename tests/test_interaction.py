@@ -15,7 +15,6 @@ from proxint import (
     InvalidParameterError,
     Kernel,
     ParseError,
-    PolySegment,
     compose_gradient,
     convolve,
     curve_from_csv,
@@ -40,9 +39,9 @@ from proxint import (
 )
 import proxint.distributions
 from proxint.distributions import _convolve_analytic
-from proxint.interaction import _FAR_FALLBACK, _FAR_NU_MAX, _FAR_ORDERS, _closed_form
+from proxint.interaction import _FAR_FALLBACK, _FAR_NU_MAX, _FAR_ORDERS, _closed_form, _segment_integrals
 
-from conftest import sampled_rough
+from conftest import rows, sampled_rough
 
 R = 50000.0
 H = 5000.0
@@ -59,7 +58,7 @@ def quadrature_oracle(f, kernel, d):
     with the segment breakpoints and a geometric grading from the kernel scale d
     passed as break points."""
     grading = d * 2.0 ** np.arange(64)
-    points = sorted({seg.lo for seg in f.segments[1:]} | set(grading[grading < f.support_max]))
+    points = sorted(set(f.breaks[1:-1].tolist()) | set(grading[grading < f.support_max]))
     return quad(lambda u: evaluate(f, u) * kernel.alpha * (u + d) ** (-kernel.nu),
                 0.0, f.support_max, points=points, limit=1000, epsabs=0.0, epsrel=1e-12)[0]
 
@@ -108,7 +107,7 @@ class TestPaInteraction:
         )
 
     def test_zero_distribution(self):
-        f = HeightDistribution.analytic([PolySegment(0.0, 100.0, (0.0,))])
+        f = HeightDistribution.analytic([0.0, 100.0], [[0.0]])
         assert pa_interaction(f, heat_sio2_kernel(), 5.0) == 0.0
 
     def test_constant_kernel_gives_area(self):
@@ -165,7 +164,7 @@ class TestPaInteraction:
         k = heat_sio2_kernel()
         base = to_sampled(sphere_distribution(R), 2048)
         other = to_sampled(
-            HeightDistribution.analytic([PolySegment(0.0, R, (1000.0, 0.04))]), 2048
+            HeightDistribution.analytic([0.0, R], [[1000.0, 0.04]]), 2048
         )
         a, b = 2.5, 0.75
         combo = HeightDistribution.sampled(
@@ -412,13 +411,13 @@ def _segment_integral_scalar(coeffs, lo, hi, d, kernel):
     return alpha * total
 
 
-def _segment_integral_mpmath(seg, d, nu):
+def _segment_integral_mpmath(lo, hi, coeffs, d, nu):
     """int_lo^hi sum_k c_k (u - lo)^k (u + d)^-nu du by mpmath quadrature at 30
     digits, on panels graded geometrically from the kernel scale lo + d."""
     with mpmath.workdps(30):
-        lo, d, nu = mpmath.mpf(seg.lo), mpmath.mpf(d), mpmath.mpf(nu)
-        a, width = lo + d, mpmath.mpf(seg.hi) - lo
-        coeffs = [mpmath.mpf(c) for c in reversed(seg.coeffs)]
+        lo, d, nu = mpmath.mpf(lo), mpmath.mpf(d), mpmath.mpf(nu)
+        a, width = lo + d, mpmath.mpf(hi) - lo
+        coeffs = [mpmath.mpf(c) for c in reversed(coeffs)]
         points = [mpmath.mpf(0)]
         edge = a
         while edge < width:
@@ -428,25 +427,25 @@ def _segment_integral_mpmath(seg, d, nu):
         return mpmath.quad(lambda t: mpmath.polyval(coeffs, t) * (t + a) ** (-nu), points)
 
 
-def _segment_integral_expanded_mpmath(seg, d, nu):
+def _segment_integral_expanded_mpmath(lo, hi, coeffs, d, nu):
     """int_lo^hi sum_k c_k (u - lo)^k (u + d)^-nu du by the binomial expansion in
     powers of x = u + d, summed in mpmath with 30 digits to spare beyond its
     cancellation, about (degree + 1) log10((hi + d) / width) digits."""
-    digits = 40 + (len(seg.coeffs) + 1) * max(math.log10((seg.hi + d) / seg.width), 0.0)
+    digits = 40 + (len(coeffs) + 1) * max(math.log10((hi + d) / (hi - lo)), 0.0)
     with mpmath.workdps(int(digits)):
-        lo, hi, d, nu = (mpmath.mpf(v) for v in (seg.lo, seg.hi, d, nu))
+        lo, hi, d, nu = (mpmath.mpf(v) for v in (lo, hi, d, nu))
         a, b = lo + d, hi + d
         # int_a^b x^(j - nu) dx = x^(1 - nu) x^j / (j + 1 - nu) between a and b
         pa, pb = a ** (1 - nu), b ** (1 - nu)
         power_integral = [
             mpmath.log(b / a) if j + 1 == nu else (pb * b**j - pa * a**j) / (j + 1 - nu)
-            for j in range(len(seg.coeffs))
+            for j in range(len(coeffs))
         ]
-        neg_pow = [(-a) ** m for m in range(len(seg.coeffs))]
+        neg_pow = [(-a) ** m for m in range(len(coeffs))]
         return mpmath.fsum(
             mpmath.mpf(c) * mpmath.fsum(math.comb(k, j) * neg_pow[k - j] * power_integral[j]
                                         for j in range(k + 1))
-            for k, c in enumerate(seg.coeffs)
+            for k, c in enumerate(coeffs)
         )
 
 
@@ -474,13 +473,13 @@ class TestVectorisedClosedForm:
     def test_expanded_branch_matches_mpmath(self, deep_stack, nu):
         kernel = Kernel(1.0, nu)
         checked = 0
-        for seg in deep_stack.segments:
-            near = seg.lo + self.D < seg.hi - seg.lo   # the expanded-binomial branch
+        for lo, hi, coeffs in rows(deep_stack):
+            near = lo + self.D < hi - lo   # the expanded-binomial branch
             if not near.any():
                 continue
-            got = _closed_form((seg,), self.D, kernel)
+            got = _segment_integrals(np.array([lo, hi]), np.array([coeffs]), self.D, kernel)[0]
             for d, value in zip(self.D[near], got[near]):
-                want = float(_segment_integral_mpmath(seg, d, nu))
+                want = float(_segment_integral_mpmath(lo, hi, coeffs, d, nu))
                 assert value == pytest.approx(want, rel=1e-12, abs=0.0)
                 checked += 1
         assert checked >= 10
@@ -490,20 +489,20 @@ class TestVectorisedClosedForm:
         # Every far pair of FAR_D, plus separations that put the first
         # segment (lo = 0) at each band edge r = width / d and just below r = 1.
         kernel = Kernel(1.0, nu)
-        first = deep_stack.segments[0]
+        first_width = deep_stack.breaks[1]
         edges = np.array([edge for edge, _ in _FAR_ORDERS] + [1.0 - 1e-9])
-        probes = first.width / edges
+        probes = first_width / edges
         checked = 0
-        for seg in deep_stack.segments:
-            d = np.concatenate([self.FAR_D, probes]) if seg is first else self.FAR_D
-            d = d[seg.lo + d >= seg.hi - seg.lo]   # the Gauss-Legendre branch
-            got = _closed_form((seg,), d, kernel)
+        for i, (lo, hi, coeffs) in enumerate(rows(deep_stack)):
+            d = np.concatenate([self.FAR_D, probes]) if i == 0 else self.FAR_D
+            d = d[lo + d >= hi - lo]   # the Gauss-Legendre branch
+            got = _segment_integrals(np.array([lo, hi]), np.array([coeffs]), d, kernel)[0]
             for di, value in zip(d.tolist(), got):
-                want = float(_segment_integral_expanded_mpmath(seg, di, nu))
+                want = float(_segment_integral_expanded_mpmath(lo, hi, coeffs, di, nu))
                 assert value == pytest.approx(want, rel=1e-12, abs=0.0)
                 checked += 1
         assert checked >= 10
-        r = first.width / probes
+        r = first_width / probes
         np.testing.assert_allclose(r, edges, rtol=1e-15)
         assert r[-1] < 1.0
 
@@ -540,8 +539,8 @@ class TestVectorisedClosedForm:
         ]
         for f in shapes:
             got = sweep(f, kernel, d).values
-            want = [sum(_segment_integral_scalar(seg.coeffs, seg.lo, seg.hi, di, kernel)
-                        for seg in f.segments) for di in d.tolist()]
+            want = [sum(_segment_integral_scalar(coeffs, lo, hi, di, kernel)
+                        for lo, hi, coeffs in rows(f)) for di in d.tolist()]
             np.testing.assert_allclose(got, want, rtol=20 * np.finfo(float).eps, atol=0.0)
 
 
@@ -579,14 +578,13 @@ class TestInteractionSpaceFold:
         rough = sampled_rough(sigma, s0)
         v, width = np.asarray(rough.values), rough.bin_width
         pieces = HeightDistribution.analytic(
-            PolySegment(k * width, (k + 1) * width, (v[k], (v[k + 1] - v[k]) / width))
-            for k in range(len(v) - 1)
+            np.arange(len(v)) * width, np.stack([v[:-1], np.diff(v) / width], axis=1)
         )
         exact = _convolve_analytic(sphere_distribution(R), pieces)
         kernel = Kernel(ALPHA, nu)
         d = np.array([1e-9, 1e-6, 1e-3, 1.0, 300.0])
         got = sweep(convolve(sphere_distribution(R), rough), kernel, d).values
-        np.testing.assert_allclose(got, _closed_form(exact.segments, d, kernel), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(got, _closed_form(exact, d, kernel), rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("sigma, s0", FIG2_ROUGHNESS[:2])
     def test_no_grid(self, monkeypatch, sigma, s0):

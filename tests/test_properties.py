@@ -136,7 +136,7 @@ def rough_operands(draw):
     sigmas = draw(st.lists(st.floats(min_value=1.0, max_value=20.0), min_size=2, max_size=2, unique=True))
     roughs = [truncated_gaussian_distribution(sigma, sigma * draw(st.floats(min_value=0.0, max_value=3.0)))
               for sigma in sigmas]
-    leading = [HeightDistribution.analytic(f.segments[:3], unit_area_normalized=True) for f in roughs]
+    leading = [HeightDistribution.analytic(f.breaks[:4], f.coeffs[:3], True) for f in roughs]
     return [(sphere_distribution(radius), roughs[0]), tuple(leading)]
 
 

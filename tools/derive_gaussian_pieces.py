@@ -5,7 +5,8 @@
 ``truncated_gaussian_distribution`` carries g(x) = exp(-x^2/2), with
 x = (s - s0) / sigma, on [-SUPPORT, SUPPORT] as polynomial pieces of one
 width w and one degree p.  Piece k covers [k w, (k + 1) w] and is written
-in t = x - k w on [0, w], the PolySegment form.  Its coefficients are
+in t = x - k w on [0, w], the form of a row of an analytic
+``HeightDistribution``'s ``coeffs``.  Its coefficients are
 those of the degree-p interpolant of g at the Chebyshev points of the
 piece, rounded to doubles.
 
