@@ -118,7 +118,8 @@ def fit_scaling(curve: InteractionCurve, window: tuple[float, float]) -> Asympto
     Constant wins outright when the values barely move; otherwise the
     logarithmic and power-law fits compete on relative L2 residual in value
     space, with a 10% dominance margin below which the result is flagged
-    ambiguous rather than forced.
+    ambiguous rather than forced.  A window with fewer than 8 separations,
+    or with a value that is zero or not finite, raises FitError.
     """
     lo, hi = window
     m = (curve.separations >= lo) & (curve.separations <= hi)
@@ -126,9 +127,15 @@ def fit_scaling(curve: InteractionCurve, window: tuple[float, float]) -> Asympto
         raise FitError(f"need >= 8 points in window [{lo:g}, {hi:g}], have {int(m.sum())}")
     d = curve.separations[m]
     y = curve.values[m]
+    # A zero is an interaction that underflowed; the forms cannot be told
+    # apart on it.
+    bad = (y == 0.0) | ~np.isfinite(y)
+    if bad.any():
+        raise FitError(
+            f"window [{lo:g}, {hi:g}] holds a value that is zero or not finite, "
+            f"at d={float(d[bad.argmax()])!r} nm"
+        )
     norm = float(np.linalg.norm(y))
-    if norm == 0.0:
-        raise FitError("all values in the window are zero")
     ln_d = np.log(d)
 
     mean = float(np.mean(y))

@@ -505,9 +505,11 @@ def cmd_asympt(args) -> int:
         dist = stack.build()
         report = case_number(dist)
         predicted = predict(report, cfg.kernel)
-        curve = sweep(dist, cfg.kernel, cfg.separations)
-        window = cfg.window or smallest_decade(cfg.separations)
-        fitted = fit_scaling(curve, window)
+        # The fit reads only the separations inside its window.
+        lo, hi = cfg.window or smallest_decade(cfg.separations)
+        d = cfg.separations
+        curve = sweep(dist, cfg.kernel, d[(d >= lo) & (d <= hi)])
+        fitted = fit_scaling(curve, (lo, hi))
         ver = verify(predicted, fitted, tol=cfg.tol)
         all_passed &= ver.passed
         print(f"[{stack.label}] {stack.describe()} (case {report.case_number})")

@@ -985,7 +985,9 @@ def _fit_derivatives_at_zero(f: HeightDistribution, degree: int):
         window = min(window, s[above[0]])
     best = None
     while True:
-        m = s <= window + 1e-12
+        # Rounding slack on the grid's own scale: an absolute slack holds
+        # every point of a grid finer than it, and the window never shrinks.
+        m = s <= window + 1e-12 * f.bin_width
         if m.sum() < min_pts:
             m = np.zeros_like(s, dtype=bool)
             m[:min_pts] = True

@@ -329,8 +329,9 @@ def gradient_distribution(hm: Heightmap, bin_width: float | None = None) -> Hist
     return Histogram(bin_width, weights)
 
 
-# Grid values per block of rows in which _squared_gradient forms d/dy.
-_GRADIENT_BLOCK = 1 << 15
+# Grid values per block of rows in which _squared_gradient forms d/dy and
+# synthesize_surface adds a layer.
+_BLOCK_VALUES = 1 << 15
 
 
 def _squared_gradient(S: np.ndarray, dx: float, dy: float) -> np.ndarray:
@@ -348,7 +349,7 @@ def _squared_gradient(S: np.ndarray, dx: float, dy: float) -> np.ndarray:
         np.subtract(S[:, a], S[:, b], out=out[:, edge])
         np.divide(out[:, edge], dx, out=out[:, edge])
     np.square(out, out=out)
-    rows = max(1, _GRADIENT_BLOCK // nx)
+    rows = max(1, _BLOCK_VALUES // nx)
     buf = np.empty((min(rows, ny), nx))
     for j in range(1, ny - 1, rows):
         k = min(j + rows, ny - 1)
@@ -380,13 +381,17 @@ def _gaussian_bin_masses(edges: np.ndarray, sigma: float, s0: float) -> np.ndarr
     return np.diff(cdf) / norm
 
 
+# Lower bound of the fitted sigma, in the fit's unit of length.
+_SIGMA_MIN = 1e-9
+
+
 def fit_gaussian(emp: Histogram) -> GaussianFit:
     """Least-squares (sigma, s0) of the truncated Gaussian roughness model.
 
     The histogram is normalized to unit mass and compared against exact
-    model bin masses.  A degenerate histogram (< 8 non-empty bins) raises
-    FitError; a poor model fit is reported through the residual, not an
-    error.
+    model bin masses.  A degenerate histogram (< 8 non-empty bins), or a
+    fit that fails or is not finite, raises FitError; a poor model fit is
+    reported through the residual, not an error.
     """
     from scipy.optimize import least_squares
 
@@ -394,23 +399,34 @@ def fit_gaussian(emp: Histogram) -> GaussianFit:
     if int(np.count_nonzero(w)) < 8:
         raise FitError(f"need >= 8 non-empty bins to fit, have {int(np.count_nonzero(w))}")
     y = w / w.sum()
-    delta = emp.bin_width
-    edges = np.arange(len(w) + 1) * delta
-    centers = (edges[:-1] + edges[1:]) / 2.0
-
-    mean = float((y * centers).sum())
-    std = float(np.sqrt(max((y * (centers - mean) ** 2).sum(), delta**2 / 12.0)))
+    # The fit runs in nm with sigma >= 1e-9.  A histogram narrower than
+    # that runs in units of its bin width, so the bound scales with it and
+    # the initial sigma, at least 1/sqrt(12) bins, lies above it.
+    for unit in (1.0, emp.bin_width):
+        delta = emp.bin_width / unit
+        edges = np.arange(len(w) + 1) * delta
+        centers = (edges[:-1] + edges[1:]) / 2.0
+        mean = float((y * centers).sum())
+        std = float(np.sqrt(max((y * (centers - mean) ** 2).sum(), delta**2 / 12.0)))
+        if std >= _SIGMA_MIN:
+            break
 
     def resid(p):
         sigma, s0 = p
         return _gaussian_bin_masses(edges, sigma, s0) - y
 
-    sol = least_squares(
-        resid, x0=[std, max(mean, 0.0)], bounds=([1e-9, 0.0], [np.inf, np.inf])
-    )
-    sigma, s0 = sol.x
+    try:
+        sol = least_squares(
+            resid, x0=[std, max(mean, 0.0)],
+            bounds=([_SIGMA_MIN, 0.0], [np.inf, np.inf]),
+        )
+    except ValueError as exc:
+        raise FitError(f"gaussian fit failed: {exc}") from exc
+    sigma, s0 = (float(v) * unit for v in sol.x)
     residual = float(np.linalg.norm(sol.fun) / np.linalg.norm(y))
-    return GaussianFit(float(sigma), float(s0), residual)
+    if not all(math.isfinite(v) for v in (sigma, s0, residual)):
+        raise FitError(f"gaussian fit is not finite: sigma={sigma!r} s0={s0!r} residual={residual!r}")
+    return GaussianFit(sigma, s0, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +447,16 @@ def _field(layer: dict, key: str) -> float:
     return value
 
 
-def _layer_values(layer: dict, coords: np.ndarray, extent: float, rng) -> np.ndarray:
-    # The layer's heights on the n x n grid whose rows and columns both sit
-    # at `coords`, formed in place in one new array.  A tiling's height is a
-    # non-decreasing function g of rho = max(t(x), t(y)), t the distance to
-    # the nearest tile center along one axis.  Each rounded step of g is
-    # non-decreasing too, so g(rho) = max(g(t(x)), g(t(y))) bit for bit, and
-    # g runs on the n coordinates alone.
+def _layer_heights(layer: dict, coords: np.ndarray, extent: float, rng):
+    """Check a layer descriptor and return its height function.
+
+    The function maps a slice of rows to the layer's heights on those rows
+    of the n x n grid whose rows and columns both sit at ``coords``, formed
+    in place in one new array.  Caps and tilings share one profile of the
+    n coordinates between the x and y axes and every block of rows.  A
+    rough field is drawn from ``rng`` and filtered whole, so its function
+    takes every row at once.
+    """
     kind = layer.get("type")
     n = len(coords)
     if kind == "cap":
@@ -450,29 +469,40 @@ def _layer_values(layer: dict, coords: np.ndarray, extent: float, rng) -> np.nda
                 f"cap extent invalid: corner radius {math.sqrt(corner):.6g} nm "
                 f"reaches past the sphere radius {R:.6g} nm"
             )
-        out = np.add(c2[np.newaxis, :], c2[:, np.newaxis])
-        np.subtract(R**2, out, out=out)
-        np.sqrt(out, out=out)
-        np.subtract(R, out, out=out)
-        return out
+
+        def cap(rows):
+            out = np.add(c2[np.newaxis, :], c2[rows, np.newaxis])
+            np.subtract(R**2, out, out=out)
+            np.sqrt(out, out=out)
+            np.subtract(R, out, out=out)
+            return out
+        return cap
     if kind in ("pyramid", "dome"):
+        # A tiling's height is a non-decreasing function g of
+        # rho = max(t(x), t(y)), t the distance to the nearest tile center
+        # along one axis.  Each rounded step of g is non-decreasing too, so
+        # g(rho) = max(g(t(x)), g(t(y))) bit for bit, and g runs on the n
+        # coordinates alone.
         h, l = _field(layer, "height"), _field(layer, "tile")
         g = 2.0 * _tile_coords(coords, l) / l
         if kind == "dome":
             g = 1.0 - np.sqrt(1.0 - np.clip(g, 0.0, 1.0)**2)
         g = h * g
-        return np.maximum(g[np.newaxis, :], g[:, np.newaxis])
+        return lambda rows: np.maximum(g[np.newaxis, :], g[rows, np.newaxis])
     if kind == "rough":
         sigma, xi = _field(layer, "sigma"), _field(layer, "xi")
-        from scipy.ndimage import gaussian_filter
 
-        field = rng.standard_normal((n, n))
-        gaussian_filter(field, sigma=xi / (extent / n), mode="wrap", output=field)
-        std = float(field.std())
-        if std == 0.0:
-            raise InvalidParameterError("roughness field degenerate (xi too large for grid)")
-        field *= sigma / std
-        return field
+        def rough(rows):
+            from scipy.ndimage import gaussian_filter
+
+            field = rng.standard_normal((n, n))
+            gaussian_filter(field, sigma=xi / (extent / n), mode="wrap", output=field)
+            std = float(field.std())
+            if std == 0.0:
+                raise InvalidParameterError("roughness field degenerate (xi too large for grid)")
+            field *= sigma / std
+            return field
+        return rough
     raise InvalidParameterError(f"unknown layer type {kind!r}")
 
 
@@ -491,7 +521,10 @@ def synthesize_surface(
     physical side length in nm (default: one tile for pure tilings).
 
     Coordinates are cell-centered on an n x n grid, so dx = dy = extent / n.
-    At most the sum and one layer's grid are alive at once.
+    The first layer's grid becomes the sum, and every later cap or tiling
+    is added a block of rows at a time, so besides the sum only one block
+    is alive.  A rough layer takes a second grid while it is drawn and
+    normalized; a rough layer after the first takes a third.
     """
     layers = [dict(layer) for layer in layers]
     if not layers:
@@ -508,9 +541,25 @@ def synthesize_surface(
     dx = extent / n
     coords = (np.arange(n) + 0.5) * dx - extent / 2.0
     rng = np.random.default_rng(seed)
-    S = np.zeros((n, n))
-    for layer in layers:
-        S += _layer_values(layer, coords, extent, rng)
+    # Every layer is checked before any grid is formed.  A rough layer is
+    # added whole, the others a block of rows at a time.
+    stack = [(layer.get("type") == "rough", _layer_heights(layer, coords, extent, rng))
+             for layer in layers]
+    if [whole for whole, _ in stack] == [False, True]:
+        # (0 + a) + b and (0 + b) + a are the same bits, and the one rng
+        # draw is the same, so the rough grid is drawn first and becomes the
+        # sum.
+        stack.reverse()
+    S = stack[0][1](slice(None))
+    # As 0.0 + S: -0.0 becomes 0.0.
+    S += 0.0
+    rows = max(1, _BLOCK_VALUES // n)
+    for whole, values in stack[1:]:
+        if whole:
+            S += values(slice(None))
+        else:
+            for j in range(0, n, rows):
+                S[j:j + rows] += values(slice(j, j + rows))
     S -= S.min()
     return Heightmap(dx, dx, S, contact_shifted=True)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import HeightDistribution, _convolve_analytic, _degrees
-from .errors import InvalidParameterError, ParseError
+from .errors import InvalidParameterError, NumericError, ParseError
 
 __all__ = [
     "Kernel",
@@ -383,13 +383,20 @@ def sweep(
     d_list,
     subtract_at: float | None = None,
 ) -> InteractionCurve:
-    """Evaluate the (optionally far-field-subtracted) interaction over separations."""
+    """Evaluate the (optionally far-field-subtracted) interaction over separations.
+
+    A value that is not a finite float (an overflow of the kernel or of the
+    subtraction) raises NumericError naming the first such separation.
+    """
     d = _separations(d_list)
     if subtract_at is None:
         values = _interaction(f, kernel, d)
     else:
         both = _interaction(f, kernel, np.append(d, _separations(subtract_at)))
         values = both[:-1] - both[-1]
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NumericError(f"interaction is not a finite float at d={float(d[bad.argmax()])!r} nm")
     return InteractionCurve(d, values, kernel, d_ref=subtract_at)
 
 

@@ -172,6 +172,28 @@ class TestFitScaling:
         with pytest.raises(FitError):
             fit_scaling(curve, (1.0, 1.2))
 
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_zero_or_non_finite_value_in_window(self, bad):
+        from proxint import InteractionCurve
+
+        d = np.geomspace(1.0, 100.0, 21)
+        values = 1.0 / d
+        values[5] = bad
+        curve = InteractionCurve(d, values, heat_sio2_kernel())
+        with pytest.raises(FitError, match=rf"window \[1, 10\] holds a value that is zero or not finite, "
+                                           rf"at d={float(d[5])!r} nm"):
+            fit_scaling(curve, (1.0, 10.0))
+        # Outside the window the value is not read.
+        assert fit_scaling(curve, (10.0, 100.0)).form == LawForm.POWER_LAW
+
+    def test_underflowed_window(self):
+        # At nu = 1000 the sphere's I(d) underflows to 0 past about 2 nm.
+        d = np.geomspace(1.0, 10.0, 31)
+        curve = sweep(sphere_distribution(100.0), Kernel(1.0, 1000.0), d)
+        assert curve.values[0] > 0.0 and curve.values[-1] == 0.0
+        with pytest.raises(FitError, match="zero or not finite"):
+            fit_scaling(curve, (1.0, 10.0))
+
     def test_residuals_attached(self):
         d = np.geomspace(1.0, 10.0, 20)
         curve = sweep(sphere_distribution(R), heat_sio2_kernel(), d)

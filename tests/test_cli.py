@@ -410,6 +410,23 @@ class TestSweepCommand:
         assert len(out.read_text().splitlines()) == 4
 
 
+    @pytest.mark.parametrize("text, first", [
+        # A subnormal separation: the kernel overflows and the row is nan.
+        ("[separations]\nlist = 1e-320, 1e-300, 1\n[curve.s]\nbase = sphere radius=100\n", "1e-320"),
+        # alpha near the float maximum overflows the far-branch product.
+        ("[kernel]\nalpha = 1e308\nnu = 2\n[curve.s]\nbase = sphere radius=1e5\n"
+         "layer.1 = rough sigma=10 s0=20\n", "1.0"),
+    ], ids=["subnormal-d", "huge-alpha"])
+    def test_non_finite_value_exits_numeric_without_csv(self, tmp_path, capsys, text, first):
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["sweep", "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        assert not out.exists()
+        assert f"numeric error: interaction is not a finite float at d={first} nm" in capsys.readouterr().err
+
+
 class TestHeightmapCommand:
     def test_pyramid_file_reports_case_two(self, tmp_path, capsys):
         hm = synthesize_surface(
@@ -504,6 +521,18 @@ class TestHeightmapCommand:
         save_heightmap(hm, tmp_path / "scan.txt")
         argv = ["heightmap", str(tmp_path / "scan.txt"), "--out", str(tmp_path / "out.csv")]
         assert traced_peak(lambda: main(argv)) <= 4 * hm.values.nbytes
+
+    def test_low_relief_scan_fits(self, tmp_path, capsys):
+        # Heights below 1e-12 nm: the histogram's spread lies below the
+        # fit's 1e-9 nm bound on sigma, which then scales with the bins.
+        vals = np.random.default_rng(0).uniform(0.0, 1e-12, (16, 16))
+        save_heightmap(Heightmap(1.0, 1.0, vals), tmp_path / "low.txt")
+        out = tmp_path / "low.csv"
+        assert main(["heightmap", str(tmp_path / "low.txt"), "--out", str(out)]) == EXIT_OK
+        fit = dict(tok.split("=") for tok in out.read_text().splitlines()[1].split()[2:])
+        assert 1e-14 < float(fit["sigma"]) < 1e-12
+        assert 0.0 <= float(fit["s0"]) < 1e-12
+        assert capsys.readouterr().err == ""
 
     def test_fit_error_exit_code(self, tmp_path):
         # Two-level map: enough to histogram, too degenerate to fit.
@@ -686,6 +715,30 @@ class TestAsymptCommand:
         assert main(["asympt", "--config", cfg, "--out", str(out)]) == EXIT_OK
         row = dict(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:3])))
         assert float(row["prefactor_pred"]) == pytest.approx(2 * np.pi * 100 / 199, rel=1e-14)
+
+    def test_underflowed_window_exits_numeric(self, tmp_path, capsys):
+        # At nu = 1000 the sphere's I(d) underflows to 0 past about 2 nm of
+        # the default [1, 10] nm window.
+        cfg = write_config(tmp_path, "[kernel]\nalpha = 1\nnu = 1000\n[curve.s]\nbase = sphere radius=100\n")
+        assert main(["asympt", "--config", cfg]) == EXIT_NUMERIC
+        assert "numeric error: window [1, 10] holds a value that is zero or not finite" in capsys.readouterr().err
+
+    def test_sweeps_only_the_window(self, monkeypatch):
+        # fig4's separations run from 0.01 to 300 nm, 60 a decade; the fit
+        # window is the smallest decade.
+        seen, sweep = [], proxint.cli.sweep
+
+        def spy(f, kernel, d_list):
+            seen.append(np.asarray(d_list))
+            return sweep(f, kernel, d_list)
+
+        monkeypatch.setattr(proxint.cli, "sweep", spy)
+        assert main(["asympt", "--preset", "fig4"]) == EXIT_OK
+        assert seen and all(len(d) == 61 and d[0] == 0.01 and d[-1] <= 0.1 for d in seen)
+
+    def test_window_with_too_few_points(self, capsys):
+        assert main(["asympt", "--preset", "fig4", "--window", "1,1.1"]) == EXIT_NUMERIC
+        assert "numeric error: need >= 8 points in window [1, 1.1], have 2" in capsys.readouterr().err
 
     def test_fig4_preset_constant_passes(self, tmp_path):
         assert main(["asympt", "--preset", "fig4"]) == EXIT_OK

@@ -440,13 +440,13 @@ class TestNonFiniteBins:
 
 class TestGradientDistribution:
     @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (3, 3), (7, 40), (61, 33)])
-    @pytest.mark.parametrize("block", [heightmap_module._GRADIENT_BLOCK, 1, 80])
+    @pytest.mark.parametrize("block", [heightmap_module._BLOCK_VALUES, 1, 80])
     def test_matches_np_gradient_bit_for_bit(self, shape, block):
         # Blocks of one row, of two or more rows and of the whole grid.
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         hm = shift_to_contact(Heightmap(0.37, 1.29, rng.standard_normal(shape) * 50.0))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heightmap_module, "_GRADIENT_BLOCK", block)
+            mp.setattr(heightmap_module, "_BLOCK_VALUES", block)
             g = gradient_distribution(hm, 2.5)
         assert g.weights.tobytes() == gradient_weights(hm.values, hm.dx, hm.dy, 2.5).tobytes()
 
@@ -510,6 +510,27 @@ class TestFitGaussian:
         fit = fit_gaussian(emp)
         assert fit.residual > 0.1  # bad fit reported, not raised
 
+    @pytest.mark.parametrize("c", [1e-12, 1e6])
+    def test_scales_with_bin_width(self, c):
+        # sigma = 250e-12 nm lies below the fit's 1e-9 bound in nm; the bound
+        # scales with the histogram and the fit with it.
+        sigma, s0, delta = 250.0, 500.0, 25.0
+        noise = 1.0 + 0.05 * np.random.default_rng(0).standard_normal(120)
+        masses = _gaussian_bin_masses(np.arange(121) * delta, sigma, s0) * 1e6 * noise
+        base = fit_gaussian(Histogram(delta, masses))
+        fit = fit_gaussian(Histogram(delta * c, masses))
+        assert fit.sigma == pytest.approx(c * base.sigma, rel=1e-6)
+        assert fit.s0 == pytest.approx(c * base.s0, rel=1e-6)
+        assert fit.residual == pytest.approx(base.residual, rel=1e-6)
+
+    def test_failed_fit_raises(self):
+        # The total mass overflows: no fit, and a FitError rather than a
+        # non-finite result.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(FitError, match="gaussian fit is not finite"):
+                fit_gaussian(Histogram(1.0, np.full(16, 1e308)))
+
     def test_degenerate_histogram_raises(self):
         with pytest.raises(FitError):
             fit_gaussian(Histogram(1.0, np.array([10.0, 0.0, 0.0])))
@@ -524,7 +545,8 @@ ROUGH = {"type": "rough", "sigma": 5.0, "xi": 60.0}
 class TestSynthesizeMatchesMeshgridOracle:
     @pytest.mark.parametrize("layers", [
         [CAP], [PYRAMID], [DOME], [ROUGH], [CAP, PYRAMID], [CAP, ROUGH], [DOME, PYRAMID],
-        [CAP, DOME, PYRAMID, ROUGH],
+        [CAP, DOME, PYRAMID, ROUGH], [ROUGH, CAP], [CAP, DOME, PYRAMID], [CAP, ROUGH, PYRAMID],
+        [PYRAMID, ROUGH, CAP],
     ], ids=lambda layers: "+".join(l["type"] for l in layers))
     @pytest.mark.parametrize("n", [2, 63, 64, 255])
     def test_bytes_match(self, layers, n):
@@ -536,6 +558,33 @@ class TestSynthesizeMatchesMeshgridOracle:
     def test_default_extent_bytes_match(self, n):
         hm = synthesize_surface([DOME], n=n)
         assert hm.values.tobytes() == synthesize_heights([DOME], n).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 80, 63 * 63])
+    @pytest.mark.parametrize("layers", [[CAP, PYRAMID], [CAP, DOME, PYRAMID], [CAP, ROUGH]],
+                             ids=lambda layers: "+".join(l["type"] for l in layers))
+    def test_row_blocks_match(self, layers, block):
+        # Blocks of one row, of two or more rows and of the whole grid.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heightmap_module, "_BLOCK_VALUES", block)
+            hm = synthesize_surface(layers, n=63, extent=8000.0, seed=5)
+        assert hm.values.tobytes() == synthesize_heights(layers, 63, 8000.0, seed=5).tobytes()
+
+    def test_rough_layer_keeps_its_place(self):
+        # Addition is not associative: a rough layer between two others is
+        # added second, as the stack orders it, and not last.
+        layers = [CAP, ROUGH, PYRAMID]
+        hm = synthesize_surface(layers, n=64, extent=8000.0, seed=2)
+        swapped = synthesize_heights([CAP, PYRAMID, ROUGH], 64, 8000.0, seed=2)
+        assert hm.values.tobytes() == synthesize_heights(layers, 64, 8000.0, seed=2).tobytes()
+        assert hm.values.tobytes() != swapped.tobytes()
+
+    def test_bad_later_layer_raises_before_any_grid(self):
+        # Every layer is checked first: a cap too small for the grid is
+        # reported before the rough field ahead of it is drawn.
+        small_cap = {"type": "cap", "radius": 1000.0}
+        peak = traced_peak(lambda: pytest.raises(InvalidParameterError, synthesize_surface,
+                                                 [ROUGH, small_cap], n=512, extent=4000.0))
+        assert peak < 0.5 * GRID_BYTES
 
 
 # Traced peaks at 512^2, in multiples of the grid's own bytes: a few
@@ -549,9 +598,16 @@ class TestMemoryBudget:
         save_heightmap(hm, tmp_path / "scan.txt")
         assert traced_peak(lambda: load_heightmap(tmp_path / "scan.txt")) <= 2.5 * GRID_BYTES
 
-    def test_synthesize_cap_pyramid(self):
-        peak = traced_peak(lambda: synthesize_surface([CAP, PYRAMID], n=512, extent=8000.0))
-        assert peak <= 3 * GRID_BYTES
+    # At 1024^2: the first layer's grid is the sum, a later cap or tiling
+    # adds one block of rows at a time, and a rough layer takes one more
+    # grid while it is normalized.
+    @pytest.mark.parametrize("layers, budget", [
+        ([DOME], 1.15), ([PYRAMID], 1.15), ([CAP], 1.15), ([CAP, PYRAMID], 1.15),
+        ([CAP, DOME, PYRAMID], 1.15), ([CAP, ROUGH], 2.05), ([ROUGH, CAP], 2.05),
+    ], ids=lambda v: "+".join(l["type"] for l in v) if isinstance(v, list) else str(v))
+    def test_synthesize(self, layers, budget):
+        peak = traced_peak(lambda: synthesize_surface(layers, n=1024, extent=8000.0))
+        assert peak <= budget * 4 * GRID_BYTES
 
 
 class TestSynthesize:

@@ -14,6 +14,7 @@ from proxint import (
     Histogram,
     InvalidParameterError,
     Kernel,
+    NumericError,
     ParseError,
     compose_gradient,
     convolve,
@@ -295,6 +296,18 @@ class TestSweep:
         curve = sweep(f, heat_sio2_kernel(), np.geomspace(1.0, 300.0, 10), subtract_at=300.0)
         with_ratio = curve.with_ratio(4200.0)
         np.testing.assert_allclose(with_ratio.ratios, with_ratio.values / 4200.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("kernel, d, first", [
+        # 1e-320 nm is subnormal: the kernel overflows and the sum is nan.
+        (heat_sio2_kernel(), [1e-320, 1e-300, 1.0], 1e-320),
+        # alpha near the float maximum overflows the far-branch product.
+        (Kernel(1e308, 2.0), [1.0, 2.0], 1.0),
+    ])
+    def test_non_finite_value_raises(self, kernel, d, first):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericError, match=f"not a finite float at d={first!r} nm"):
+                sweep(sphere_distribution(100.0), kernel, d, subtract_at=300.0)
 
     @pytest.mark.parametrize("far_field", [math.nan, math.inf, 0.0, -1.0])
     def test_ratio_needs_positive_finite_constant(self, far_field):
