@@ -135,21 +135,27 @@ def fit_scaling(curve: InteractionCurve, window: tuple[float, float]) -> Asympto
             f"window [{lo:g}, {hi:g}] holds a value that is zero or not finite, "
             f"at d={float(d[bad.argmax()])!r} nm"
         )
-    norm = float(np.linalg.norm(y))
+    # The norms and the linear fit run on y / 2**e, with e the exponent of
+    # the largest |y|, so their squares neither under- nor overflow.  Scaling
+    # by a power of two is exact: wherever y itself is safe, the residuals
+    # and the fitted parameters are the same bits.
+    e = math.frexp(float(np.max(np.abs(y))))[1]
+    ys = np.ldexp(y, -e)
+    norm = float(np.linalg.norm(ys))
     ln_d = np.log(d)
 
-    mean = float(np.mean(y))
-    r_const = float(np.linalg.norm(y - mean)) / norm
+    mean = float(np.mean(ys))
+    r_const = float(np.linalg.norm(ys - mean)) / norm
 
     # I = a + b ln d  ->  prefactor -b, d0 = exp(a / -b)
     A = np.column_stack([np.ones_like(ln_d), ln_d])
-    (a_log, b_log), *_ = np.linalg.lstsq(A, y, rcond=None)
-    r_log = float(np.linalg.norm(y - A @ [a_log, b_log])) / norm
+    (a_log, b_log), *_ = np.linalg.lstsq(A, ys, rcond=None)
+    r_log = float(np.linalg.norm(ys - A @ [a_log, b_log])) / norm
 
     if np.all(y > 0):
         (c_pow, m_pow), *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
         y_pow = np.exp(c_pow + m_pow * ln_d)
-        r_pow = float(np.linalg.norm(y - y_pow)) / norm
+        r_pow = float(np.linalg.norm(ys - np.ldexp(y_pow, -e))) / norm
     else:
         c_pow = m_pow = 0.0
         r_pow = math.inf
@@ -159,13 +165,13 @@ def fit_scaling(curve: InteractionCurve, window: tuple[float, float]) -> Asympto
 
     if r_const < _CONST_SPREAD:
         return AsymptoticLaw(
-            LawForm.CONSTANT, prefactor=mean, nu=nu, residuals=residuals
+            LawForm.CONSTANT, prefactor=math.ldexp(mean, e), nu=nu, residuals=residuals
         )
 
     ambiguous = min(r_log, r_pow) > _DOMINANCE * max(r_log, r_pow)
     if r_log <= r_pow:
-        prefactor = -float(b_log)
-        d0 = float(np.exp(a_log / prefactor)) if prefactor != 0.0 else None
+        prefactor = -math.ldexp(float(b_log), e)
+        d0 = float(np.exp(a_log / -b_log)) if b_log != 0.0 else None
         return AsymptoticLaw(
             LawForm.LOGARITHMIC,
             prefactor=prefactor,

@@ -32,7 +32,6 @@ all operations are pure functions and safe to call concurrently.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import warnings
@@ -370,7 +369,7 @@ def truncated_gaussian_distribution(sigma: float, s0: float) -> HeightDistributi
     if first == 0:
         coeffs = np.vstack([np.zeros(degree + 1), coeffs])
     else:
-        coeffs[0] = _taylor_shift(coeffs[0].tolist(), -breaks[first - 1] / sigma)
+        coeffs[0] = _shift_rows(coeffs[0, :, None], _powers(-breaks[first - 1] / sigma, degree + 1))[:, 0]
     return HeightDistribution.analytic([0.0] + breaks[first:], coeffs * scale, unit_area_normalized=True)
 
 
@@ -503,128 +502,15 @@ def _parts(f: HeightDistribution):
 
 
 @functools.lru_cache(maxsize=None)
-def _binomials(n: int) -> tuple[tuple[float, ...], ...]:
-    """Rows 0..n-1 of Pascal's triangle as floats: _binomials(n)[j][k] = C(j, k)."""
-    return tuple(tuple(float(math.comb(j, k)) for k in range(j + 1)) for j in range(n))
-
-
-def _taylor_shift(coeffs, delta: float) -> list[float]:
-    """Re-anchor sum c_j x^j as sum c'_k (x - delta)^k."""
-    n = len(coeffs)
-    if delta == 0.0:
-        # The sums below would add only zeros to each c_k.
-        return list(coeffs)
-    binom = _binomials(n)
-    pw = [delta**m for m in range(n)]
-    out = []
-    for k in range(n):
-        acc = 0.0
-        for j in range(k, n):
-            acc += binom[j][k] * coeffs[j] * pw[j - k]
-        out.append(acc)
+def _binomial_array(n: int, signed: bool = False) -> np.ndarray:
+    """[j, k] = C(j, k), times (-1)^k if ``signed``, for j, k < n; zero for k > j."""
+    out = np.zeros((n, n))
+    for j in range(n):
+        out[j, : j + 1] = [float(math.comb(j, k)) for k in range(j + 1)]
+    if signed:
+        out[:, 1::2] *= -1.0
+    out.setflags(write=False)
     return out
-
-
-def _reverse(coeffs, length: float) -> list[float]:
-    """p(length - t) as a polynomial in t."""
-    n = len(coeffs)
-    binom = _binomials(n)
-    pw = [length**m for m in range(n)]
-    out = [0.0] * n
-    for k, c in enumerate(coeffs):
-        if c == 0.0:
-            continue
-        for i in range(k + 1):
-            out[i] += c * binom[k][i] * (-1.0) ** i * pw[k - i]
-    return out
-
-
-def _bivariate_integral(pa, pb) -> list[list[float]]:
-    """Antiderivative in t of p(t) q(x - t) as rows Bi[i][j] of x^i t^j."""
-    da, db = len(pa) - 1, len(pb) - 1
-    binom = _binomials(db + 1)
-    B = [[0.0] * (da + db + 1) for _ in range(db + 1)]
-    for k in range(da + 1):
-        if pa[k] == 0.0:
-            continue
-        for m in range(db + 1):
-            c = pa[k] * pb[m]
-            if c == 0.0:
-                continue
-            for j in range(m + 1):
-                B[m - j][k + j] += c * binom[m][j] * (-1.0) ** j
-    return [[0.0] + [v / (j + 1) for j, v in enumerate(row)] for row in B]
-
-
-def _rising(Bi) -> list[float]:
-    """sum_ij Bi[i][j] x^(i+j): the antiderivative taken from t = 0 to t = x.
-    Bi[i][j] is zero where i + j reaches the length of a row, so the sum
-    has no more terms than a row."""
-    n = len(Bi[0])
-    out = [0.0] * n
-    for i, row in enumerate(Bi):
-        for j, c in enumerate(row[: n - i]):
-            if c != 0.0:
-                out[i + j] += c
-    return out
-
-
-def _plateau(Bi, la: float) -> list[float]:
-    """sum_ij Bi[i][j] x^i la^j: the antiderivative taken from t = 0 to t = la."""
-    pw = [la**j for j in range(len(Bi[0]))]
-    out = []
-    for row in Bi:
-        acc = 0.0
-        for j, c in enumerate(row):
-            if c != 0.0:
-                acc += c * pw[j]
-        out.append(acc)
-    return out
-
-
-def _pair_convolve(row_a, row_b):
-    """Exact convolution of two polynomial segments, each a ``_rows`` entry.
-
-    Returns pieces (lo, hi, coeffs) in absolute coordinates, coefficients
-    anchored at each piece's lo.  The polynomial algebra runs in a scaled
-    coordinate (lengths divided by La + Lb) to keep coefficient magnitudes
-    near the value scale.
-    """
-    (lo_a, La, a), (lo_b, Lb, b) = row_a, row_b
-    a, b = np.asarray(a), np.asarray(b)
-    if La > Lb:
-        a, b, La, Lb = b, a, Lb, La
-    s0 = lo_a + lo_b
-    scale = La + Lb
-    a = (a * scale ** np.arange(len(a))).tolist()
-    b = (b * scale ** np.arange(len(b))).tolist()
-    la, lb = La / scale, Lb / scale
-
-    # With Bi the antiderivative in t of p(t) q(x - t), written
-    # sum_ij Bi[i][j] x^i t^j, the convolution C(x) = int p(t) q(x - t) dt
-    # has three phases in x: rising on [0, la] (t from 0 to x, so C is the
-    # anti-diagonal sums of Bi), plateau on [la, lb] when lb > la (t from 0
-    # to la, so C(x) = sum_j Bi[i][j] la^j x^i), and falling on [lb, la + lb].
-    # The falling phase is the rising phase of the end-reversed polynomials:
-    # with y = la + lb - x, C(x) = int_0^y p(la - t) q(lb - (y - t)) dt.
-    # Computing it that way keeps coefficients at the local value scale, so
-    # the result stays clean where the convolution vanishes at its top edge.
-    # Every sum runs on Python floats in a fixed order, term by term.
-    Bi = _bivariate_integral(a, b)
-    rising = _rising(Bi)
-    falling = _reverse(_rising(_bivariate_integral(_reverse(a, la), _reverse(b, lb))), la)
-
-    # Each phase polynomial below is anchored at its own piece start.
-    phases = [(0.0, la, rising)]
-    if lb > la:
-        phases.append((la, lb, _taylor_shift(_plateau(Bi, la), la)))
-    phases.append((lb, la + lb, falling))
-
-    pieces = []
-    for x0, x1, poly in phases:
-        coeffs = (np.array(poly) * scale ** (1.0 - np.arange(len(poly)))).tolist()
-        pieces.append((s0 + x0 * scale, s0 + x1 * scale, coeffs))
-    return pieces
 
 
 def _merged_cuts(cuts, total: float, tol: float) -> list[float]:
@@ -639,204 +525,225 @@ def _merged_cuts(cuts, total: float, tol: float) -> list[float]:
     return merged
 
 
-def _convolve_pairwise(fa: HeightDistribution, fb: HeightDistribution, tol: float):
-    """Breaks and coefficient rows of the exact convolution, pair by pair."""
-    pieces = []
-    rows_b = _rows(fb)
-    for row_a in _rows(fa):
-        for row_b in rows_b:
-            pieces.extend(_pair_convolve(row_a, row_b))
-    merged = _merged_cuts([p[0] for p in pieces] + [p[1] for p in pieces], fa.support_max + fb.support_max, tol)
+# The exact convolution runs as array operations over every segment pair at
+# once, with the pairs along the last axis.  Each polynomial sum below adds
+# its terms in one fixed order, term by term from zero: a stage lists its
+# terms in that order and ``_ordered_sums`` adds them with np.bincount,
+# which adds its weights one at a time in input order.  So every
+# coefficient is the same bits whatever the number of pairs, and the same
+# as the term-by-term oracle of the tests.  Powers of the scaled lengths
+# come from np.float_power, which calls the C library's pow per element as
+# the oracle's scalar ** does; np.power may use a vectorised pow that rounds
+# some results differently.  The scale factors take ** on arrays, as the
+# oracle's do.
 
-    # Each piece covers the merged intervals whose midpoint lies within tol
-    # of it; the midpoints are sorted, so that is one contiguous run.
-    mids = [0.5 * (g0 + g1) for g0, g1 in zip(merged[:-1], merged[1:])]
-    covering = [[] for _ in mids]
-    for p0, p1, coeffs in pieces:
-        for g in range(bisect.bisect_left(mids, p0 - tol), bisect.bisect_right(mids, p1 + tol)):
-            covering[g].append((p0, coeffs))
-
-    max_len = max(len(p[2]) for p in pieces)
-    rows = []
-    for g0, covers in zip(merged[:-1], covering):
-        acc = [0.0] * max_len
-        for p0, coeffs in covers:
-            for k, c in enumerate(_taylor_shift(coeffs, g0 - p0)):
-                acc[k] += c
-        rows.append(acc)
-    return merged, rows
-
-
-# Batched exact convolution.  Each function below does for a stack of m
-# rows what its scalar namesake above does for one, and sums every element's
-# terms in the same order, so the results are the same bits.  Powers that the
-# scalar code takes with Python's float ** come from np.float_power, which
-# calls the C library's pow per element as float ** does; np.power may use a
-# vectorised pow that rounds some results differently.
-
-# A convolution of at least this many segment pairs runs batched; smaller
-# ones, such as those of the catalog stacks without roughness, run pair by
-# pair on Python floats, which costs less there.
-_BATCH_PAIRS = 8
+def _read_only(*arrays):
+    """The arrays, marked read-only: a cached table is shared by every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @functools.lru_cache(maxsize=None)
-def _binomial_array(n: int, signed: bool = False) -> np.ndarray:
-    """[j, k] = C(j, k), times (-1)^k if ``signed``, for j, k < n; zero for k > j."""
-    out = np.zeros((n, n))
-    for j, row in enumerate(_binomials(n)):
-        out[j, : j + 1] = row
-    if signed:
-        out[:, 1::2] *= -1.0
-    out.setflags(write=False)
-    return out
+def _exponents(n: int) -> np.ndarray:
+    """0, 1, ..., n - 1 as a float column."""
+    return _read_only(np.arange(float(n))[:, None])[0]
 
 
-def _powers(base: np.ndarray, n: int) -> np.ndarray:
-    """base ** e for e = 0..n-1 along a new last axis, as float ** gives each."""
-    return np.float_power(base[:, None], np.arange(n))
+def _powers(base, n: int) -> np.ndarray:
+    """(n, m): base ** e for e = 0..n-1 down the first axis, as float ** gives each."""
+    return np.float_power(base, _exponents(n))
 
 
-def _taylor_shift_rows(coeffs: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """_taylor_shift of each row of ``coeffs``, with pw[:, m] = delta ** m."""
-    n = coeffs.shape[1]
-    binom = _binomial_array(n)
-    out = np.zeros_like(coeffs)
-    for j in range(n):
-        out[:, : j + 1] += (binom[j, : j + 1] * coeffs[:, j, None]) * pw[:, j::-1]
-    return out
+def _ordered_sums(terms: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
+    """(size, m): cell c of column p holds the sum of terms[t, p] over every t
+    with cells[t, 0] == c, added in increasing t to a zero start."""
+    m = terms.shape[1]
+    index = cells * m + np.arange(m)
+    return np.bincount(index.ravel(), terms.ravel(), minlength=size * m).reshape(size, m)
 
 
-def _reverse_rows(coeffs: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """_reverse of each row of ``coeffs``, with pw[:, m] = length ** m."""
-    n = coeffs.shape[1]
-    signed = _binomial_array(n, signed=True)
-    out = np.zeros_like(coeffs)
-    for k in range(n):
-        out[:, : k + 1] += (coeffs[:, k, None] * signed[k, : k + 1]) * pw[:, k::-1]
-    return out
+@functools.lru_cache(maxsize=None)
+def _shift_terms(n: int, signed: bool):
+    """The terms of ``_shift_rows`` for n coefficients, source index j outer and
+    target index k <= j inner: j, j - k, C(j, k) (times (-1)^k if
+    ``signed``) and k."""
+    j, k = np.tril_indices(n)
+    return _read_only(j, j - k, _binomial_array(n, signed)[j, k, None], k[:, None])
+
+
+def _shift_rows(coeffs: np.ndarray, pw: np.ndarray, signed: bool = False) -> np.ndarray:
+    """Each column's polynomial sum_j c_j x^j re-anchored at delta, as
+    p(delta + t) in t, or reversed, as p(delta - t), if ``signed``;
+    pw[e] = delta ** e."""
+    n = len(coeffs)
+    j, e, binom, k = _shift_terms(n, signed)
+    terms = coeffs.take(j, 0)
+    terms *= binom
+    terms *= pw.take(e, 0)
+    return _ordered_sums(terms, k, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _bivariate_terms(na: int, nb: int):
+    """The terms of ``_bivariate_integral_rows``, pa[k] pb[q] C(q, j) (-1)^j for
+    j <= q, with k outer, then q, then j, so that each cell adds its terms
+    in ascending k: k, q, the signed binomials, each term's cell in the
+    flattened (nb, na + nb) result and each cell's divisor."""
+    n = na + nb
+    k, q, j = (x.ravel() for x in np.meshgrid(np.arange(na), np.arange(nb), np.arange(nb), indexing="ij"))
+    keep = j <= q
+    k, q, j = k[keep], q[keep], j[keep]
+    divisor = np.tile(np.maximum(np.arange(n), 1.0), nb)
+    signed = _binomial_array(nb, signed=True)[q, j]
+    return _read_only(k, q, signed[:, None], ((q - j) * n + k + j + 1)[:, None], divisor[:, None])
 
 
 def _bivariate_integral_rows(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """_bivariate_integral of each row pair, as (m, len(pb), len(pa) + len(pb))."""
-    m, na = pa.shape
-    nb = pb.shape[1]
-    signed = _binomial_array(nb, signed=True)
-    # The term pa[k] pb[q] C(q, j) (-1)^j lands in B[q - j, k + j].  One j at
-    # a time, from the top, so each cell sums its terms in ascending k.  The
-    # rows run along the last axis here.
-    pa, pb = pa.T, pb.T
-    B = np.zeros((nb, na + nb - 1, m))
-    for j in range(nb - 1, -1, -1):
-        B[: nb - j, j : j + na] += (pb[j:, None] * pa) * signed[j:, j, None, None]
-    Bi = np.zeros((m, nb, na + nb))
-    Bi[:, :, 1:] = B.transpose(2, 0, 1) / np.arange(1, na + nb)
-    return Bi
+    """Antiderivative in t of p(t) q(x - t) for each column pair, as
+    Bi[i, j] the coefficient of x^i t^j, shape (len(pb), len(pa) + len(pb), m)."""
+    na, nb = len(pa), len(pb)
+    k, q, signed, cells, divisor = _bivariate_terms(na, nb)
+    terms = pb.take(q, 0)
+    terms *= pa.take(k, 0)
+    terms *= signed
+    B = _ordered_sums(terms, cells, nb * (na + nb))
+    B /= divisor
+    return B.reshape(nb, na + nb, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _phase_terms(nb: int, n: int):
+    """The entries Bi[i, j] of a rising phase, those with i + j < n, i outer,
+    as flat indices into (nb, n), each one's power i + j, and the row i of
+    every entry of (nb, n), which a plateau sums over."""
+    i, j = (x.ravel() for x in np.meshgrid(np.arange(nb), np.arange(n), indexing="ij"))
+    keep = i + j < n
+    return _read_only((i * n + j)[keep], (i + j)[keep, None], i[:, None])
 
 
 def _rising_rows(Bi: np.ndarray) -> np.ndarray:
-    """_rising of each row; entries past degree na + nb - 1 are zero and dropped."""
-    m, nb, n = Bi.shape
-    out = np.zeros((m, n))
-    for i in range(nb):
-        out[:, i:] += Bi[:, i, : n - i]
-    return out
+    """sum_ij Bi[i, j] x^(i+j), the antiderivative from t = 0 to t = x; terms
+    past x^(n-1) are zero and dropped."""
+    nb, n, m = Bi.shape
+    flat, power, _ = _phase_terms(nb, n)
+    return _ordered_sums(Bi.reshape(nb * n, m).take(flat, 0), power, n)
 
 
 def _plateau_rows(Bi: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """_plateau of each row, with pw[:, j] = la ** j."""
-    out = np.zeros(Bi.shape[:2])
-    for j in range(Bi.shape[2]):
-        out += Bi[:, :, j] * pw[:, j, None]
-    return out
+    """sum_ij Bi[i, j] x^i la^j, the antiderivative from t = 0 to t = la, with
+    pw[j] = la ** j."""
+    nb, n, m = Bi.shape
+    return _ordered_sums((Bi * pw).reshape(nb * n, m), _phase_terms(nb, n)[2], nb)
 
 
 def _pair_convolve_rows(a, b, La, Lb, s0):
-    """_pair_convolve of m segment pairs at once.
+    """Exact convolution of m segment pairs.
 
-    ``a`` (m, na) and ``b`` (m, nb) hold the coefficients of each pair's
-    shorter and longer segment, zero-padded to common lengths, La <= Lb
-    their widths and s0 the sums of their lo.  Returns lo, hi (m, 3) and
-    coefficients (m, 3, na + nb) of the rising, plateau and falling pieces;
-    the plateau is empty where la == lb.  A zero coefficient adds only zero
-    terms to each sum, so the padding leaves every bit as it is.
+    Column p of ``a`` (na, m) and ``b`` (nb, m) holds the coefficients of
+    pair p's shorter and longer segment, zero-padded to common lengths,
+    La <= Lb their widths and s0 the sums of their lo.  Returns lo, hi and
+    coefficient columns (na + nb, pieces) of each pair's rising, plateau
+    and falling pieces, pair by pair, each anchored at its lo; a plateau is
+    left out where la == lb.  A zero coefficient adds only zero terms to
+    each sum, so the padding leaves every bit as it is.
+
+    The polynomial algebra runs in a scaled coordinate (lengths divided by
+    La + Lb) to keep coefficient magnitudes near the value scale.  With Bi
+    the antiderivative in t of p(t) q(x - t), written sum_ij Bi[i, j] x^i t^j,
+    the convolution C(x) = int p(t) q(x - t) dt has three phases in x:
+    rising on [0, la] (t from 0 to x, so C is the anti-diagonal sums of Bi),
+    plateau on [la, lb] when lb > la (t from 0 to la, so
+    C(x) = sum_j Bi[i, j] la^j x^i), and falling on [lb, la + lb].  The
+    falling phase is the rising phase of the end-reversed polynomials: with
+    y = la + lb - x, C(x) = int_0^y p(la - t) q(lb - (y - t)) dt.  Computing
+    it that way keeps coefficients at the local value scale, so the result
+    stays clean where the convolution vanishes at its top edge.
     """
-    m, na = a.shape
-    nb = b.shape[1]
+    na, m = a.shape
+    nb = len(b)
     n = na + nb
     scale = La + Lb
-    a = a * scale[:, None] ** np.arange(na)
-    b = b * scale[:, None] ** np.arange(nb)
-    la, lb = La / scale, Lb / scale
-    pw_a, pw_b = _powers(la, n), _powers(lb, nb)
+    # x = [0, la, lb, la + lb]: the phases' ends in the scaled coordinate.
+    x = np.zeros((4, m))
+    x[1], x[2] = La / scale, Lb / scale
+    x[3] = x[1] + x[2]
+    pw = _powers(x[1:3].reshape(-1), n)
 
-    Bi = _bivariate_integral_rows(a, b)
-    coeffs = np.zeros((m, 3, n))
-    coeffs[:, 0] = _rising_rows(Bi)
-    coeffs[:, 1, :nb] = _taylor_shift_rows(_plateau_rows(Bi, pw_a), pw_a[:, :nb])
-    Bi_rev = _bivariate_integral_rows(_reverse_rows(a, pw_a[:, :na]), _reverse_rows(b, pw_b))
-    coeffs[:, 2] = _reverse_rows(_rising_rows(Bi_rev), pw_a)
-    coeffs *= (scale[:, None] ** (1.0 - np.arange(n)))[:, None, :]
+    # Each pair and its end-reversed copy share one bivariate integral.
+    ab = np.zeros((max(na, nb), 2 * m))
+    ab[:na, :m] = a * scale ** _exponents(na)
+    ab[:nb, m:] = b * scale ** _exponents(nb)
+    rev = _shift_rows(ab, pw, signed=True)
+    a2 = np.concatenate([ab[:na, :m], rev[:na, :m]], axis=1)
+    b2 = np.concatenate([ab[:nb, m:], rev[:nb, m:]], axis=1)
+    Bi = _bivariate_integral_rows(a2, b2)
+    rising = _rising_rows(Bi)
+    pw_a = pw[:, :m]
+    coeffs = np.zeros((n, m, 3))
+    coeffs[:, :, 0] = rising[:, :m]
+    coeffs[:nb, :, 1] = _shift_rows(_plateau_rows(Bi[:, :, :m], pw_a), pw_a)
+    coeffs[:, :, 2] = _shift_rows(rising[:, m:], pw_a, signed=True)
+    coeffs *= (scale ** (1.0 - _exponents(n)))[:, :, None]
 
-    x = np.stack([np.zeros(m), la, lb, la + lb], axis=1)
-    edges = s0[:, None] + x * scale[:, None]
-    return edges[:, :3], edges[:, 1:], coeffs
+    # Piece h of pair p is column 3 p + h; absent plateaus are dropped.
+    edges = s0 + x * scale
+    lo, hi, coeffs = edges[:3].T.ravel(), edges[1:].T.ravel(), coeffs.reshape(n, 3 * m)
+    plateau = x[1] < x[2]
+    if np.count_nonzero(plateau) == m:
+        return lo, hi, coeffs
+    keep = np.ones((m, 3), dtype=bool)
+    keep[:, 1] = plateau
+    keep = keep.ravel()
+    return lo[keep], hi[keep], coeffs[:, keep]
 
 
 def _pieces(fa: HeightDistribution, fb: HeightDistribution):
     """Every piece of every segment pair's convolution, in the order of the
     pairs (fa's segments outer) and of the phases within a pair: lo, hi and
-    coefficients zero-padded to a common length."""
-    len_a, len_b = _degrees(fa.coeffs) + 1, _degrees(fb.coeffs) + 1
-    n = int(len_a.max() + len_b.max())
-    lo_a, w_a = fa.breaks[:-1], np.diff(fa.breaks)
-    lo_b, w_b = fb.breaks[:-1], np.diff(fb.breaks)
-    c_a = np.pad(fa.coeffs, ((0, 0), (0, n - fa.coeffs.shape[1])))
-    c_b = np.pad(fb.coeffs, ((0, 0), (0, n - fb.coeffs.shape[1])))
-    i = np.repeat(np.arange(len(w_a)), len(w_b))
-    j = np.tile(np.arange(len(w_b)), len(w_a))
-    # Each pair's shorter segment comes first, as in _pair_convolve.
-    swap = w_a[i] > w_b[j]
-    ns = int(np.where(swap, len_b[j], len_a[i]).max())
-    nl = int(np.where(swap, len_a[i], len_b[j]).max())
-    short = np.where(swap[:, None], c_b[j, :ns], c_a[i, :ns])
-    long = np.where(swap[:, None], c_a[i, :nl], c_b[j, :nl])
-    La = np.where(swap, w_b[j], w_a[i])
-    Lb = np.where(swap, w_a[i], w_b[j])
-    lo, hi, coeffs = _pair_convolve_rows(short, long, La, Lb, lo_a[i] + lo_b[j])
-    # Piece h of pair p is row 3 p + h; absent plateaus are dropped.
-    keep = np.ones(lo.shape, dtype=bool)
-    keep[:, 1] = La / (La + Lb) < Lb / (La + Lb)
-    keep = keep.ravel()
-    return lo.ravel()[keep], hi.ravel()[keep], coeffs.reshape(-1, ns + nl)[keep]
+    the coefficients of each piece as a column, zero-padded to a common
+    length."""
+    wa, wb = fa.breaks[1:] - fa.breaks[:-1], fb.breaks[1:] - fb.breaks[:-1]
+    i, j = np.divmod(np.arange(len(wa) * len(wb)), len(wb))
+    a, b, La, Lb = fa.coeffs.take(i, 0).T, fb.coeffs.take(j, 0).T, wa.take(i), wb.take(j)
+    # Each pair's shorter segment comes first.
+    swap = La > Lb
+    swapped = np.count_nonzero(swap)
+    if swapped == len(swap):
+        a, b, La, Lb = b, a, Lb, La
+    elif swapped:
+        k = max(len(a), len(b))
+        a, b = (np.concatenate([c, np.zeros((k - len(c), len(swap)))]) for c in (a, b))
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        La, Lb = np.where(swap, Lb, La), np.where(swap, La, Lb)
+    return _pair_convolve_rows(a, b, La, Lb, fa.breaks.take(i) + fb.breaks.take(j))
 
 
 def _convolve_rows(fa: HeightDistribution, fb: HeightDistribution, tol: float):
-    """Breaks and coefficients of the exact convolution, batched over pairs."""
+    """Breaks and coefficient rows of the exact convolution."""
     lo, hi, coeffs = _pieces(fa, fb)
-    merged = _merged_cuts(lo.tolist() + hi.tolist(), fa.support_max + fb.support_max, tol)
+    edges = np.array(_merged_cuts(lo.tolist() + hi.tolist(), fa.support_max + fb.support_max, tol))
 
-    # As in _convolve_pairwise: every (interval, covering piece) incidence,
-    # ordered by interval and then by piece, is re-anchored and summed.
-    edges = np.array(merged)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    first = np.searchsorted(mids, lo - tol, side="left")
-    count = np.maximum(np.searchsorted(mids, hi + tol, side="right") - first, 0)
-    piece = np.repeat(np.arange(len(lo)), count)
-    interval = np.arange(len(piece)) - np.repeat(np.cumsum(count) - count - first, count)
-    order = np.argsort(interval, kind="stable")
-    piece, interval = piece[order], interval[order]
-    n = coeffs.shape[1]
-    shifted = _taylor_shift_rows(coeffs[piece], _powers(edges[interval] - lo[piece], n))
-    acc = np.zeros((len(mids), n))
-    np.add.at(acc, interval, shifted)
-    return edges, acc
+    # Each piece covers the merged intervals whose midpoint lies within tol
+    # of it.  Each (interval, covering piece) incidence, ordered by interval
+    # and then by piece, is re-anchored at the interval's start and summed.
+    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    interval, piece = ((mids >= lo - tol) & (mids <= hi + tol)).nonzero()
+    n = len(coeffs)
+    shifted = coeffs.take(piece, 1)
+    delta = edges.take(interval) - lo.take(piece)
+    # A piece that starts where its interval does is already anchored there:
+    # a shift by zero would add only zeros to each coefficient.
+    moved = delta != 0.0
+    if moved.any():
+        shifted[:, moved] = _shift_rows(shifted[:, moved], _powers(delta[moved], n))
+    cells = interval * n + np.arange(n)[:, None]
+    return edges, np.bincount(cells.ravel(), shifted.ravel(), minlength=len(mids) * n).reshape(-1, n)
 
 
 def _convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> HeightDistribution:
     tol = 1e-12 * (fa.support_max + fb.support_max)
-    convolve_pairs = _convolve_pairwise if len(fa.coeffs) * len(fb.coeffs) < _BATCH_PAIRS else _convolve_rows
-    breaks, coeffs = convolve_pairs(fa, fb, tol)
+    breaks, coeffs = _convolve_rows(fa, fb, tol)
     unit = fa.unit_area_normalized and fb.unit_area_normalized
     return HeightDistribution.analytic(breaks, coeffs, unit_area_normalized=unit)
 

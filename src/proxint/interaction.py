@@ -112,13 +112,22 @@ class InteractionCurve:
         object.__setattr__(self, "values", v)
 
     def with_ratio(self, far_field_nw: float) -> "InteractionCurve":
-        """Attach the ratio column: values / far-field constant."""
+        """Attach the ratio column: values / far-field constant.
+
+        A ratio that is not a finite float (a far-field constant so small
+        that the quotient overflows) raises NumericError naming the first
+        such separation."""
         if not 0 < far_field_nw < math.inf:
             raise InvalidParameterError("far-field constant must be positive and finite")
-        return InteractionCurve(
-            self.separations, self.values, self.kernel, self.d_ref,
-            np.asarray(self.values) / far_field_nw,
-        )
+        with np.errstate(over="ignore"):
+            ratios = np.asarray(self.values) / far_field_nw
+        bad = ~np.isfinite(ratios)
+        if bad.any():
+            raise NumericError(
+                f"ratio to the far-field constant {far_field_nw!r} is not a finite float "
+                f"at d={float(self.separations[bad.argmax()])!r} nm"
+            )
+        return InteractionCurve(self.separations, self.values, self.kernel, self.d_ref, ratios)
 
 
 def plate_plate(kernel: Kernel, d):

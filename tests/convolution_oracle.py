@@ -1,10 +1,10 @@
 """Term-by-term reference for the exact convolution of analytic distributions.
 
-These are the triple Python loops over numpy scalars, with per-term
-``math.comb``, that ``proxint.distributions`` used before its convolution
-moved to Python floats and precomputed binomials.  The library must give
-the same segments bit for bit: tests compare the breaks and the
-coefficients with ``==``.
+These are triple Python loops over numpy scalars, with per-term
+``math.comb``, one segment pair at a time.  ``proxint.distributions`` runs
+the same algebra as array operations over every pair at once and adds each
+sum's terms in the same order, so it must give the same segments bit for
+bit: tests compare the breaks and the coefficients with ``==``.
 """
 
 import math

@@ -194,6 +194,36 @@ class TestFitScaling:
         with pytest.raises(FitError, match="zero or not finite"):
             fit_scaling(curve, (1.0, 10.0))
 
+    @pytest.mark.parametrize("scale", [2.0**-1000, 2.0**600], ids=["tiny", "huge"])
+    @pytest.mark.parametrize("form", ["constant", "logarithmic", "power-law"])
+    def test_values_far_from_one(self, form, scale):
+        # The norms square the window's values, which under- or overflow past
+        # about 1e+-154 unless the fit scales them first.  Multiplying the
+        # values by a power of two is exact, so the constant and logarithmic
+        # residuals must read the same and those prefactors scale exactly;
+        # the power law is fitted to log(y), which the scaling shifts.
+        from proxint import InteractionCurve
+
+        d = np.geomspace(1.0, 10.0, 31)
+        if form == "constant":
+            values = 3.7 + 1e-9 * d
+        else:
+            f = sphere_distribution(100.0)
+            if form == "logarithmic":
+                f = convolve(f, dome_distribution(1000.0))
+            values = sweep(f, Kernel(1.0, 2.0), d).values
+        ref = fit_scaling(InteractionCurve(d, values, Kernel(1.0, 2.0)), (1.0, 10.0))
+        law = fit_scaling(InteractionCurve(d, scale * values, Kernel(scale, 2.0)), (1.0, 10.0))
+        assert law.form == ref.form == LawForm(form)
+        assert law.residuals["constant"] == ref.residuals["constant"]
+        assert law.residuals["logarithmic"] == ref.residuals["logarithmic"]
+        assert law.residuals["power-law"] == pytest.approx(ref.residuals["power-law"], rel=1e-9)
+        if form == "power-law":
+            assert law.prefactor == pytest.approx(scale * ref.prefactor, rel=1e-9)
+        else:
+            assert law.prefactor == scale * ref.prefactor
+            assert law.d0 == ref.d0
+
     def test_residuals_attached(self):
         d = np.geomspace(1.0, 10.0, 20)
         curve = sweep(sphere_distribution(R), heat_sio2_kernel(), d)

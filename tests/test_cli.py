@@ -1,16 +1,20 @@
 """CLI: config parsing, presets, commands, exit codes, determinism, formats."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -426,6 +430,14 @@ class TestSweepCommand:
         assert not out.exists()
         assert f"numeric error: interaction is not a finite float at d={first} nm" in capsys.readouterr().err
 
+    def test_ratio_that_overflows_exits_numeric_without_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[scenario]\nfarfield = 1e-305\n[curve.s]\nbase = sphere radius=1e5\n")
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "numeric error: ratio to the far-field constant 1e-305 is not a finite float at d=1.0 nm\n")
+
 
 class TestHeightmapCommand:
     def test_pyramid_file_reports_case_two(self, tmp_path, capsys):
@@ -716,6 +728,18 @@ class TestAsymptCommand:
         row = dict(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:3])))
         assert float(row["prefactor_pred"]) == pytest.approx(2 * np.pi * 100 / 199, rel=1e-14)
 
+    @pytest.mark.parametrize("alpha", ["1e-300", "1e200"])
+    def test_window_values_far_from_one(self, tmp_path, capsys, alpha):
+        # The fit's norms square values of order alpha: they under- or
+        # overflow unless the values are scaled first.
+        cfg = write_config(tmp_path, f"[kernel]\nalpha = {alpha}\nnu = 2\n[curve.c]\nbase = sphere radius=100\n")
+        out = tmp_path / "rep.csv"
+        assert main(["asympt", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        row = dict(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:3])))
+        assert row["form_fit"] == "power-law"
+        assert float(row["prefactor_fit"]) == pytest.approx(float(row["prefactor_pred"]), rel=0.01)
+        assert capsys.readouterr().err == ""
+
     def test_underflowed_window_exits_numeric(self, tmp_path, capsys):
         # At nu = 1000 the sphere's I(d) underflows to 0 past about 2 nm of
         # the default [1, 10] nm window.
@@ -831,6 +855,75 @@ class TestAllocationFailure:
         assert err.startswith("numeric error: Unable to allocate ")
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("o*.csv"))
+
+
+# The CLI contract over a bounded config grammar: layer fields, alpha,
+# separations, dref and farfield log-uniform over 1e-25..1e25, a custom nu
+# in [0, 12], at most 20 separations a decade and 64 shape rows.
+
+_MAGNITUDES = st.floats(min_value=-25.0, max_value=25.0).map(lambda e: float("%.6g" % 10.0**e))
+_LAYER_KINDS = {"dome": ("height",), "pyramid": ("height",), "rough": ("sigma", "s0")}
+
+
+@st.composite
+def cli_configs(draw):
+    """(config text, command) from the bounded grammar; one curve."""
+    scenario = {"bins": draw(st.integers(min_value=1, max_value=64))}
+    for key in ("dref", "farfield"):
+        if draw(st.booleans()):
+            scenario[key] = draw(_MAGNITUDES)
+    kernel = draw(st.sampled_from(["heat-sio2", "casimir-ideal", "custom"]))
+    kern = {"preset": kernel}
+    if kernel != "heat-sio2":
+        kern["alpha"] = draw(_MAGNITUDES)
+    if kernel == "custom":
+        kern["nu"] = draw(st.floats(min_value=0.0, max_value=12.0))
+    lo = draw(_MAGNITUDES)
+    seps = {"min": lo, "max": float("%.6g" % (lo * 10.0 ** draw(st.floats(min_value=0.1, max_value=4.0)))),
+            "per_decade": draw(st.integers(min_value=1, max_value=20))}
+    layers = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_LAYER_KINDS)), max_size=2)):
+        fields = {name: draw(_MAGNITUDES) for name in _LAYER_KINDS[kind]}
+        scale = fields["s0"] + 8.0 * fields["sigma"] if kind == "rough" else fields["height"]
+        layers.append((scale, kind + "".join(f" {k}={v!r}" for k, v in fields.items())))
+    # Coarse to fine, as the config requires.
+    layers.sort(key=lambda layer: -layer[0])
+    curve = {"base": f"sphere radius={draw(_MAGNITUDES)!r}"}
+    curve.update({f"layer.{i}": spec for i, (_, spec) in enumerate(layers, start=1)})
+    sections = {"scenario": scenario, "kernel": kern, "separations": seps, "curve.c": curve}
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
+                   for name, sec in sections.items())
+    return text, draw(st.sampled_from(["shape", "sweep", "asympt"]))
+
+
+class TestContract:
+    @settings(max_examples=50)
+    @given(cli_configs())
+    def test_exit_codes_and_finite_output(self, config):
+        # Exit 0, 2, 3 or 4 and never an exception; no CSV on exit 2 or 3
+        # (asympt writes its report on a failed verification, exit 4), and
+        # every number in a CSV finite.
+        text, command = config
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), text)
+            out = Path(tmp) / "out.csv"
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                rc = main([command, "--config", cfg, "--out", str(out)])
+            assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_VERIFY)
+            assert out.exists() == (rc in (EXIT_OK, EXIT_VERIFY))
+            if not out.exists():
+                return
+            for line in out.read_text().splitlines():
+                if line.startswith("#"):
+                    continue
+                for tok in line.split(","):
+                    try:
+                        value = float(tok)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (command, text, line)
 
 
 # Reference writers, one "%.17g" call per numpy value, as the CSV writers

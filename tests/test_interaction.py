@@ -309,6 +309,13 @@ class TestSweep:
             with pytest.raises(NumericError, match=f"not a finite float at d={first!r} nm"):
                 sweep(sphere_distribution(100.0), kernel, d, subtract_at=300.0)
 
+    def test_ratio_that_overflows_raises(self):
+        # values of order 1e5 nW over a far-field constant of 1e-305 nW.
+        curve = sweep(sphere_distribution(1e5), heat_sio2_kernel(), [1.0, 10.0, 1e6])
+        with pytest.raises(NumericError, match=r"ratio to the far-field constant 1e-305 is not a finite float "
+                                               r"at d=1\.0 nm"):
+            curve.with_ratio(1e-305)
+
     @pytest.mark.parametrize("far_field", [math.nan, math.inf, 0.0, -1.0])
     def test_ratio_needs_positive_finite_constant(self, far_field):
         curve = sweep(sphere_distribution(R), heat_sio2_kernel(), [1.0, 10.0])

@@ -130,8 +130,7 @@ def rough_operands(draw):
     """Operands of sphere (*) rough and of rough (*) rough at unequal sigma.
 
     The rough (*) rough operands keep their first three pieces, so that the
-    oracle stays quick; their nine pairs still run batched, with cuts that
-    do not line up."""
+    oracle stays quick; their nine pairs have cuts that do not line up."""
     radius = draw(st.floats(min_value=1e3, max_value=2e5))
     sigmas = draw(st.lists(st.floats(min_value=1.0, max_value=20.0), min_size=2, max_size=2, unique=True))
     roughs = [truncated_gaussian_distribution(sigma, sigma * draw(st.floats(min_value=0.0, max_value=3.0)))
