@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CaseReport
-from .errors import FitError, InvalidParameterError
+from .errors import FitError, InvalidParameterError, NumericError
 from .interaction import InteractionCurve, Kernel
 
 __all__ = [
@@ -42,10 +42,6 @@ __all__ = [
 # nu == n is the marginal (logarithmic) branch; detected only at exact
 # equality up to this tolerance.
 _NU_EQ_TOL = 1e-12
-
-# A fit is reported as the given form only when its residual undercuts the
-# runner-up by this dominance margin; otherwise the choice is ambiguous.
-_DOMINANCE = 0.9
 
 # Relative spread below which a window of values counts as constant.
 _CONST_SPREAD = 0.02
@@ -74,7 +70,6 @@ class AsymptoticLaw:
     case_n: int | None = None
     nu: float | None = None
     residuals: dict | None = None
-    ambiguous: bool = False
 
 
 def predict(case_report: CaseReport, kernel: Kernel) -> AsymptoticLaw:
@@ -83,27 +78,27 @@ def predict(case_report: CaseReport, kernel: Kernel) -> AsymptoticLaw:
     nu = kernel.nu
     lead = case_report.leading_coefficient
     if abs(nu - n) < _NU_EQ_TOL:
-        return AsymptoticLaw(
-            LawForm.LOGARITHMIC,
-            prefactor=kernel.alpha * lead / math.factorial(n - 1),
-            case_n=n,
-            nu=nu,
-        )
-    if nu > n:
+        form, exponent = LawForm.LOGARITHMIC, None
+        prefactor = kernel.alpha * lead / math.factorial(n - 1)
+    elif nu > n:
+        form, exponent = LawForm.POWER_LAW, nu - n
         try:
             prefactor = kernel.alpha * lead * math.gamma(nu - n) / math.gamma(nu)
         except OverflowError:
-            # Gamma(nu) overflows past nu ~ 171.6; Gamma(nu - n) / Gamma(nu)
-            # is 1 / ((nu - 1) ... (nu - n)).
+            prefactor = math.inf
+        if not math.isfinite(prefactor):
+            # Gamma(nu) overflows past nu ~ 171.6, and alpha * lead *
+            # Gamma(nu - n) can overflow before the division; Gamma(nu - n)
+            # / Gamma(nu) is 1 / ((nu - 1) ... (nu - n)).
             prefactor = kernel.alpha * lead / math.prod(nu - k for k in range(1, n + 1))
-        return AsymptoticLaw(
-            LawForm.POWER_LAW,
-            prefactor=prefactor,
-            exponent=nu - n,
-            case_n=n,
-            nu=nu,
+    else:
+        return AsymptoticLaw(LawForm.CONSTANT, prefactor=None, case_n=n, nu=nu)
+    if not math.isfinite(prefactor):
+        raise NumericError(
+            f"predicted {form.value} prefactor is not a finite float "
+            f"(alpha={kernel.alpha!r}, f^({n - 1})(0)={lead!r}, nu={nu!r})"
         )
-    return AsymptoticLaw(LawForm.CONSTANT, prefactor=None, case_n=n, nu=nu)
+    return AsymptoticLaw(form, prefactor=prefactor, exponent=exponent, case_n=n, nu=nu)
 
 
 def smallest_decade(separations) -> tuple[float, float]:
@@ -117,9 +112,8 @@ def fit_scaling(curve: InteractionCurve, window: tuple[float, float]) -> Asympto
 
     Constant wins outright when the values barely move; otherwise the
     logarithmic and power-law fits compete on relative L2 residual in value
-    space, with a 10% dominance margin below which the result is flagged
-    ambiguous rather than forced.  A window with fewer than 8 separations,
-    or with a value that is zero or not finite, raises FitError.
+    space, and the smaller residual wins.  A window with fewer than 8
+    separations, or with a value that is zero or not finite, raises FitError.
     """
     lo, hi = window
     m = (curve.separations >= lo) & (curve.separations <= hi)
@@ -168,7 +162,6 @@ def fit_scaling(curve: InteractionCurve, window: tuple[float, float]) -> Asympto
             LawForm.CONSTANT, prefactor=math.ldexp(mean, e), nu=nu, residuals=residuals
         )
 
-    ambiguous = min(r_log, r_pow) > _DOMINANCE * max(r_log, r_pow)
     if r_log <= r_pow:
         prefactor = -math.ldexp(float(b_log), e)
         d0 = float(np.exp(a_log / -b_log)) if b_log != 0.0 else None
@@ -178,7 +171,6 @@ def fit_scaling(curve: InteractionCurve, window: tuple[float, float]) -> Asympto
             d0=d0,
             nu=nu,
             residuals=residuals,
-            ambiguous=ambiguous,
         )
     # The forms compete as two-parameter fits; the chosen power law's
     # parameters then come from a fit that also carries the leading relative
@@ -194,7 +186,6 @@ def fit_scaling(curve: InteractionCurve, window: tuple[float, float]) -> Asympto
         exponent=-float(m_pow),
         nu=nu,
         residuals=residuals,
-        ambiguous=ambiguous,
     )
 
 

@@ -142,8 +142,8 @@ class GaussianFit:
 # The characters on which numpy's C reader agrees with float() and
 # str.split(): ASCII digits, signs, points, exponent letters, commas, spaces,
 # tabs and "\n".  Outside this set they part ways (numpy strips "\x1f"
-# around a number, float() rejects it), so any other character sends the
-# file to the line scanner.
+# around a number, float() rejects it), so any other character sends its
+# block to the line scanner.
 _FAST_CHARS = b"0123456789+-.eE, \t\n"
 # Characters of data rows per call of numpy's reader: a block is whole
 # lines, read until they reach this many characters.  Beside the rows
@@ -159,38 +159,29 @@ def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> He
     blank lines are skipped.  Parse failures carry the 1-based line number
     (and column for bad or non-finite entries).
 
-    Rows are parsed a block of lines at a time, so the reader holds about
-    two grids' bytes at most: the rows parsed so far and the grid they are
-    joined into.  A malformed or unusual file is read whole by the line
-    scanner instead.
+    The file is read once, a block of lines at a time, holding about two
+    grids' bytes at most: the rows parsed so far and the grid they are
+    joined into.  numpy's reader parses each block it reads as the
+    token-by-token scanner would; the scanner takes every other block.
     """
     try:
         with open(path) as fh:
-            first = fh.readline()
             try:
-                # A first line that str.splitlines() would cut elsewhere, or
-                # a header that does not parse, goes to the line scanner.
-                (line,) = first.splitlines()
-                shape, dx, dy = _parse_header(line, dx, dy)
-            except ValueError:
-                values = None
-            else:
-                values = _read_blocks(fh, [first] if shape is None else [])
-        if values is None:
-            # The whole text, so that a file that cannot be decoded is
-            # reported as such before any error in its lines.
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-            if not lines:
-                raise ParseError("line 1: empty heightmap file")
-            shape, dx, dy = _parse_header(lines[0], dx, dy)
-            values = _scan_lines(lines, 0 if shape is None else 1)
+                # The header ends at the first str.splitlines() break.
+                pieces = fh.readline().splitlines(keepends=True)
+                if not pieces:
+                    raise ParseError("line 1: empty heightmap file")
+                shape, dx, dy = _parse_header(pieces[0], dx, dy)
+                values = _read_blocks(fh, pieces[1:] if shape else pieces, 1 if shape else 0)
+            except ParseError:
+                # Decode the rest: an undecodable file is reported as such.
+                while fh.read(_BLOCK_CHARS):
+                    pass
+                raise
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: cannot decode as text ({exc.reason})") from exc
     if shape is not None and values.shape != shape:
-        raise ParseError(
-            f"grid is {values.shape[0]}x{values.shape[1]}, header says ny={shape[0]} nx={shape[1]}"
-        )
+        raise ParseError("grid is %dx%d, header says ny=%d nx=%d" % (values.shape + shape))
     return Heightmap(dx=float(dx), dy=float(dy), values=values, contact_shifted=False)
 
 
@@ -211,45 +202,48 @@ def _parse_header(first: str, dx, dy) -> tuple[tuple[int, int] | None, float, fl
         raise ParseError(f"line 1: malformed header fields ({exc})") from exc
 
 
-def _read_blocks(fh, lines: list[str]) -> np.ndarray | None:
-    # The data rows, `lines` and then the rest of fh, parsed by numpy's C
-    # reader a block of lines at a time; None where its result could differ
-    # from the line scanner's or the input is malformed.  A block that holds
-    # a comma is split on commas; its rows without one then agree with the
-    # scanner's whitespace split where they hold one value, and otherwise
-    # fail numpy's parse.
+def _read_blocks(fh, lines: list[str], lineno: int) -> np.ndarray:
+    # The data rows: `lines`, which follow line `lineno`, then the rest of
+    # fh, a block of lines at a time.  numpy parses a block of _FAST_CHARS
+    # with finite values as wide as the first row, split on commas if it
+    # holds one (its rows without a comma then agree with the scanner only
+    # where they hold one value, and otherwise fail numpy's parse).
+    # _scan_lines takes any other block, numbered in str.splitlines() lines.
     blocks = []
     lines += fh.readlines(_BLOCK_CHARS)
     while lines:
         block = "".join(lines)
-        if not block.isascii() or block.encode("ascii").translate(None, _FAST_CHARS):
-            return None
-        if not block.isspace():
+        width = blocks[0].shape[1] if blocks else None
+        if block.isspace():
+            lineno += len(block.splitlines())
+        else:
             try:
+                if not block.isascii() or block.encode("ascii").translate(None, _FAST_CHARS):
+                    raise ValueError("a character numpy reads unlike float()")
                 values = np.loadtxt(lines, dtype=float, comments=None,
                                     delimiter="," if "," in block else None, ndmin=2)
+                if not np.isfinite(values).all() or width not in (None, values.shape[1]):
+                    raise ValueError("a value or a row width the scanner rejects")
             except ValueError:
-                return None
-            if not np.isfinite(values).all() or (blocks and values.shape[1] != blocks[0].shape[1]):
-                return None
+                lines = block.splitlines()
+                values = _scan_lines(lines, lineno, width)
             blocks.append(values)
+            lineno += len(lines)
         lines = fh.readlines(_BLOCK_CHARS)
     if not blocks:
-        return None
+        raise ParseError("no data rows")
     return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
 
-def _scan_lines(lines: list[str], data_start: int) -> np.ndarray:
-    # Token-by-token reader: the reference for _read_block and the source
-    # of every ParseError naming a line and column.
+def _scan_lines(lines: list[str], lineno: int, width: int | None = None) -> np.ndarray:
+    # The reference reader, token by token, of lines lineno + 1, ... with rows as
+    # wide as `width` or the first; the source of every ParseError naming a line.
     rows = []
-    for lineno, ln in enumerate(lines[data_start:], start=data_start + 1):
+    for lineno, ln in enumerate(lines, start=lineno + 1):
         if not ln.strip():
             continue
-        sep = "," if "," in ln else None
-        toks = ln.split(sep)
         row = []
-        for col, tok in enumerate(toks, start=1):
+        for col, tok in enumerate(ln.split("," if "," in ln else None), start=1):
             try:
                 v = float(tok)
             except ValueError as exc:
@@ -257,13 +251,10 @@ def _scan_lines(lines: list[str], data_start: int) -> np.ndarray:
             if not math.isfinite(v):
                 raise ParseError(f"line {lineno}, column {col}: non-finite value {tok!r}")
             row.append(v)
-        if rows and len(row) != len(rows[0]):
-            raise ParseError(
-                f"line {lineno}: row has {len(row)} values, expected {len(rows[0])}"
-            )
+        width = width or len(row)
+        if len(row) != width:
+            raise ParseError(f"line {lineno}: row has {len(row)} values, expected {width}")
         rows.append(row)
-    if not rows:
-        raise ParseError("no data rows")
     return np.array(rows)
 
 

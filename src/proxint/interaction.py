@@ -96,7 +96,6 @@ class InteractionCurve:
     separations: np.ndarray
     values: np.ndarray
     kernel: Kernel
-    d_ref: float | None = None
     ratios: np.ndarray | None = None
 
     def __post_init__(self):
@@ -127,7 +126,7 @@ class InteractionCurve:
                 f"ratio to the far-field constant {far_field_nw!r} is not a finite float "
                 f"at d={float(self.separations[bad.argmax()])!r} nm"
             )
-        return InteractionCurve(self.separations, self.values, self.kernel, self.d_ref, ratios)
+        return InteractionCurve(self.separations, self.values, self.kernel, ratios=ratios)
 
 
 def plate_plate(kernel: Kernel, d):
@@ -395,18 +394,21 @@ def sweep(
     """Evaluate the (optionally far-field-subtracted) interaction over separations.
 
     A value that is not a finite float (an overflow of the kernel or of the
-    subtraction) raises NumericError naming the first such separation.
+    subtraction) raises NumericError naming the first such separation; the
+    integration runs with numpy's floating-point warnings off, since that
+    error reports it.
     """
     d = _separations(d_list)
-    if subtract_at is None:
-        values = _interaction(f, kernel, d)
-    else:
-        both = _interaction(f, kernel, np.append(d, _separations(subtract_at)))
-        values = both[:-1] - both[-1]
+    with np.errstate(all="ignore"):
+        if subtract_at is None:
+            values = _interaction(f, kernel, d)
+        else:
+            both = _interaction(f, kernel, np.append(d, _separations(subtract_at)))
+            values = both[:-1] - both[-1]
     bad = ~np.isfinite(values)
     if bad.any():
         raise NumericError(f"interaction is not a finite float at d={float(d[bad.argmax()])!r} nm")
-    return InteractionCurve(d, values, kernel, d_ref=subtract_at)
+    return InteractionCurve(d, values, kernel)
 
 
 # ---------------------------------------------------------------------------

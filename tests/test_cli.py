@@ -430,6 +430,17 @@ class TestSweepCommand:
         assert not out.exists()
         assert f"numeric error: interaction is not a finite float at d={first} nm" in capsys.readouterr().err
 
+    def test_overflow_prints_one_line_and_no_warning(self, tmp_path, capsys):
+        # numpy's overflow warnings would reach stderr in a fresh process
+        # before the error that names the separation.
+        cfg = write_config(tmp_path, "[separations]\nlist = 1e-320, 1e-300, 1\n[curve.c]\nbase = sphere radius=100\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "curve.csv")])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric error: interaction is not a finite float at d=1e-320 nm\n"
+        assert [str(w.message) for w in caught] == []
+
     def test_ratio_that_overflows_exits_numeric_without_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[scenario]\nfarfield = 1e-305\n[curve.s]\nbase = sphere radius=1e5\n")
         out = tmp_path / "curve.csv"
@@ -728,6 +739,27 @@ class TestAsymptCommand:
         row = dict(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:3])))
         assert float(row["prefactor_pred"]) == pytest.approx(2 * np.pi * 100 / 199, rel=1e-14)
 
+    def test_prefactor_past_the_float_range_of_the_gamma_form(self, tmp_path):
+        # alpha 2 pi R Gamma(132) overflows before the division by
+        # Gamma(133); the prefactor is 2 pi R / 132 = 4.76e84.
+        cfg = write_config(tmp_path, "[kernel]\nalpha = 1\nnu = 133\n[curve.s]\nbase = sphere radius=1e86\n")
+        out = tmp_path / "rep.csv"
+        assert main(["asympt", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        row = dict(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:3])))
+        assert float(row["prefactor_pred"]) == pytest.approx(2 * np.pi * 1e86 / 132, rel=1e-14)
+        assert row["pass"] == "1"
+
+    def test_prefactor_past_the_float_range_exits_numeric(self, tmp_path, capsys):
+        # alpha 2 pi R itself overflows: no finite prefactor to predict.
+        cfg = write_config(tmp_path, "[kernel]\npreset = casimir-ideal\nalpha = 3.21259e+212\n"
+                                     "[curve.s]\nbase = sphere radius=3.7904e+113\n")
+        out = tmp_path / "rep.csv"
+        assert main(["asympt", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric error: predicted power-law prefactor is not a finite float "
+            "(alpha=3.21259e+212, f^(0)(0)=2.3815785588333504e+114, nu=3.0)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("alpha", ["1e-300", "1e200"])
     def test_window_values_far_from_one(self, tmp_path, capsys, alpha):
         # The fit's norms square values of order alpha: they under- or
@@ -858,10 +890,10 @@ class TestAllocationFailure:
 
 
 # The CLI contract over a bounded config grammar: layer fields, alpha,
-# separations, dref and farfield log-uniform over 1e-25..1e25, a custom nu
-# in [0, 12], at most 20 separations a decade and 64 shape rows.
+# separations, dref and farfield log-uniform over 1e-300..1e300, a custom
+# nu in [0, 200], at most 20 separations a decade and 64 shape rows.
 
-_MAGNITUDES = st.floats(min_value=-25.0, max_value=25.0).map(lambda e: float("%.6g" % 10.0**e))
+_MAGNITUDES = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: float("%.6g" % 10.0**e))
 _LAYER_KINDS = {"dome": ("height",), "pyramid": ("height",), "rough": ("sigma", "s0")}
 
 
@@ -877,7 +909,7 @@ def cli_configs(draw):
     if kernel != "heat-sio2":
         kern["alpha"] = draw(_MAGNITUDES)
     if kernel == "custom":
-        kern["nu"] = draw(st.floats(min_value=0.0, max_value=12.0))
+        kern["nu"] = draw(st.floats(min_value=0.0, max_value=200.0))
     lo = draw(_MAGNITUDES)
     seps = {"min": lo, "max": float("%.6g" % (lo * 10.0 ** draw(st.floats(min_value=0.1, max_value=4.0)))),
             "per_decade": draw(st.integers(min_value=1, max_value=20))}
