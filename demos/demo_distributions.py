@@ -43,8 +43,7 @@ surfaces = {
 print(f"sphere R = {R:g} nm; modulations h = {H:g} nm; roughness sigma = {SIGMA:g} nm")
 print(f"{'surface':>8} {'kind':>9} {'case':>4} {'f(0)':>12} {'area (nm^2)':>14}")
 for name, f in surfaces.items():
-    tol = 1e-6 if f.kind == "analytic" else 1e-3
-    rep = case_number(f, tol=tol)
+    rep = case_number(f)
     print(f"{name:>8} {f.kind:>9} {rep.case_number:>4} "
           f"{evaluate(f, 0.0):>12.5g} {projected_area(f):>14.6g}")
     s = np.linspace(0.0, min(f.support_max, 3 * H), 600)

@@ -82,15 +82,8 @@ def predict(case_report: CaseReport, kernel: Kernel) -> AsymptoticLaw:
         prefactor = kernel.alpha * lead / math.factorial(n - 1)
     elif nu > n:
         form, exponent = LawForm.POWER_LAW, nu - n
-        try:
-            prefactor = kernel.alpha * lead * math.gamma(nu - n) / math.gamma(nu)
-        except OverflowError:
-            prefactor = math.inf
-        if not math.isfinite(prefactor):
-            # Gamma(nu) overflows past nu ~ 171.6, and alpha * lead *
-            # Gamma(nu - n) can overflow before the division; Gamma(nu - n)
-            # / Gamma(nu) is 1 / ((nu - 1) ... (nu - n)).
-            prefactor = kernel.alpha * lead / math.prod(nu - k for k in range(1, n + 1))
+        # Gamma(nu - n) / Gamma(nu) = 1 / ((nu - 1) ... (nu - n)).
+        prefactor = kernel.alpha * lead / math.prod(nu - k for k in range(1, n + 1))
     else:
         return AsymptoticLaw(LawForm.CONSTANT, prefactor=None, case_n=n, nu=nu)
     if not math.isfinite(prefactor):

@@ -254,8 +254,9 @@ class CaseReport:
 
     ``case_number`` is the order n of the first non-vanishing Taylor
     coefficient: f(0) = ... = f^{(n-2)}(0) = 0 and f^{(n-1)}(0) > 0.
-    ``taylor_coeffs`` holds the probed derivatives f^{(k)}(0), k = 0..K-1
-    (for an analytic (*) sampled distribution, n - 1 zeros and the leading one).
+    ``taylor_coeffs`` holds f^{(k)}(0) for k up to the first segment's degree
+    (the fitted ones up to SAMPLED_FIT_DEGREE on sampled data; for an analytic
+    (*) sampled distribution, n - 1 zeros and the leading one).
     """
 
     case_number: int
@@ -441,11 +442,6 @@ def to_sampled(f: HeightDistribution, n: int = 2048, bin_width: float | None = N
         delta = f.support_max / (n - 1)
     s = np.arange(n) * delta
     return HeightDistribution.sampled(delta, evaluate(f, s), f.unit_area_normalized)
-
-
-def _max_density(f: HeightDistribution, n: int = 4096) -> float:
-    s = np.linspace(0.0, f.support_max, n)
-    return float(np.max(evaluate(f, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +739,12 @@ def _convolve_rows(fa: HeightDistribution, fb: HeightDistribution, tol: float):
 
 def _convolve_analytic(fa: HeightDistribution, fb: HeightDistribution) -> HeightDistribution:
     tol = 1e-12 * (fa.support_max + fb.support_max)
-    breaks, coeffs = _convolve_rows(fa, fb, tol)
+    # Scales far apart can overflow the pair algebra; the result is checked once.
+    with np.errstate(all="ignore"):
+        breaks, coeffs = _convolve_rows(fa, fb, tol)
+    if not np.isfinite(coeffs).all():
+        raise NumericError(f"exact convolution of supports [0, {fa.support_max:g}] and "
+                           f"[0, {fb.support_max:g}] nm has a coefficient beyond the float range")
     unit = fa.unit_area_normalized and fb.unit_area_normalized
     return HeightDistribution.analytic(breaks, coeffs, unit_area_normalized=unit)
 
@@ -816,19 +817,23 @@ def _convolve_numeric(fa: HeightDistribution, fb: HeightDistribution) -> HeightD
 # ---------------------------------------------------------------------------
 
 def case_number(f: HeightDistribution, tol: float = 1e-6) -> CaseReport:
-    """Order of the first non-vanishing Taylor coefficient of f at s = 0.
+    """Order n of the first non-vanishing Taylor coefficient of f at s = 0.
 
-    Analytic distributions read every coefficient of their first segment,
-    so any case number their degree allows is found.  Sampled data are
-    classified from a windowed polynomial fit of degree SAMPLED_FIT_DEGREE,
-    which resolves case numbers up to SAMPLED_FIT_DEGREE + 1.  An analytic
-    (*) sampled distribution adds its factors' case numbers and multiplies
+    On an analytic distribution these are the exact coefficients c_k of its
+    first segment: n - 1 is the index of the first non-zero one and
+    f^(n-1)(0) = (n-1)! c_(n-1), so any case number the degree allows is
+    found.  A first segment that is all zero, with f non-zero beyond it,
+    raises UnclassifiableError naming that interval.  An analytic (*)
+    sampled distribution adds its factors' case numbers and multiplies
     their leading derivatives: a s^(p-1)/(p-1)! (*) b s^(q-1)/(q-1)! is
     a b s^(p+q-1)/(p+q-1)!.
 
-    A probed derivative f^(k)(0) counts as zero when the dimensionless scale
-    |f^(k)(0)| * support_max^k / max_s f(s) falls below ``tol``, or (sampled
-    data only) when it is insignificant against the fit's standard error.
+    Sampled data are classified from a windowed polynomial fit of degree
+    SAMPLED_FIT_DEGREE, which resolves case numbers up to
+    SAMPLED_FIT_DEGREE + 1.  A fitted f^(k)(0) counts as zero when
+    |f^(k)(0)| * support_max^k / max f, max f the largest node value, falls
+    below ``tol``, or when it is insignificant against the fit's standard
+    error.  ``tol`` decides only on sampled data.
     """
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError("tol must be in (0, 1)")
@@ -837,43 +842,44 @@ def case_number(f: HeightDistribution, tol: float = 1e-6) -> CaseReport:
         n = a.case_number + b.case_number
         lead = a.leading_coefficient * b.leading_coefficient
         return CaseReport(n, lead, (0.0,) * (n - 1) + (lead,))
-    fmax = _max_density(f)
-    if fmax <= 0.0:
-        raise UnclassifiableError("distribution is identically zero")
-    T = f.support_max
 
     if f.kind == "analytic":
-        coeffs = f.coeffs[0, : _degrees(f.coeffs[:1])[0] + 1].tolist()
-        derivs = np.array([math.factorial(k) * c for k, c in enumerate(coeffs)])
-        errs = np.zeros(len(coeffs))
-    else:
-        derivs, errs = _fit_derivatives_at_zero(f, SAMPLED_FIT_DEGREE)
-
-    for k in range(len(derivs)):
-        significant = abs(derivs[k]) * T**k / fmax >= tol and abs(derivs[k]) > 3.0 * errs[k]
-        if significant:
-            if derivs[k] < 0.0:
-                raise UnclassifiableError(
-                    f"first significant derivative (order {k}) is negative; "
-                    "input is not a valid height distribution near s=0"
-                )
-            return CaseReport(
-                case_number=k + 1,
-                leading_coefficient=float(derivs[k]),
-                taylor_coeffs=tuple(float(v) for v in derivs),
+        nonzero = np.flatnonzero(f.coeffs[0])
+        if not len(nonzero):
+            raise UnclassifiableError(
+                f"distribution is zero on its first segment [0, {f.breaks[1]:g}] nm"
+                if f.coeffs.any() else "distribution is identically zero"
             )
-    raise UnclassifiableError(
-        f"all probed derivatives of order 0..{len(derivs) - 1} are below tolerance {tol:g}"
-    )
+        k = int(nonzero[0])
+        coeffs = f.coeffs[0, : nonzero[-1] + 1].tolist()
+        derivs = [math.factorial(j) * c for j, c in enumerate(coeffs)]
+    else:
+        fmax = float(f.values.max())
+        if fmax <= 0.0:
+            raise UnclassifiableError("distribution is identically zero")
+        T = f.support_max
+        derivs, errs = _fit_derivatives_at_zero(f, SAMPLED_FIT_DEGREE, fmax)
+        k = next((j for j, (c, e) in enumerate(zip(derivs, errs))
+                  if abs(c) * T**j / fmax >= tol and abs(c) > 3.0 * e), None)
+        if k is None:
+            raise UnclassifiableError(
+                f"all probed derivatives of order 0..{len(derivs) - 1} are below tolerance {tol:g}"
+            )
+    if derivs[k] < 0.0:
+        raise UnclassifiableError(
+            f"first significant derivative (order {k}) is negative; "
+            "input is not a valid height distribution near s=0"
+        )
+    return CaseReport(k + 1, float(derivs[k]), tuple(float(v) for v in derivs))
 
 
-def _fit_derivatives_at_zero(f: HeightDistribution, degree: int):
+def _fit_derivatives_at_zero(f: HeightDistribution, degree: int, fmax: float):
     """Derivatives at s=0 from a windowed polynomial fit to sampled data.
 
     The window starts at 5% of the support and halves until the polynomial
     model actually fits (relative residual < 1e-3) or the window hits the
     minimum point count; multi-scale distributions need the shrinking step.
-    Returns (derivatives, standard errors).
+    ``fmax`` is the largest node value; returns (derivatives, standard errors).
     """
     s = f.grid
     vals = np.asarray(f.values)
@@ -881,16 +887,12 @@ def _fit_derivatives_at_zero(f: HeightDistribution, degree: int):
     if len(s) < min_pts:
         min_pts = max(degree + 2, len(s))
 
-    # Start at 5% of the support, but never extend past the rise of the
-    # density itself (multi-scale convolutions ramp up on a much shorter
-    # scale than the support), then halve until the polynomial model
-    # actually fits or the window hits the minimum point count.
-    fmax = float(vals.max())
+    # The window never extends past the rise of the density itself: multi-
+    # scale convolutions ramp up on a much shorter scale than the support.
     above = np.nonzero(vals >= 0.25 * fmax)[0]
     window = 0.05 * f.support_max
     if len(above) and s[above[0]] > 0:
         window = min(window, s[above[0]])
-    best = None
     while True:
         # Rounding slack on the grid's own scale: an absolute slack holds
         # every point of a grid finer than it, and the window never shrinks.
@@ -913,17 +915,13 @@ def _fit_derivatives_at_zero(f: HeightDistribution, degree: int):
             cerr = np.sqrt(np.maximum(np.diag(cov), 0.0))
         except np.linalg.LinAlgError:
             cerr = np.full(degree + 1, np.inf)
-        best = (coef, cerr, w)
         if rel < 1e-3 or m.sum() <= min_pts:
             break
         window /= 2.0
 
-    coef, cerr, w = best
     ks = np.arange(degree + 1)
     fact = np.array([math.factorial(int(k)) for k in ks], dtype=float)
-    derivs = coef * fact / w**ks
-    errs = cerr * fact / w**ks
-    return derivs, errs
+    return coef * fact / w**ks, cerr * fact / w**ks
 
 
 # ---------------------------------------------------------------------------

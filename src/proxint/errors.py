@@ -17,11 +17,12 @@ class ConfigError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A numerical procedure failed to reach its target tolerance."""
+    """A computed result is not a finite float.
 
-    def __init__(self, message: str, achieved: float | None = None):
-        super().__init__(message)
-        self.achieved = achieved
+    Raised for an interaction, its ratio to the far field, a projected area,
+    a predicted prefactor or an exact-convolution coefficient beyond the
+    float range.
+    """
 
 
 class FitError(RuntimeError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from proxint import (
+    CaseReport,
     FitError,
     InvalidParameterError,
     Kernel,
@@ -93,12 +94,18 @@ class TestPredict:
         assert law.exponent == nu - n
         assert law.prefactor == pytest.approx(float(want), rel=1e-14)
 
-    @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_prefactor_within_the_gamma_range_uses_gamma(self, n):
-        rep = case_number(monomial(n))
-        for nu in np.linspace(n + 0.01, 171.5, 97).tolist():
-            law = predict(rep, Kernel(ALPHA, nu))
-            assert law.prefactor == ALPHA * rep.leading_coefficient * math.gamma(nu - n) / math.gamma(nu)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_prefactor_against_mpmath(self, n):
+        # alpha f^(n-1)(0) / ((nu - 1) ... (nu - n)): each nu - k is exact, so
+        # n + 1 roundings hold it within (2n + 2) 2^-53 of the Gamma form.
+        rng = np.random.default_rng(n)
+        for i in range(200):
+            nu = float(rng.integers(n + 1, 171)) if i % 2 else rng.uniform(n + 1e-6, 170.0)
+            alpha, lead = 10.0 ** rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-20.0, 20.0)
+            law = predict(CaseReport(n, lead, (0.0,) * (n - 1) + (lead,)), Kernel(alpha, nu))
+            with mpmath.workdps(50):
+                want = mpmath.mpf(alpha) * lead * mpmath.gamma(mpmath.mpf(nu) - n) / mpmath.gamma(nu)
+                assert abs(law.prefactor - want) <= (2 * n + 2) * 2.0**-53 * want, (nu, alpha, lead)
 
     def test_marginal_log_detection(self):
         rep = case_number(monomial(2))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -72,6 +72,10 @@ per_decade = 20
 base = sphere radius=50000
 layer.1 = dome height=50
 """
+
+
+# A stack whose exact convolution overflows, though each layer is valid.
+OVERFLOW_STACK = "[curve.c]\nbase = sphere radius=4.02821e+135\nlayer.1 = pyramid height=2.28978e-144\n"
 
 
 class TestConfig:
@@ -363,6 +367,20 @@ class TestShapeCommand:
         coeffs = np.polyfit(data[:, 0], data[:, 1], 1)
         resid = data[:, 1] - np.polyval(coeffs, data[:, 0])
         assert np.abs(resid).max() < 1e-6 * data[:, 1].max()
+
+    def test_exact_convolution_overflow_exits_numeric(self, tmp_path, capsys):
+        # Each layer is valid, but scales 1e279 apart overflow the pair
+        # algebra: one error line naming both supports, no warning, no CSV.
+        out = tmp_path / "shape.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["shape", "--config", write_config(tmp_path, OVERFLOW_STACK), "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric error: exact convolution of supports [0, 4.02821e+135] and "
+            "[0, 2.28978e-144] nm has a coefficient beyond the float range\n")
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -740,7 +758,7 @@ class TestAsymptCommand:
         assert float(row["prefactor_pred"]) == pytest.approx(2 * np.pi * 100 / 199, rel=1e-14)
 
     def test_prefactor_past_the_float_range_of_the_gamma_form(self, tmp_path):
-        # alpha 2 pi R Gamma(132) overflows before the division by
+        # alpha 2 pi R Gamma(132) would overflow before a division by
         # Gamma(133); the prefactor is 2 pi R / 132 = 4.76e84.
         cfg = write_config(tmp_path, "[kernel]\nalpha = 1\nnu = 133\n[curve.s]\nbase = sphere radius=1e86\n")
         out = tmp_path / "rep.csv"
@@ -771,6 +789,15 @@ class TestAsymptCommand:
         assert row["form_fit"] == "power-law"
         assert float(row["prefactor_fit"]) == pytest.approx(float(row["prefactor_pred"]), rel=0.01)
         assert capsys.readouterr().err == ""
+
+    def test_zero_first_segment_exits_numeric(self, tmp_path, capsys):
+        # A rough layer with s0 > 8 sigma leaves f = 0 on [0, s0 - 8 sigma]:
+        # no Taylor coefficient at s = 0 is non-zero.
+        cfg = write_config(tmp_path, "[curve.s]\nbase = sphere radius=50000\nlayer.1 = rough sigma=1 s0=20\n")
+        out = tmp_path / "rep.csv"
+        assert main(["asympt", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric error: distribution is zero on its first segment [0, 12] nm\n"
+        assert not out.exists()
 
     def test_underflowed_window_exits_numeric(self, tmp_path, capsys):
         # At nu = 1000 the sphere's I(d) underflows to 0 past about 2 nm of
@@ -931,17 +958,18 @@ def cli_configs(draw):
 class TestContract:
     @settings(max_examples=50)
     @given(cli_configs())
+    @example((OVERFLOW_STACK, "shape"))
     def test_exit_codes_and_finite_output(self, config):
         # Exit 0, 2, 3 or 4 and never an exception; no CSV on exit 2 or 3
-        # (asympt writes its report on a failed verification, exit 4), and
-        # every number in a CSV finite.
+        # (asympt writes its report on a failed verification, exit 4),
+        # every number in a CSV finite, and no numpy warning escapes.
         text, command = config
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), text)
             out = Path(tmp) / "out.csv"
             with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.simplefilter("error", RuntimeWarning)
                 rc = main([command, "--config", cfg, "--out", str(out)])
             assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_VERIFY)
             assert out.exists() == (rc in (EXIT_OK, EXIT_VERIFY))

@@ -6,7 +6,9 @@ case numbers add, the projected areas multiply, I(d) strictly decreases in
 d, and ``predict`` picks the constant, logarithmic or power-law branch by
 the case number n against the kernel exponent nu.  With one measured
 (sampled) Gaussian roughness layer put anywhere in the layer order, the
-case numbers still add.  With zero to two such layers added and all layers
+case numbers still add, and a sphere on the analytic roughness is case 2
+with leading derivative 2 pi R f_r(0) for every touching distance s0 up
+to 8 sigma.  With zero to two such layers added and all layers
 permuted, I(d) does not depend on the layer order (convolution commutes)
 and still strictly decreases.  The exact convolution equals the
 term-by-term oracle bit for bit, on catalog stacks and on the analytic
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxint import (
@@ -28,6 +30,7 @@ from proxint import (
     compose_cases,
     convolve,
     dome_distribution,
+    evaluate,
     predict,
     projected_area,
     pyramid_distribution,
@@ -114,6 +117,18 @@ def test_case_numbers_add(stack):
 @given(one_rough_stacks())
 def test_case_numbers_add_with_one_rough_layer(stack):
     assert case_number(build(stack), tol=1e-3).case_number == compose_cases(cases(stack))
+
+
+@given(st.floats(min_value=1e3, max_value=2e5), st.floats(min_value=1.0, max_value=20.0),
+       st.floats(min_value=0.0, max_value=8.0))
+@example(5e4, 1.0, 8.0)
+def test_sphere_on_analytic_roughness_is_case_two(radius, sigma, ratio):
+    # f(s) = 2 pi R f_r(0) s + O(s^2) however small f_r(0) is: at s0 = 8
+    # sigma it is exp(-32) of the roughness peak.
+    rough = truncated_gaussian_distribution(sigma, ratio * sigma)
+    rep = case_number(convolve(sphere_distribution(radius), rough))
+    assert rep.case_number == 2
+    assert rep.leading_coefficient == pytest.approx(2 * math.pi * radius * evaluate(rough, 0.0), rel=1e-12)
 
 
 @given(stacks())
