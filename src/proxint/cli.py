@@ -45,10 +45,9 @@ from .errors import (
     UnclassifiableError,
 )
 from .heightmap import (
+    _histograms,
     distribution_from_histogram,
-    empirical_distribution,
     fit_gaussian,
-    gradient_distribution,
     load_heightmap,
     shift_to_contact,
 )
@@ -458,8 +457,7 @@ def cmd_heightmap(args) -> int:
     hm = shift_to_contact(hm)
     span = float(hm.values.max())
     bin_width = span / cfg.bins if span > 0 else 1.0
-    emp = empirical_distribution(hm, bin_width)
-    grad = gradient_distribution(hm, bin_width)
+    emp, grad = _histograms(hm, bin_width)
 
     lines = [f"# {_provenance(cfg, 'heightmap', f'input={os.path.basename(args.path)}')}"]
     nonempty = int(np.count_nonzero(emp.weights))

@@ -554,6 +554,25 @@ class TestHeightmapCommand:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    # Well-formed files whose analysis overflows: the span of the values,
+    # then the squared slope.  One stderr line naming it, exit 3, no CSV.
+    @pytest.mark.parametrize("rows, message", [
+        ("1e308 -1e308\n0 1\n",
+         "heightmap values span [-1e+308, 1e+308]: the span is not a finite float"),
+        ("1e300 2e300\n3e300 4e300\n",
+         "squared slope |grad S|^2 = inf at row 0, column 0: the slope^2-weighted area is not a finite float"),
+    ], ids=["span", "slope"])
+    def test_overflow_is_numeric_error(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "big.txt"
+        path.write_text("# heightmap v1 nx=2 ny=2 dx=1 dy=1\n" + rows)
+        out = tmp_path / "big.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["heightmap", str(path), "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric error: {message}\n"
+        assert not out.exists()
+
     def test_memory_budget(self, tmp_path, capsys):
         # At 512^2 the command holds at most four grids' bytes at once.
         hm = synthesize_surface([{"type": "cap", "radius": 5e4},

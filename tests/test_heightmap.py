@@ -372,6 +372,32 @@ class TestBlockReader:
         assert traced_peak(lambda: load_heightmap(tmp_path / "odd.txt")) <= 2.5 * n * n * 8
 
 
+WRITE_BLOCK = heightmap_module._WRITE_BLOCK
+# The least double the array writer takes: the double 1e-6 is below 10^-6.
+WRITER_LEAST = np.nextafter(1e-6, 1.0)
+
+
+def _writer_edges():
+    # Values at the edges of the array writer: +-0, 1e-6 and 1e16 and
+    # every power of ten between them with their neighbours a ulp away,
+    # values whose 18th significant digit is a 5 followed by zeros, which
+    # "%.17g" rounds half-even, and the negatives of all these.
+    edges = [0.0, -0.0]
+    for j in range(-6, 17):
+        power = float(f"1e{j}")
+        edges += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+    for k in range(-6, 16):
+        # Odd multiples of 2^(k-17) in [10^k, 10^(k+1)): 17 - k places
+        # after the point, so 18 significant digits ending in 5.
+        lo, hi = 10.0**k * 2.0 ** (17 - k), min(10.0 ** (k + 1) * 2.0 ** (17 - k), 2.0**53)
+        for c in np.linspace(lo, hi, 6)[1:-1]:
+            edges.append((2 * math.floor(c / 2) + 1) * 2.0 ** (k - 17))
+    return edges + [-v for v in edges]
+
+
+WRITER_EDGES = _writer_edges()
+
+
 class TestWriter:
     @given(
         st.lists(st.lists(DOUBLES, min_size=3, max_size=3), min_size=2, max_size=5),
@@ -395,6 +421,51 @@ class TestWriter:
         _save_per_value(hm, tmp_path / "values.txt")
         assert (tmp_path / "rows.txt").read_bytes() == (tmp_path / "values.txt").read_bytes()
         assert load_heightmap(tmp_path / "rows.txt").values.tobytes() == hm.values.tobytes()
+
+    # Grids of a few blocks: random magnitudes over the array path's range,
+    # with edge values dropped in, and with or without one value outside
+    # the range, whose block is written through the "%.17g" template.
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 3 * WRITE_BLOCK // 2),
+        st.lists(st.sampled_from(WRITER_EDGES), max_size=40),
+        st.sampled_from([None, 1e16, -1e17, 1e-6, 9.9e-7, 5e-324, 1e300]),
+    )
+    def test_blocks_match_per_value_writer(self, tmp_path_factory, seed, nx, edges, outside):
+        rng = np.random.default_rng(seed)
+        ny = max(2, -(-2 * WRITE_BLOCK // nx) + int(rng.integers(0, 2)))
+        vals = 10.0 ** rng.uniform(-6.0, 16.0, (ny, nx)) * rng.choice([-1.0, 1.0], (ny, nx))
+        for value in edges + ([] if outside is None else [outside]):
+            vals.flat[rng.integers(0, vals.size)] = value
+        hm = Heightmap(1.0, 1.0, vals)
+        out = tmp_path_factory.mktemp("write")
+        save_heightmap(hm, out / "blocks.txt")
+        _save_per_value(hm, out / "values.txt")
+        assert (out / "blocks.txt").read_bytes() == (out / "values.txt").read_bytes()
+
+    @pytest.mark.parametrize("layer", [
+        {"type": "rough", "sigma": 5.0, "xi": 60.0},
+        {"type": "pyramid", "height": 200.0, "tile": 500.0},
+    ], ids=lambda layer: "cap+" + layer["type"])
+    def test_scan_matches_per_value_writer(self, tmp_path, layer):
+        hm = synthesize_surface([{"type": "cap", "radius": R}, layer], n=512, extent=8000.0, seed=5)
+        save_heightmap(hm, tmp_path / "blocks.txt")
+        _save_per_value(hm, tmp_path / "values.txt")
+        assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "values.txt").read_bytes()
+
+    def test_array_path_and_its_fallback(self):
+        # Edge values inside the range take the array path; a block with a
+        # value outside it, or the double 1e-6 (below 10^-6), does not.
+        inside = np.array(WRITER_EDGES)
+        inside = inside[(inside == 0.0) | (np.abs(inside) >= WRITER_LEAST) & (np.abs(inside) < 1e16)]
+        assert 1e-6 not in inside
+        rows = np.empty((len(inside) + 1, 4), heightmap_module._WORD)
+        rows[:, 0] = np.frombuffer(heightmap_module._ROW_START, heightmap_module._WORD)
+        text = heightmap_module._format_block(inside, slice(len(inside) - 1, None), rows[:-1])
+        assert text.tobytes() == (" ".join("%.17g" % v for v in inside.tolist()) + "\n").encode()
+        for outside in (1e-6, 1e16, 5e-324, 1e300):
+            block = np.append(inside, outside)
+            assert heightmap_module._format_block(block, slice(len(block) - 1, None), rows) is None
 
 
 class TestShiftToContact:
@@ -654,6 +725,12 @@ class TestMemoryBudget:
     def test_synthesize(self, layers, budget):
         peak = traced_peak(lambda: synthesize_surface(layers, n=1024, extent=8000.0))
         assert peak <= budget * 4 * GRID_BYTES
+
+    def test_save(self, tmp_path):
+        # The writer holds one block's arrays and text, under 1 MiB, at any
+        # grid size.
+        hm = synthesize_surface([CAP, PYRAMID], n=1024, extent=16000.0)
+        assert traced_peak(lambda: save_heightmap(hm, tmp_path / "scan.txt")) <= 1 << 20
 
 
 class TestSynthesize:

@@ -1,0 +1,125 @@
+"""Digests of every file the figure recipes and the benchmark inputs give.
+
+    python3 tools/output_manifest.py [--seeds 1 2 3]
+
+Run from any directory; the program is imported from the ``src/`` of the
+checkout that holds this script, so two checkouts can be compared by
+running each one's copy.  In a temporary directory the script
+
+1. runs the figure presets: ``shape fig1``, ``sweep fig2`` and
+   ``fig2-inset``, ``asympt fig2``, ``fig2-inset`` and ``fig4``;
+2. for each seed, writes the inputs of all three benchmark workloads
+   with ``perfbench/inputs.py`` (its scans and tiles through
+   ``save_heightmap``), then runs ``sweep`` and ``asympt`` on every
+   config and ``heightmap`` on every scan and tile, the headerless CSV
+   scans with their spacings.
+
+It prints the sha256 of every input file, and for every command its exit
+code and the sha256 of each file it wrote, of its stdout and of its
+stderr, then one line ``manifest <sha256>`` over all the lines before.
+Commands run in process with relative paths, so no line depends on the
+temporary directory.  ``perfbench/`` is only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PRESETS = (
+    ("shape", "fig1"), ("sweep", "fig2"), ("sweep", "fig2-inset"),
+    ("asympt", "fig2"), ("asympt", "fig2-inset"), ("asympt", "fig4"),
+)
+WORKLOADS = ("sweep-sampled", "stacks-analytic", "scan-heightmap")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(directory: str) -> list[str]:
+    return sorted(os.path.relpath(os.path.join(top, name), directory)
+                  for top, _, names in os.walk(directory) for name in names)
+
+
+class Manifest:
+    """The lines printed so far; each command writes under out/<its number>/."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.commands = 0
+
+    def add(self, line: str) -> None:
+        self.lines.append(line)
+        print(line, flush=True)
+
+    def digest_files(self, directory: str, label: str) -> None:
+        for name in _files(directory):
+            with open(os.path.join(directory, name), "rb") as fh:
+                self.add(f"{label} {name} {_sha(fh.read())}")
+
+    def run(self, argv: list[str], out_name: str) -> None:
+        import proxint.cli as cli
+
+        out_dir = os.path.join("out", str(self.commands))
+        self.commands += 1
+        os.makedirs(out_dir)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, "--out", os.path.join(out_dir, out_name)])
+        label = " ".join(argv)
+        self.add(f"{label} exit {code}")
+        self.digest_files(out_dir, f"{label} wrote")
+        self.add(f"{label} stdout {_sha(stdout.getvalue().encode())}")
+        self.add(f"{label} stderr {_sha(stderr.getvalue().encode())}")
+
+
+def _workload_commands(manifest: Manifest, workload: str, seed: int) -> None:
+    import inputs
+
+    indir = os.path.join("in", f"{workload}-{seed}")
+    spec = inputs.generate(workload, seed, indir)
+    manifest.digest_files(indir, f"input {workload} seed={seed}")
+    for name in _files(indir):
+        path = os.path.join(indir, name)
+        if name.endswith(".ini"):
+            for command in ("sweep", "asympt"):
+                manifest.run([command, "--config", path], f"{name[:-4]}.csv")
+        elif name.endswith(".txt"):
+            manifest.run(["heightmap", path], f"{name[:-4]}.csv")
+    for scan in spec.get("scans", ()):
+        path = os.path.join(indir, os.path.basename(scan["csv"]))
+        manifest.run(["heightmap", path, "--dx", "%.17g" % scan["dx"], "--dy", "%.17g" % scan["dy"]],
+                     f"{scan['name']}.csvin.csv")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3],
+                        help="perfbench seeds whose inputs to write and run (default: 1 2 3)")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    manifest = Manifest()
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="proxint-manifest-") as work:
+        os.chdir(work)
+        try:
+            for command, preset in PRESETS:
+                manifest.run([command, "--preset", preset], f"{preset}.csv")
+            for seed in args.seeds:
+                for workload in WORKLOADS:
+                    _workload_commands(manifest, workload, seed)
+        finally:
+            os.chdir(start)
+    print(f"manifest {_sha(chr(10).join(manifest.lines).encode())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
