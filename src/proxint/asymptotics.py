@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fmt import FMT
 from .distributions import CaseReport
 from .errors import FitError, InvalidParameterError, NumericError
 from .interaction import InteractionCurve, Kernel
@@ -225,7 +226,7 @@ class VerificationReport:
 
     def csv_row(self, shape: str) -> str:
         def fmt(v):
-            return "%.17g" % v if v is not None else ""
+            return FMT % v if v is not None else ""
 
         pred, fit = self.predicted, self.fitted
         return ",".join([

@@ -23,6 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._fmt import FMT, table
 from .asymptotics import CSV_ROW_HEADER, fit_scaling, predict, smallest_decade, verify
 from .distributions import (
     GAUSSIAN_SUPPORT_SIGMAS,
@@ -45,6 +46,7 @@ from .errors import (
     UnclassifiableError,
 )
 from .heightmap import (
+    DEFAULT_BIN_FRACTION,
     _histograms,
     distribution_from_histogram,
     fit_gaussian,
@@ -52,8 +54,6 @@ from .heightmap import (
     shift_to_contact,
 )
 from .interaction import DEFAULT_D_REF, Kernel, curve_to_csv, heat_sio2_kernel, sweep
-
-FMT = "%.17g"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,7 +191,7 @@ class ScenarioConfig:
         self.separations: np.ndarray  # always set by build_config
         self.d_ref = DEFAULT_D_REF
         self.far_field: float | None = None
-        self.bins = 512
+        self.bins = DEFAULT_BIN_FRACTION
         self.tol = 0.05
         self.window: tuple[float, float] | None = None
 
@@ -317,14 +317,9 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
         cfg.curves.append(ShapeStack(name.split(".", 1)[1], base + mods))
 
     if args is not None:
-        if getattr(args, "dref", None) is not None:
-            cfg.d_ref = args.dref
-        if getattr(args, "bins", None) is not None:
-            cfg.bins = args.bins
-        if getattr(args, "farfield", None) is not None:
-            cfg.far_field = args.farfield
-        if getattr(args, "tol", None) is not None:
-            cfg.tol = args.tol
+        for flag, attr in (("dref", "d_ref"), ("bins", "bins"), ("farfield", "far_field"), ("tol", "tol")):
+            if getattr(args, flag, None) is not None:
+                setattr(cfg, attr, getattr(args, flag))
         if getattr(args, "window", None) is not None:
             try:
                 lo, hi = (float(t) for t in args.window.split(","))
@@ -393,15 +388,6 @@ def _require_curves(cfg: ScenarioConfig) -> None:
         raise ConfigError("config defines no [curve.*] sections")
 
 
-def _csv_rows(*columns) -> list[str]:
-    """One CSV line per row of the columns, each value as FMT.
-
-    Rows are formatted from Python floats with one ``%`` per row; the text
-    is the same as FMT applied to each numpy value."""
-    template = ",".join([FMT] * len(columns))
-    return [template % row for row in zip(*(np.asarray(c).tolist() for c in columns))]
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -418,11 +404,10 @@ def cmd_shape(args) -> int:
         # Before the file is opened, so that an area that overflows leaves
         # no partial table.
         area = projected_area(dist)
+        head = [f"# {_provenance(cfg, 'shape', f'curve={stack.label}: {stack.describe()}')}", "s_nm,f"]
         path = _curve_path(args.out, stack.label, many)
         with open(path, "w") as fh:
-            fh.write(f"# {_provenance(cfg, 'shape', f'curve={stack.label}: {stack.describe()}')}\n")
-            fh.write("s_nm,f\n")
-            fh.write("".join(line + "\n" for line in _csv_rows(s, f)))
+            fh.write(table(head, (s, f)))
         print(f"{stack.label}: support={dist.support_max:g} nm, area={area:.6g} nm^2 -> {path}")
     return EXIT_OK
 
@@ -437,12 +422,10 @@ def cmd_sweep(args) -> int:
         curve = sweep(dist, cfg.kernel, cfg.separations, subtract_at=cfg.d_ref)
         if cfg.far_field is not None:
             curve = curve.with_ratio(cfg.far_field)
+        text = curve_to_csv(curve, _provenance(cfg, "sweep", f"curve={stack.label}: {stack.describe()}"))
         path = _curve_path(args.out, stack.label, many)
         with open(path, "w") as fh:
-            fh.write(curve_to_csv(
-                curve,
-                provenance=_provenance(cfg, "sweep", f"curve={stack.label}: {stack.describe()}"),
-            ))
+            fh.write(text)
         head = f"{stack.label}: I({curve.separations[0]:g} nm) = {curve.values[0]:.6g} nW"
         if curve.ratios is not None:
             head += f" (ratio {curve.ratios[0]:.4g})"
@@ -455,9 +438,13 @@ def cmd_heightmap(args) -> int:
     _check_out(args.out)
     hm = load_heightmap(args.path, dx=args.dx, dy=args.dy)
     hm = shift_to_contact(hm)
-    span = float(hm.values.max())
-    bin_width = span / cfg.bins if span > 0 else 1.0
-    emp, grad = _histograms(hm, bin_width)
+    emp, grad = _histograms(hm, cfg.bins)
+    # Both histograms bin the same cells, so they have the same length.
+    w = emp.bin_width
+    with np.errstate(over="ignore"):
+        columns = ((np.arange(len(emp.weights)) + 0.5) * w, emp.weights / w, grad.weights / w)
+    if not np.isfinite(columns).all():
+        raise NumericError(f"bin width {w!r}: a density f or g per nm is not a finite float")
 
     lines = [f"# {_provenance(cfg, 'heightmap', f'input={os.path.basename(args.path)}')}"]
     nonempty = int(np.count_nonzero(emp.weights))
@@ -481,14 +468,10 @@ def cmd_heightmap(args) -> int:
             lines.append(f"# case_n=unclassifiable ({exc})")
             print(f"classification: unclassifiable ({exc})")
 
-    lines.append("s_nm,f_nm,g_nm")
-    # Both histograms bin the same cells, so they have the same length.
-    n = len(emp.weights)
-    centers = (np.arange(n) + 0.5) * bin_width
-    lines.extend(_csv_rows(centers, emp.weights / bin_width, grad.weights / bin_width))
+    text = table(lines + ["s_nm,f_nm,g_nm"], columns)
     with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"area={hm.area:.6g} nm^2, bins={n} -> {args.out}")
+        fh.write(text)
+    print(f"area={hm.area:.6g} nm^2, bins={len(emp.weights)} -> {args.out}")
     return EXIT_OK
 
 
@@ -528,10 +511,8 @@ def cmd_asympt(args) -> int:
 def _add_common(p: argparse.ArgumentParser, out_required: bool = True):
     p.add_argument("--config", help="scenario config file (INI sections)")
     p.add_argument("--preset", help="named recipe: " + ", ".join(sorted(PRESETS)))
-    if out_required:
-        p.add_argument("--out", required=True, help="output CSV path")
-    else:
-        p.add_argument("--out", help="optional CSV report path")
+    p.add_argument("--out", required=out_required,
+                   help="output CSV path" if out_required else "optional CSV report path")
 
 
 def make_parser() -> argparse.ArgumentParser:

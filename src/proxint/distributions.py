@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fmt import FMT, table
 from .errors import InvalidParameterError, NumericError, ParseError, UnclassifiableError
 
 __all__ = [
@@ -930,16 +931,11 @@ def _fit_derivatives_at_zero(f: HeightDistribution, degree: int, fmax: float):
 
 def distribution_to_text(f: HeightDistribution) -> str:
     """Serialize to the v1 text format (bit-exact round trip for analytic)."""
-    lines = [
-        f"# height-distribution v1, kind={f.kind}, unit_area={int(f.unit_area_normalized)}"
-    ]
-    if f.kind == "analytic":
-        for hi, (lo, _, coeffs) in zip(f.breaks[1:].tolist(), _rows(f)):
-            lines.append(",".join("%.17g" % v for v in [lo, hi, *coeffs]))
-    else:
-        for k, v in enumerate(f.values):
-            lines.append("%.17g,%.17g" % (k * f.bin_width, v))
-    return "\n".join(lines) + "\n"
+    head = f"# height-distribution v1, kind={f.kind}, unit_area={int(f.unit_area_normalized)}"
+    if f.kind == "sampled":
+        return table([head], (f.grid, f.values))
+    rows = (",".join(FMT % v for v in [lo, hi, *c]) for hi, (lo, _, c) in zip(f.breaks[1:].tolist(), _rows(f)))
+    return "\n".join([head, *rows]) + "\n"
 
 
 def text_to_distribution(text: str) -> HeightDistribution:

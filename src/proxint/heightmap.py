@@ -16,13 +16,13 @@ Heightmaps are immutable after construction; all functions are pure.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fmt import FMT, write_rows
 from .distributions import HeightDistribution, _convolve
 from .errors import FitError, InvalidParameterError, NumericError, ParseError
 
@@ -46,7 +46,7 @@ __all__ = [
     "compose_gradient",
 ]
 
-# Default histogram resolution: bin width = value range / 512.
+# Default histogram resolution (library and CLI): bin width = span / 512, 1 nm if flat.
 DEFAULT_BIN_FRACTION = 512
 
 
@@ -260,226 +260,11 @@ def _scan_lines(lines: list[str], lineno: int, width: int | None = None) -> np.n
 
 
 def save_heightmap(hm: Heightmap, path) -> None:
-    """Write the v1 text format: every value as "%.17g" writes it, so
-    load_heightmap reads back the same doubles.
-
-    The values go out a block of ``_WRITE_BLOCK`` at a time, in row-major
-    order.  ``_format_block`` writes a block whose values are all 0 or of
-    magnitude in [10^-6, 10^16) with array operations; any other block goes
-    through a "%.17g" template.  Besides the grid, the writer holds less
-    than 1 MiB.
-    """
-    flat = hm.values.reshape(-1)
-    rows = np.empty((min(flat.size, _WRITE_BLOCK), 4), _WORD)
-    rows[:, 0] = np.frombuffer(_ROW_START, _WORD)
+    """Write the v1 text format: every value as FMT writes it, so
+    load_heightmap reads back the same doubles."""
     with open(path, "wb") as fh:
-        fh.write(f"# heightmap v1 nx={hm.nx} ny={hm.ny} dx={'%.17g' % hm.dx} dy={'%.17g' % hm.dy}\n".encode())
-        for start in range(0, flat.size, _WRITE_BLOCK):
-            block = flat[start:start + _WRITE_BLOCK]
-            newlines = slice((hm.nx - 1 - start) % hm.nx, None, hm.nx)
-            text = _format_block(block, newlines, rows[:len(block)])
-            if text is None:
-                text = bytearray(b"%.17g " * len(block))
-                np.frombuffer(text, np.uint8)[5::6][newlines] = ord("\n")
-                text %= tuple(block.tolist())
-            fh.write(text)
-
-
-# ---------------------------------------------------------------------------
-# "%.17g" of an array
-# ---------------------------------------------------------------------------
-
-# Values per block of save_heightmap; the writer's arrays peak at about
-# 150 bytes a value of a block.
-_WRITE_BLOCK = 4096
-
-# _format_block writes each value as a row of four little-endian words, and
-# a mask then keeps the bytes "%.17g" writes.  The first word is
-# _ROW_START: "-", and "0.000" of 1e-4 <= |v| < 1 (its "0" alone writes 0).
-# The other three, the digit words, hold the 17 digits, "e-0" and "56", the
-# exponent digits of 1e-6 <= |v| < 1e-4, and the separator.  "." goes in
-# after the (k+1)th digit in fixed notation, or after the first in exponent
-# notation, k being the decimal exponent of |v| rounded to 17 digits; the
-# bytes after it move up by one.
-_ROW_START = b"__-0.000"
-_WORD, _HALF = np.dtype("<u8"), np.dtype("<u4")
-_DOTS = np.frombuffer(b"........", _WORD)[0]
-# The decimal exponents of the values _format_block writes, and the least
-# such value: the double 1e-6 lies below 10^-6.
-_K_MIN, _K_MAX = -6, 15
-_LEAST = math.nextafter(1e-6, 1.0)
-# Veltkamp's splitting constant for doubles, 2^27 + 1.
-_SPLIT = 134217729.0
-
-
-@functools.lru_cache(maxsize=None)
-def _format_tables():
-    """The read-only tables of ``_format_block``, built on its first call.
-
-    ``groups[g]``: the 4 ASCII digits of g < 10^4, as one half-word.
-    ``last[d]``: the digit d, then "e-0", as one half-word.
-    ``trailing[g]``: the trailing zeros of g as four digits, 4 for g = 0.
-    ``scales[i][k - _K_MIN]``: 10^(16 - k), exact, and its Veltkamp halves.
-    ``dots[i][k - _K_MIN]``: the masks of a row's bytes before the place of
-    "." (i = 0) and of that place (i = 1), as four words.
-    ``masks[key]``: the bytes of a row that "%.17g" writes, for
-    key = (negative * 22 + k - _K_MIN) * 17 + significant digits - 1, and
-    for keys 748 + negative, a zero.
-    """
-    # Built from arrays of 16 bits or less, so that the heap a process
-    # keeps after its first write grows little.
-    g = np.arange(10_000, dtype=np.uint16)
-    digits = np.empty((10_000, 4), np.uint8)
-    trailing = np.zeros(10_000, np.int8)
-    for i, power in enumerate((1000, 100, 10, 1)):
-        digits[:, i] = g // power % 10 + ord("0")
-        trailing += g % (10_000 // power) == 0
-    groups = digits.view(_HALF).ravel()
-    last = np.frombuffer(b"".join(b"%de-0" % d for d in range(10)), _HALF).copy()
-    scale = np.array([float(10 ** (16 - k)) for k in range(_K_MIN, _K_MAX + 1)])
-    high = scale * _SPLIT
-    high -= high - scale
-    scales = (scale, high, scale - high)
-
-    k = np.arange(_K_MIN, _K_MAX + 1)
-    # The byte of a row where "." goes; in 1e-4 <= |v| < 1, none.
-    place = 8 + np.where(k >= 0, k + 1, np.where(k >= -4, 32, 1))[:, None]
-    byte = np.arange(32)
-    dots = tuple(np.where(cut, 0xFF, 0).astype(np.uint8).view(_WORD) for cut in (byte < place, byte == place))
-
-    # Once "." is in, the digit words (bytes 8-31 of a row) hold the digits
-    # and "." from byte 8, "e-0" at bytes 26-28, "5" at 29, "6" at 30 and
-    # the separator at 31; where no "." goes in, the separator is at 30.
-    neg, k, s = (x.ravel() for x in np.meshgrid([0, 1], k, np.arange(1, 18), indexing="ij"))
-    fixed = k >= 0
-    small = ~fixed & (k >= -4)
-    masks = np.zeros((len(k) + 2, 32), bool)
-    masks[:-2, 2] = neg
-    masks[:-2, 3:8] = np.arange(5) < np.where(small, 1 - k, 0)[:, None]
-    # Bytes kept from byte 8: in fixed notation the k + 1 integer digits,
-    # then "." and the significant fraction digits if there are any; in
-    # 1e-4 <= |v| < 1 the significant digits; in exponent notation the
-    # first digit, then "." and the other significant digits if any.
-    kept = np.where(fixed, np.maximum(s, k + 1) + (s > k + 1), np.where(small, s, s + (s > 1)))
-    masks[:-2, 8:26] = np.arange(18) < kept[:, None]
-    masks[:-2, 26:29] = (k <= -5)[:, None]
-    masks[:-2, 29] = k == -5
-    masks[:-2, 30] = (k == -6) | small
-    masks[:-2, 31] = ~small
-    masks[-2:, 3] = True
-    masks[-1, 2] = True
-    masks[-2:, 31] = True
-    for table in (groups, last, trailing, *scales, *dots, masks):
-        table.setflags(write=False)
-    return groups, last, trailing, scales, dots, masks
-
-
-def _format_block(v: np.ndarray, newlines: slice, rows: np.ndarray) -> np.ndarray | None:
-    """The bytes "%.17g" writes for each value of v, each followed by " ",
-    or by a newline at the values ``newlines`` selects; None if a value is
-    neither 0 nor of magnitude in [10^-6, 10^16).  ``rows`` starts with
-    ``_ROW_START`` and takes the digit words.
-    """
-    groups, last, trailing, scales, dots, masks = _format_tables()
-    a = np.abs(v)
-    zero = np.flatnonzero(a == 0.0)
-    a[zero] = 1.0
-    if not (a.min() >= _LEAST and a.max() < 1e16):
-        return None
-    k, n = _decimal_digits(a, scales)
-
-    # The 17 digits: four groups of four, then the last digit.
-    first16 = n // 10
-    n -= first16 * 10
-    upper = first16 // 10**8
-    lower = first16 - upper * 10**8
-    del first16
-    g1 = upper // 10**4
-    g2 = upper - g1 * 10**4
-    g3 = lower // 10**4
-    g4 = lower - g3 * 10**4
-    # The key of each value's mask.  The significant digits are 17 less
-    # the trailing zeros, which seldom reach past the last five digits.
-    zeros = np.where(n == 0, trailing.take(g4) + 1, 0)
-    more = np.flatnonzero(zeros == 5)
-    for group in (g3, g2, g1):
-        if not more.size:
-            break
-        digits = group[more]
-        zeros[more] += trailing.take(digits)
-        more = more[digits == 0]
-    key = k * 17
-    key += 16
-    key -= zeros
-    negative = np.signbit(v)
-    if negative.any():
-        key += negative * (22 * 17)
-    key[zero] = 2 * 22 * 17 + negative[zero]
-
-    halves = rows.view(_HALF)
-    for column, group in enumerate((g1, g2, g3, g4), start=2):
-        halves[:, column] = groups.take(group)
-    halves[:, 6] = last.take(n)
-    halves[:, 7] = np.frombuffer(b"56 \0", _HALF)
-    halves[newlines, 7] = np.frombuffer(b"56\n\0", _HALF)
-    del n, upper, lower, g1, g2, g3, g4
-    # "." goes in: the bytes at and after its place move up by one.  The
-    # last byte of a row is 0, so nothing moves from one row to the next.
-    words = rows.reshape(-1)
-    moved = words << 8
-    moved[1:] |= words[:-1] >> 56
-    before, place = dots
-    words ^= moved
-    words &= before.take(k, axis=0).reshape(-1)
-    words ^= moved
-    np.bitwise_xor(words, _DOTS, out=moved)
-    moved &= place.take(k, axis=0).reshape(-1)
-    words ^= moved
-    del moved
-    return rows.view(np.uint8)[masks.take(key, axis=0)]
-
-
-def _decimal_digits(a: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
-    """(k - _K_MIN, the 17 digits of a as an integer) for 10^-6 <= a < 10^16,
-    k the decimal exponent of a rounded to 17 digits as "%.17g" rounds.
-
-    P = a 10^(16 - k) lies in [10^16, 10^17), and 10^(16 - k) <= 10^22 is a
-    double, so Dekker's two-product gives P exactly as p + err.  p, a
-    double above 2^53, is an even integer, so p + rint(err) is P rounded
-    half-even to an integer.  No double in range lies within half a unit
-    of the 17th digit below a power of ten, so that integer stays below
-    10^17.
-    """
-    # k from log10, which misses by at most one next to a power of ten.
-    k = np.log10(a)
-    np.floor(k, out=k)
-    k = k.astype(np.intp)
-    np.maximum(k, _K_MIN, out=k)
-    np.minimum(k, _K_MAX, out=k)
-    k -= _K_MIN
-    high = a * _SPLIT
-    high -= high - a
-    low = a - high
-
-    def two_product():
-        b, bh, bl = (scale.take(k) for scale in scales)
-        p = a * b
-        err = p - high * bh
-        err -= low * bh
-        err -= high * bl
-        np.subtract(low * bl, err, out=err)
-        return p, err
-
-    p, err = two_product()
-    if not (p.min() > 1e16 and p.max() < 1e17):
-        shift = ((p > 1e17) | ((p == 1e17) & (err >= 0))).astype(np.intp)
-        shift -= (p < 1e16) | ((p == 1e16) & (err < 0))
-        if shift.any():
-            k += shift
-            p, err = two_product()
-    n = p.astype(np.int64)
-    n += np.rint(err).astype(np.int64)
-    return k, n
+        fh.write(f"# heightmap v1 nx={hm.nx} ny={hm.ny} dx={FMT % hm.dx} dy={FMT % hm.dy}\n".encode())
+        fh.writelines(write_rows(hm.values, b" "))
 
 
 def shift_to_contact(hm: Heightmap) -> Heightmap:
@@ -501,15 +286,21 @@ def shift_to_contact(hm: Heightmap) -> Heightmap:
 # histograms
 # ---------------------------------------------------------------------------
 
-def _bin_indices(hm: Heightmap, bin_width: float | None, op: str) -> tuple[float, np.ndarray]:
+def _bin_indices(hm: Heightmap, bin_width: float | None, op: str,
+                 bins: int = DEFAULT_BIN_FRACTION) -> tuple[float, np.ndarray]:
     # Shared binning of empirical_distribution and gradient_distribution:
     # (bin width, bin index of every cell in row-major order).
     if not hm.contact_shifted:
         raise InvalidParameterError(f"{op} needs a contact-shifted heightmap")
+    top = float(hm.values.max())
     if bin_width is None:
-        bin_width = max(float(hm.values.max()), 1.0) / DEFAULT_BIN_FRACTION
+        bin_width = top / bins if top > 0.0 else 1.0
+        if not _is_normal(bin_width):
+            raise NumericError(f"heightmap span {top!r} over {bins} bins: the bin width is not a normal float")
     if not (bin_width > 0 and math.isfinite(bin_width)):
         raise InvalidParameterError("bin_width must be positive and finite")
+    if not top / bin_width < 2.0**63:
+        raise NumericError(f"bin width {bin_width!r}: the largest value {top!r} has no finite int64 bin index")
     scaled = hm.values.ravel() / bin_width
     np.floor(scaled, out=scaled)
     idx = scaled.astype(np.int64)
@@ -538,10 +329,10 @@ def gradient_distribution(hm: Heightmap, bin_width: float | None = None) -> Hist
     return _gradient_histogram(hm, bin_width, idx)
 
 
-def _histograms(hm: Heightmap, bin_width: float) -> tuple[Histogram, Histogram]:
-    """empirical_distribution and gradient_distribution at one bin width,
-    from one binning of the cells."""
-    bin_width, idx = _bin_indices(hm, bin_width, "heightmap analysis")
+def _histograms(hm: Heightmap, bins: int) -> tuple[Histogram, Histogram]:
+    """empirical_distribution and gradient_distribution of ``bins`` bins
+    over the span, from one binning of the cells."""
+    bin_width, idx = _bin_indices(hm, None, "heightmap analysis", bins)
     return _area_histogram(hm, bin_width, idx), _gradient_histogram(hm, bin_width, idx)
 
 
@@ -806,25 +597,27 @@ def distribution_from_histogram(
 
     Node k (at s = k * bin_width) takes the average of the adjacent cell
     densities, which reproduces linear densities exactly.  With ``area``
-    given, the result is per unit projected area.
+    given, the result is per unit projected area.  A density that is not a
+    finite float raises NumericError.
     """
     w = np.asarray(hist.weights, dtype=float)
     delta = hist.bin_width
-    dens = w / delta
-    if area is not None:
-        if not (area > 0 and math.isfinite(area)):
-            raise InvalidParameterError("area must be positive and finite")
-        dens = dens / area
+    if area is not None and not (area > 0 and math.isfinite(area)):
+        raise InvalidParameterError("area must be positive and finite")
     nodes = np.zeros(len(w) + 1)
-    nodes[1:-1] = (dens[:-1] + dens[1:]) / 2.0
-    # One-sided extrapolation at the support edges (cell averages sit at the
-    # cell centers); exact for linear densities, keeps f(0) of densities
-    # that jump at the origin.
-    if len(dens) >= 2:
-        nodes[0] = max(1.5 * dens[0] - 0.5 * dens[1], 0.0)
-        nodes[-1] = max(1.5 * dens[-1] - 0.5 * dens[-2], 0.0)
-    else:
-        nodes[0] = nodes[-1] = dens[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = w / delta if area is None else w / delta / area
+        nodes[1:-1] = (dens[:-1] + dens[1:]) / 2.0
+        # One-sided extrapolation at the support edges (cell averages sit at
+        # the cell centers); exact for linear densities, keeps f(0) of
+        # densities that jump at the origin.
+        if len(dens) >= 2:
+            nodes[0] = max(1.5 * dens[0] - 0.5 * dens[1], 0.0)
+            nodes[-1] = max(1.5 * dens[-1] - 0.5 * dens[-2], 0.0)
+        else:
+            nodes[0] = nodes[-1] = dens[0]
+    if not np.isfinite(nodes).all():
+        raise NumericError(f"histogram density at bin width {delta!r} is not a finite float")
     return HeightDistribution.sampled(delta, nodes, unit_area_normalized=False)
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fmt import table
 from .distributions import HeightDistribution, _convolve_analytic, _degrees
 from .errors import InvalidParameterError, NumericError, ParseError
 
@@ -421,15 +422,9 @@ def curve_to_csv(curve: InteractionCurve, provenance: str | None = None) -> str:
     arrays = [curve.separations, curve.values]
     if curve.ratios is not None:
         cols.append("ratio")
-        arrays.append(np.asarray(curve.ratios))
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append(",".join(cols))
-    # One % per row on Python floats: the same text as "%.17g" per numpy value.
-    template = ",".join(["%.17g"] * len(arrays))
-    lines.extend(template % row for row in zip(*(a.tolist() for a in arrays)))
-    return "\n".join(lines) + "\n"
+        arrays.append(curve.ratios)
+    head = [f"# {provenance}"] if provenance else []
+    return table(head + [",".join(cols)], arrays)
 
 
 def curve_from_csv(text: str, kernel: Kernel | None = None) -> InteractionCurve:

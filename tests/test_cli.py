@@ -22,23 +22,28 @@ import proxint.cli
 from proxint import (
     Heightmap,
     InteractionCurve,
+    InvalidParameterError,
+    ParseError,
     __version__,
     curve_to_csv,
     dome_distribution,
+    empirical_distribution,
     heat_sio2_kernel,
+    load_heightmap,
     pyramid_distribution,
     save_heightmap,
+    shift_to_contact,
     sphere_distribution,
     synthesize_surface,
     truncated_gaussian_distribution,
 )
+from proxint._fmt import table
 from proxint.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VERIFY,
     FMT,
-    _csv_rows,
     _parser,
     build_config,
     main,
@@ -573,6 +578,36 @@ class TestHeightmapCommand:
         assert capsys.readouterr().err == f"numeric error: {message}\n"
         assert not out.exists()
 
+    # Well-formed scans whose bins fail: a bin width that underflows, and
+    # densities per nm past the float range.
+    @pytest.mark.parametrize("text, message", [
+        ("# heightmap v1 nx=2 ny=2 dx=1 dy=1\n0 5e-324\n0 0\n",
+         "heightmap span 5e-324 over 512 bins: the bin width is not a normal float"),
+        ("# heightmap v1 nx=3 ny=3 dx=1e150 dy=1e150\n0 1e-10 2e-10\n3e-10 4e-10 5e-10\n6e-10 7e-10 8e-10\n",
+         "bin width 1.5625e-12: a density f or g per nm is not a finite float"),
+    ], ids=["subnormal-span", "density"])
+    def test_bins_outside_the_floats_are_numeric_errors(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scan.txt"
+        path.write_text(text)
+        out = tmp_path / "scan.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["heightmap", str(path), "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"numeric error: {message}\n"
+        assert not out.exists()
+
+    def test_library_default_bins_as_the_command(self, tmp_path, capsys):
+        # A 3x3 scan of 0.45 nm span: bins of span / 512 both ways.
+        hm = shift_to_contact(Heightmap(1.0, 1.0, np.linspace(0.0, 0.45, 9).reshape(3, 3)))
+        save_heightmap(hm, tmp_path / "scan.txt")
+        assert main(["heightmap", str(tmp_path / "scan.txt"), "--out", str(tmp_path / "scan.csv")]) == EXIT_OK
+        rows = [line for line in (tmp_path / "scan.csv").read_text().splitlines() if not line.startswith("#")]
+        f_nm = [float(row.split(",")[1]) for row in rows[1:]]
+        emp = empirical_distribution(hm)
+        assert emp.bin_width == 0.45 / 512
+        assert f_nm == (emp.weights / emp.bin_width).tolist()
+
     def test_memory_budget(self, tmp_path, capsys):
         # At 512^2 the command holds at most four grids' bytes at once.
         hm = synthesize_surface([{"type": "cap", "radius": 5e4},
@@ -1006,7 +1041,7 @@ class TestContract:
 
 
 # Reference writers, one "%.17g" call per numpy value, as the CSV writers
-# once were: the row writers must give the same bytes.
+# once were: the one writer of rows must give the same bytes.
 
 def _curve_to_csv_per_value(curve, provenance=None):
     cols = ["d_nm", "I_nW"]
@@ -1069,12 +1104,81 @@ class TestRowWriters:
     @given(_columns(2))
     def test_shape_rows_match_per_value_writer(self, columns):
         s, f = columns
-        assert "".join(line + "\n" for line in _csv_rows(s, f)) == _shape_rows_per_value(s, f)
+        assert table([], (s, f)) == _shape_rows_per_value(s, f)
 
     @given(_columns(3))
     def test_heightmap_rows_match_per_value_writer(self, columns):
-        assert _csv_rows(*columns) == _heightmap_rows_per_value(*columns)
+        assert table([], columns).splitlines() == _heightmap_rows_per_value(*columns)
 
     def test_rows_of_extremes(self):
         col = np.array(EXTREMES)
-        assert _csv_rows(col, -col, col[::-1]) == _heightmap_rows_per_value(col, -col, col[::-1])
+        assert table([], (col, -col, col[::-1])).splitlines() == _heightmap_rows_per_value(col, -col, col[::-1])
+
+
+# Scans for the heightmap command: magnitudes log-uniform over 1e+-300 with
+# either sign, flat grids, or spans of a few subnormals; spacings at the
+# edges of the normal floats.  A headerless scan (dx, dy given) is a CSV.
+NORMAL_EDGES = [2.2250738585072014e-308, 2.225073858507202e-308, 4.49423283715579e307,
+                1.7976931348623157e308, 1.4916681462400413e-154, 1.3407807929942596e154, 1.0]
+SPACINGS = st.one_of(st.sampled_from(NORMAL_EDGES),
+                     st.floats(-307.0, 307.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def heightmap_scans(draw):
+    ny, nx = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["log", "flat", "subnormal"]))
+    if kind == "log":
+        magnitude = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+        cell = st.one_of(st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(math.prod))
+        values = draw(st.lists(cell, min_size=nx * ny, max_size=nx * ny))
+    elif kind == "flat":
+        values = [draw(DOUBLES)] * (nx * ny)
+    else:
+        values = [k * 5e-324 for k in draw(st.lists(st.integers(0, 8), min_size=nx * ny, max_size=nx * ny))]
+    dx, dy = draw(SPACINGS), draw(SPACINGS)
+    rows = [values[j * nx:(j + 1) * nx] for j in range(ny)]
+    if draw(st.booleans()):
+        text = f"# heightmap v1 nx={nx} ny={ny} dx={dx!r} dy={dy!r}\n"
+        text += "".join(" ".join(map(repr, row)) + "\n" for row in rows)
+        dx = dy = None
+    else:
+        text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    return text, dx, dy, draw(st.none() | st.integers(1, 64))
+
+
+SUBNORMAL_SPAN = ("# heightmap v1 nx=2 ny=2 dx=1 dy=1\n0 5e-324\n0 0\n", None, None, None)
+
+
+class TestHeightmapContract:
+    @settings(max_examples=150, derandomize=True)
+    @given(heightmap_scans())
+    @example(SUBNORMAL_SPAN)
+    def test_exit_codes_and_finite_output(self, scan):
+        # A scan that loads exits 0 or 3, any other 2, never with an
+        # exception or a numpy warning; exits 2 and 3 print one stderr line
+        # and write no CSV, and every number in a CSV is finite.
+        text, dx, dy, bins = scan
+        argv = [] if dx is None else ["--dx", repr(dx), "--dy", repr(dy)]
+        argv += [] if bins is None else ["--bins", str(bins)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "scan.txt", Path(tmp) / "out.csv"
+            path.write_text(text)
+            try:
+                load_heightmap(path, dx, dy)
+                codes = (EXIT_OK, EXIT_NUMERIC)
+            except (ParseError, InvalidParameterError):
+                codes = (EXIT_CONFIG,)
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main(["heightmap", str(path), *argv, "--out", str(out)])
+            assert rc in codes, (scan, stderr.getvalue())
+            assert out.exists() == (rc == EXIT_OK)
+            if rc != EXIT_OK:
+                assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+                return
+            for line in out.read_text().splitlines():
+                if not line.startswith("#") and line != "s_nm,f_nm,g_nm":
+                    assert all(math.isfinite(float(tok)) for tok in line.split(",")), (scan, line)

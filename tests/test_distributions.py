@@ -486,6 +486,10 @@ class TestComposite:
         np.testing.assert_array_equal(evaluate(f, s), evaluate(eager, s))
         assert distribution_to_text(f) == distribution_to_text(eager)
 
+    def test_text_matches_per_value_writer(self, factors):
+        f = convolve(*factors)
+        assert distribution_to_text(f) == _sampled_text_per_value(f)
+
     def test_case_and_area_come_from_the_factors(self, factors):
         f = convolve(*factors)
         sphere, rough = factors
@@ -657,7 +661,29 @@ class TestCaseAdditivity:
 # serialization
 # ---------------------------------------------------------------------------
 
+def _sampled_text_per_value(f):
+    # Reference writer of sampled text, one "%.17g" call per value.
+    head = f"# height-distribution v1, kind=sampled, unit_area={int(f.unit_area_normalized)}\n"
+    return head + "".join("%.17g,%.17g\n" % (k * f.bin_width, v) for k, v in enumerate(f.values))
+
+
+# Node values at the edges of the array writer (+-0, 1e-6 and 1e16 with
+# their neighbours a ulp away) and outside it (subnormal, huge).
+TEXT_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-6, math.nextafter(1e-6, 1.0),
+              -math.nextafter(1e-6, 0.0), 0.1, 1.0, 123456.78901234567, math.nextafter(1e16, 0.0),
+              1e16, -1e300, 1.7976931348623157e308]
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("bin_width", [5e-324, math.nextafter(1e-6, 1.0), 0.1, 1e15 / 3.0, 1e300])
+    def test_sampled_text_matches_per_value_writer(self, bin_width):
+        # Edge values alone, which the writer's template takes, and in a
+        # grid of values inside its array path.
+        inside = np.linspace(1e-3, 1.0, 5000)
+        for values in (TEXT_EDGES, np.concatenate([inside, TEXT_EDGES[:2], inside])):
+            f = HeightDistribution.sampled(bin_width, values)
+            assert distribution_to_text(f) == _sampled_text_per_value(f)
+
     def test_analytic_round_trip_bit_exact(self, tmp_path):
         f = convolve(sphere_distribution(R), dome_distribution(H))
         path = tmp_path / "dist.txt"

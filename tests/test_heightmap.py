@@ -15,6 +15,7 @@ from proxint import (
     Heightmap,
     HeightDistribution,
     InvalidParameterError,
+    NumericError,
     ParseError,
     case_number,
     compose_gradient,
@@ -33,6 +34,7 @@ from proxint import (
     synthesize_surface,
     truncated_gaussian_distribution,
 )
+from proxint import _fmt as fmt_module
 from proxint import heightmap as heightmap_module
 from proxint.heightmap import Histogram, _gaussian_bin_masses, _scan_lines
 
@@ -372,7 +374,7 @@ class TestBlockReader:
         assert traced_peak(lambda: load_heightmap(tmp_path / "odd.txt")) <= 2.5 * n * n * 8
 
 
-WRITE_BLOCK = heightmap_module._WRITE_BLOCK
+WRITE_BLOCK = fmt_module._WRITE_BLOCK
 # The least double the array writer takes: the double 1e-6 is below 10^-6.
 WRITER_LEAST = np.nextafter(1e-6, 1.0)
 
@@ -453,19 +455,20 @@ class TestWriter:
         _save_per_value(hm, tmp_path / "values.txt")
         assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "values.txt").read_bytes()
 
-    def test_array_path_and_its_fallback(self):
+    @pytest.mark.parametrize("sep", [b" ", b","])
+    def test_array_path_and_its_fallback(self, sep):
         # Edge values inside the range take the array path; a block with a
         # value outside it, or the double 1e-6 (below 10^-6), does not.
         inside = np.array(WRITER_EDGES)
         inside = inside[(inside == 0.0) | (np.abs(inside) >= WRITER_LEAST) & (np.abs(inside) < 1e16)]
         assert 1e-6 not in inside
-        rows = np.empty((len(inside) + 1, 4), heightmap_module._WORD)
-        rows[:, 0] = np.frombuffer(heightmap_module._ROW_START, heightmap_module._WORD)
-        text = heightmap_module._format_block(inside, slice(len(inside) - 1, None), rows[:-1])
-        assert text.tobytes() == (" ".join("%.17g" % v for v in inside.tolist()) + "\n").encode()
+        rows = np.empty((len(inside) + 1, 4), fmt_module._WORD)
+        rows[:, 0] = np.frombuffer(fmt_module._ROW_START, fmt_module._WORD)
+        text = fmt_module._format_block(inside, slice(len(inside) - 1, None), rows[:-1], sep)
+        assert text.tobytes() == (sep.decode().join("%.17g" % v for v in inside.tolist()) + "\n").encode()
         for outside in (1e-6, 1e16, 5e-324, 1e300):
             block = np.append(inside, outside)
-            assert heightmap_module._format_block(block, slice(len(block) - 1, None), rows) is None
+            assert fmt_module._format_block(block, slice(len(block) - 1, None), rows, sep) is None
 
 
 class TestShiftToContact:
@@ -543,6 +546,14 @@ class TestNonFiniteBins:
         hm = Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4), contact_shifted=True)
         with pytest.raises(InvalidParameterError, match="bin_width must be positive and finite"):
             histogram(hm, width)
+
+    @pytest.mark.parametrize("histogram", [empirical_distribution, gradient_distribution])
+    def test_index_past_int64_is_numeric_error(self, histogram):
+        hm = Heightmap(1.0, 1.0, np.array([[0.0, 1e300], [2e300, 3e300]]), contact_shifted=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"bin width 1e-10: the largest value 3e\+300 "):
+                histogram(hm, 1e-10)
 
     @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0])
     def test_histogram_width_rejected(self, width):
@@ -846,6 +857,14 @@ class TestHistogramDensityBridge:
         emp = Histogram(25.0, masses)
         rep = case_number(distribution_from_histogram(emp), tol=1e-2)
         assert rep.case_number == 1
+
+    # w / bin_width overflows, or the node average of two finite densities.
+    @pytest.mark.parametrize("bin_width, weights", [(1e-300, [1e10, 1e10]), (1.0, [1.7e308, 1.7e308])])
+    def test_density_past_the_floats_is_numeric_error(self, bin_width, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"histogram density at bin width {bin_width!r}"):
+                distribution_from_histogram(Histogram(bin_width, np.array(weights)))
 
     @pytest.mark.parametrize("area", [math.nan, math.inf, 0.0, -1.0])
     def test_area_must_be_positive_and_finite(self, area):

@@ -7,16 +7,20 @@ checkout that holds this script, so two checkouts can be compared by
 running each one's copy.  In a temporary directory the script
 
 1. runs the figure presets: ``shape fig1``, ``sweep fig2`` and
-   ``fig2-inset``, ``asympt fig2``, ``fig2-inset`` and ``fig4``;
+   ``fig2-inset``, ``asympt fig2``, ``fig2-inset`` and ``fig4``, and
+   writes the ``distribution_to_text`` of every preset curve's stack;
 2. for each seed, writes the inputs of all three benchmark workloads
    with ``perfbench/inputs.py`` (its scans and tiles through
    ``save_heightmap``), then runs ``sweep`` and ``asympt`` on every
    config and ``heightmap`` on every scan and tile, the headerless CSV
-   scans with their spacings.
+   scans with their spacings, and writes the ``distribution_to_text`` of
+   two distributions of the first scan: its sampled f, and the analytic
+   (*) sampled gradient density of a sphere composed with it.
 
-It prints the sha256 of every input file, and for every command its exit
+It prints the sha256 of every input file, for every command its exit
 code and the sha256 of each file it wrote, of its stdout and of its
-stderr, then one line ``manifest <sha256>`` over all the lines before.
+stderr, and the sha256 of every distribution text, then one line
+``manifest <sha256>`` over all the lines before.
 Commands run in process with relative paths, so no line depends on the
 temporary directory.  ``perfbench/`` is only read.
 """
@@ -37,6 +41,9 @@ PRESETS = (
     ("asympt", "fig2"), ("asympt", "fig2-inset"), ("asympt", "fig4"),
 )
 WORKLOADS = ("sweep-sampled", "stacks-analytic", "scan-heightmap")
+# Radius of the sphere composed with a scan's gradient density: its grid
+# holds some 10^4 nodes at the benchmark scans' bins.
+SPHERE_NM = 1000.0
 
 
 def _sha(data: bytes) -> str:
@@ -97,6 +104,33 @@ def _workload_commands(manifest: Manifest, workload: str, seed: int) -> None:
         path = os.path.join(indir, os.path.basename(scan["csv"]))
         manifest.run(["heightmap", path, "--dx", "%.17g" % scan["dx"], "--dy", "%.17g" % scan["dy"]],
                      f"{scan['name']}.csvin.csv")
+    if spec.get("scans"):
+        _scan_distributions(manifest, spec["scans"][0], f"{workload} seed={seed}")
+
+
+def _preset_distributions(manifest: Manifest) -> None:
+    import proxint.cli as cli
+    from proxint.distributions import distribution_to_text
+
+    for preset, sections in cli.PRESETS.items():
+        for stack in cli.build_config({k: dict(v) for k, v in sections.items()}).curves:
+            text = distribution_to_text(stack.build())
+            manifest.add(f"distribution {preset} {stack.label} {_sha(text.encode())}")
+
+
+def _scan_distributions(manifest: Manifest, scan: dict, label: str) -> None:
+    # The bin width span / 512 is passed, so that the digest does not
+    # follow the library's default.
+    from proxint import (compose_gradient, distribution_from_histogram, empirical_distribution,
+                         gradient_distribution, shift_to_contact, sphere_distribution)
+    from proxint.distributions import distribution_to_text
+
+    hm = shift_to_contact(scan["grid"])
+    width = float(hm.values.max()) / 512
+    sampled = distribution_from_histogram(empirical_distribution(hm, width), area=hm.area)
+    composite = compose_gradient(sphere_distribution(SPHERE_NM), gradient_distribution(hm, width), hm.area)
+    for name, dist in (("sampled", sampled), ("composite", composite)):
+        manifest.add(f"distribution {label} {scan['name']} {name} {_sha(distribution_to_text(dist).encode())}")
 
 
 def main(argv=None) -> int:
@@ -112,6 +146,7 @@ def main(argv=None) -> int:
         try:
             for command, preset in PRESETS:
                 manifest.run([command, "--preset", preset], f"{preset}.csv")
+            _preset_distributions(manifest)
             for seed in args.seeds:
                 for workload in WORKLOADS:
                     _workload_commands(manifest, workload, seed)
