@@ -1,6 +1,8 @@
-"""The text of every number the program writes: ``FMT``, 17 significant
-digits, which read back as the same double.  ``write_rows`` is the one
-writer of arrays of numbers, and ``table`` builds a CSV table with it."""
+"""The text of every number the program writes and reads.  ``FMT``, 17
+significant digits, reads back as the same double.  ``write_rows`` is the
+one writer of arrays of numbers, and ``table`` builds a CSV table with it.
+``read_rows`` is the one reader of rows of numbers, and ``read_line`` its
+rule for one line."""
 
 from __future__ import annotations
 
@@ -8,6 +10,8 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import ParseError
 
 FMT = "%.17g"
 
@@ -232,3 +236,76 @@ def _decimal_digits(a: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
     return k, n
 
 
+# The characters on which numpy's C reader agrees with float() and
+# str.split(): ASCII digits, signs, points, exponent letters, commas, spaces,
+# tabs and "\n".  Outside this set they part ways (numpy strips "\x1f"
+# around a number, float() rejects it), so any other character sends its
+# block to the line scanner.
+_FAST_CHARS = b"0123456789+-.eE, \t\n"
+# Characters of data rows per call of numpy's reader: a block is whole
+# lines, read until they reach this many characters.  Beside the rows
+# parsed so far the reader holds one block, as text and as lines.
+_BLOCK_CHARS = 1 << 16
+
+
+def read_line(line: str, lineno: int) -> list[float]:
+    """The finite floats of line ``lineno``, split on commas if it holds
+    one, else on whitespace."""
+    row = []
+    for col, tok in enumerate(line.split("," if "," in line else None), start=1):
+        try:
+            v = float(tok)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}, column {col}: not a number: {tok!r}") from exc
+        if not math.isfinite(v):
+            raise ParseError(f"line {lineno}, column {col}: non-finite value {tok!r}")
+        row.append(v)
+    return row
+
+
+def read_rows(lines: list[str], lineno: int, width: int | None = None, fh=None) -> np.ndarray:
+    """The rows, as wide as ``width`` or the first, of ``lines`` (with their
+    breaks, after line ``lineno``), then of the rest of the text stream fh
+    if one is given, a block of lines at a time; blank lines are skipped.
+    numpy parses a block of _FAST_CHARS with finite values and rows of the
+    width, split on commas if it holds one (its rows without a comma then
+    agree with the scanner only where they hold one value, and otherwise
+    fail numpy's parse).  _scan_lines takes any other block."""
+    blocks = []
+    more = fh.readlines if fh else lambda hint: []
+    lines = lines + more(_BLOCK_CHARS)
+    while lines:
+        block = "".join(lines)
+        if block.isspace():
+            lineno += len(block.splitlines())
+        else:
+            try:
+                if not block.isascii() or block.encode("ascii").translate(None, _FAST_CHARS):
+                    raise ValueError("a character numpy reads unlike float()")
+                values = np.loadtxt(lines, dtype=float, comments=None,
+                                    delimiter="," if "," in block else None, ndmin=2)
+                if not np.isfinite(values).all() or width not in (None, values.shape[1]):
+                    raise ValueError("a value or a row width the scanner rejects")
+            except ValueError:
+                lines = block.splitlines()
+                values = _scan_lines(lines, lineno, width)
+            blocks.append(values)
+            width = values.shape[1]
+            lineno += len(lines)
+        lines = more(_BLOCK_CHARS)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks or [np.empty((0, width or 0))])
+
+
+def _scan_lines(lines: list[str], lineno: int, width: int | None = None) -> np.ndarray:
+    # The reference reader, line by line, of lines lineno + 1, ... with rows
+    # as wide as `width` or the first.
+    rows = []
+    for lineno, ln in enumerate(lines, start=lineno + 1):
+        if not ln.strip():
+            continue
+        row = read_line(ln, lineno)
+        width = width or len(row)
+        if len(row) != width:
+            raise ParseError(f"line {lineno}: row has {len(row)} values, expected {width}")
+        rows.append(row)
+    return np.array(rows)

@@ -348,7 +348,9 @@ def load_config(args) -> ScenarioConfig:
             )
         sections = {k: dict(v) for k, v in PRESETS[args.preset].items()}
     if getattr(args, "config", None):
-        parser = configparser.ConfigParser()
+        # Values are read as written, without "%" interpolation; no header
+        # names the section "", so [DEFAULT] is an unknown section.
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             read = parser.read(args.config)
         except configparser.Error as exc:
@@ -365,13 +367,6 @@ def load_config(args) -> ScenarioConfig:
 def _provenance(cfg: ScenarioConfig, command: str, extra: str = "") -> str:
     text = f"proxint {__version__} | {command} | {cfg.describe()}"
     return f"{text} | {extra}" if extra else text
-
-
-def _curve_path(out: str, label: str, many: bool) -> str:
-    if not many:
-        return out
-    stem, ext = os.path.splitext(out)
-    return f"{stem}.{label}{ext or '.csv'}"
 
 
 def _check_out(out: str) -> None:
@@ -392,45 +387,45 @@ def _require_curves(cfg: ScenarioConfig) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_shape(args) -> int:
+def _write_curves(args, command: str, render) -> int:
+    """Write each curve's ``render(cfg, dist, provenance)`` = (text, summary)
+    to --out, or, for several curves, to --out with the label before its
+    extension."""
     cfg = load_config(args)
     _require_curves(cfg)
     _check_out(args.out)
-    many = len(cfg.curves) > 1
+    stem, ext = os.path.splitext(args.out)
     for stack in cfg.curves:
-        dist = stack.build()
+        provenance = _provenance(cfg, command, f"curve={stack.label}: {stack.describe()}")
+        text, summary = render(cfg, stack.build(), provenance)
+        path = f"{stem}.{stack.label}{ext or '.csv'}" if len(cfg.curves) > 1 else args.out
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"{stack.label}: {summary} -> {path}")
+    return EXIT_OK
+
+
+def cmd_shape(args) -> int:
+    def render(cfg, dist, provenance):
         s = np.linspace(0.0, dist.support_max, cfg.bins)
         f = evaluate(dist, s)
         # Before the file is opened, so that an area that overflows leaves
         # no partial table.
         area = projected_area(dist)
-        head = [f"# {_provenance(cfg, 'shape', f'curve={stack.label}: {stack.describe()}')}", "s_nm,f"]
-        path = _curve_path(args.out, stack.label, many)
-        with open(path, "w") as fh:
-            fh.write(table(head, (s, f)))
-        print(f"{stack.label}: support={dist.support_max:g} nm, area={area:.6g} nm^2 -> {path}")
-    return EXIT_OK
+        return table([f"# {provenance}", "s_nm,f"], (s, f)), f"support={dist.support_max:g} nm, area={area:.6g} nm^2"
+    return _write_curves(args, "shape", render)
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args)
-    _require_curves(cfg)
-    _check_out(args.out)
-    many = len(cfg.curves) > 1
-    for stack in cfg.curves:
-        dist = stack.build()
+    def render(cfg, dist, provenance):
         curve = sweep(dist, cfg.kernel, cfg.separations, subtract_at=cfg.d_ref)
         if cfg.far_field is not None:
             curve = curve.with_ratio(cfg.far_field)
-        text = curve_to_csv(curve, _provenance(cfg, "sweep", f"curve={stack.label}: {stack.describe()}"))
-        path = _curve_path(args.out, stack.label, many)
-        with open(path, "w") as fh:
-            fh.write(text)
-        head = f"{stack.label}: I({curve.separations[0]:g} nm) = {curve.values[0]:.6g} nW"
+        summary = f"I({curve.separations[0]:g} nm) = {curve.values[0]:.6g} nW"
         if curve.ratios is not None:
-            head += f" (ratio {curve.ratios[0]:.4g})"
-        print(head + f" -> {path}")
-    return EXIT_OK
+            summary += f" (ratio {curve.ratios[0]:.4g})"
+        return curve_to_csv(curve, provenance), summary
+    return _write_curves(args, "sweep", render)
 
 
 def cmd_heightmap(args) -> int:

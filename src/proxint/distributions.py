@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fmt import FMT, table
+from ._fmt import FMT, read_line, read_rows, table
 from .errors import InvalidParameterError, NumericError, ParseError, UnclassifiableError
 
 __all__ = [
@@ -858,14 +858,19 @@ def case_number(f: HeightDistribution, tol: float = 1e-6) -> CaseReport:
         fmax = float(f.values.max())
         if fmax <= 0.0:
             raise UnclassifiableError("distribution is identically zero")
-        T = f.support_max
-        derivs, errs = _fit_derivatives_at_zero(f, SAMPLED_FIT_DEGREE, fmax)
-        k = next((j for j, (c, e) in enumerate(zip(derivs, errs))
-                  if abs(c) * T**j / fmax >= tol and abs(c) > 3.0 * e), None)
+        # The fit's c_j give f^(j)(0) = j! c_j / w^j, of size |f^(j)(0)| T^j /
+        # fmax against the data; T^j and w^j alone may leave the floats.
+        c, errs, w = _fit_derivatives_at_zero(f, SAMPLED_FIT_DEGREE, fmax)
+        ks, fact = np.arange(len(c)), np.cumprod([1.0, *range(1, len(c))])
+        size = np.abs(c) * fact * (f.support_max / w) ** ks / fmax
+        k = next((j for j in range(len(c)) if size[j] >= tol and abs(c[j]) > 3.0 * errs[j]), None)
         if k is None:
             raise UnclassifiableError(
-                f"all probed derivatives of order 0..{len(derivs) - 1} are below tolerance {tol:g}"
-            )
+                f"all probed derivatives of order 0..{len(c) - 1} are below tolerance {tol:g}")
+        with np.errstate(all="ignore"):
+            derivs = c * fact / w**ks
+        if not 0.0 < abs(derivs[k]) < math.inf:
+            raise NumericError(f"the derivative of order {k} of f at s = 0 is not a finite nonzero float")
     if derivs[k] < 0.0:
         raise UnclassifiableError(
             f"first significant derivative (order {k}) is negative; "
@@ -880,7 +885,8 @@ def _fit_derivatives_at_zero(f: HeightDistribution, degree: int, fmax: float):
     The window starts at 5% of the support and halves until the polynomial
     model actually fits (relative residual < 1e-3) or the window hits the
     minimum point count; multi-scale distributions need the shrinking step.
-    ``fmax`` is the largest node value; returns (derivatives, standard errors).
+    ``fmax`` is the largest node value; returns the coefficients c of the
+    fit in x = s / w, their standard errors, and w.
     """
     s = f.grid
     vals = np.asarray(f.values)
@@ -920,9 +926,7 @@ def _fit_derivatives_at_zero(f: HeightDistribution, degree: int, fmax: float):
             break
         window /= 2.0
 
-    ks = np.arange(degree + 1)
-    fact = np.array([math.factorial(int(k)) for k in ks], dtype=float)
-    return coef * fact / w**ks, cerr * fact / w**ks
+    return coef, cerr, w
 
 
 # ---------------------------------------------------------------------------
@@ -939,52 +943,46 @@ def distribution_to_text(f: HeightDistribution) -> str:
 
 
 def text_to_distribution(text: str) -> HeightDistribution:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse the v1 text format; a ParseError names the line, and the
+    column of a token that is not a finite number."""
+    lines = text.splitlines(keepends=True)
+    lineno = next((i for i, line in enumerate(lines, start=1) if not line.isspace()), None)
+    if lineno is None:
         raise ParseError("empty distribution text")
-    header = lines[0]
+    header = lines[lineno - 1].strip()
     if not header.startswith("# height-distribution v1"):
-        raise ParseError(f"line 1: unrecognized header {header!r}")
-    fields = dict(
-        part.strip().split("=", 1)
-        for part in header.split(",")[1:]
-        if "=" in part
-    )
+        raise ParseError(f"line {lineno}: unrecognized header {header!r}")
+    fields = dict(part.strip().split("=", 1) for part in header.split(",")[1:] if "=" in part)
     kind = fields.get("kind")
     if kind not in ("analytic", "sampled"):
-        raise ParseError(f"line 1: kind must be analytic or sampled, got {kind!r}")
+        raise ParseError(f"line {lineno}: kind must be analytic or sampled, got {kind!r}")
     unit = fields.get("unit_area") == "1"
 
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        try:
-            rows.append([float(tok) for tok in ln.split(",")])
-        except ValueError as exc:
-            raise ParseError(f"line {i}: {exc}") from exc
+    if kind == "sampled":
+        s, v = read_rows(lines[lineno:], lineno, width=2).T
+        if len(s) < 2:
+            raise ParseError("sampled distribution needs >= 2 rows" if len(s) else "no data rows")
+        # Node k lies at k * s[1] > 0, as the writer's grid does bit for
+        # bit, within 1e-9 of its own position.
+        grid = np.arange(len(s)) * s[1]
+        if not s[1] > 0.0 or np.any(np.abs(s - grid) > 1e-9 * grid):
+            raise ParseError("sampled grid must be uniform and start at s = 0")
+        return HeightDistribution.sampled(s[1], v, unit_area_normalized=unit)
+
+    # Segment rows lo,hi,c0,...: as long as each segment's polynomial.
+    rows = [(i, read_line(ln, i)) for i, ln in enumerate(text.splitlines()[lineno:], lineno + 1) if ln.strip()]
     if not rows:
         raise ParseError("no data rows")
-
-    if kind == "analytic":
-        for i, row in enumerate(rows, start=2):
-            if len(row) < 3:
-                raise ParseError(f"line {i}: segment rows need lo,hi,c0,...")
-        for i, (prev, row) in enumerate(zip(rows, rows[1:]), start=3):
-            if row[0] != prev[1]:
-                raise ParseError(f"line {i}: segment starts at {row[0]!r}, not where line {i - 1} ends")
-        k = max(map(len, rows))
-        coeffs = [row[2:] + [0.0] * (k - len(row)) for row in rows]
-        breaks = [row[0] for row in rows] + [rows[-1][1]]
-        return HeightDistribution.analytic(breaks, coeffs, unit_area_normalized=unit)
-
-    s = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
-    if len(s) < 2:
-        raise ParseError("sampled distribution needs >= 2 rows")
-    deltas = np.diff(s)
-    delta = deltas[0]
-    if s[0] != 0.0 or np.any(np.abs(deltas - delta) > 1e-9 * max(delta, 1.0)):
-        raise ParseError("sampled grid must be uniform and start at s = 0")
-    return HeightDistribution.sampled(delta, v, unit_area_normalized=unit)
+    for i, row in rows:
+        if len(row) < 3:
+            raise ParseError(f"line {i}: segment rows need lo,hi,c0,...")
+    for (j, prev), (i, row) in zip(rows, rows[1:]):
+        if row[0] != prev[1]:
+            raise ParseError(f"line {i}: segment starts at {row[0]!r}, not where line {j} ends")
+    k = max(len(row) for _, row in rows)
+    coeffs = [row[2:] + [0.0] * (k - len(row)) for _, row in rows]
+    breaks = [row[0] for _, row in rows] + [rows[-1][1][1]]
+    return HeightDistribution.analytic(breaks, coeffs, unit_area_normalized=unit)
 
 
 def write_distribution(f: HeightDistribution, path) -> None:

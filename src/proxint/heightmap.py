@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import FMT, write_rows
+from ._fmt import _BLOCK_CHARS, FMT, read_rows, write_rows
 from .distributions import HeightDistribution, _convolve
 from .errors import FitError, InvalidParameterError, NumericError, ParseError
 
@@ -140,30 +140,13 @@ class GaussianFit:
 # text format
 # ---------------------------------------------------------------------------
 
-# The characters on which numpy's C reader agrees with float() and
-# str.split(): ASCII digits, signs, points, exponent letters, commas, spaces,
-# tabs and "\n".  Outside this set they part ways (numpy strips "\x1f"
-# around a number, float() rejects it), so any other character sends its
-# block to the line scanner.
-_FAST_CHARS = b"0123456789+-.eE, \t\n"
-# Characters of data rows per call of numpy's reader: a block is whole
-# lines, read until they reach this many characters.  Beside the rows
-# parsed so far the reader holds one block, as text and as lines.
-_BLOCK_CHARS = 1 << 16
-
-
 def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> Heightmap:
     """Parse the v1 heightmap text format, or a headerless CSV matrix.
 
     The headerless form needs ``dx`` and ``dy`` supplied by the caller.
-    Rows are split on commas if they contain one, else on whitespace;
-    blank lines are skipped.  Parse failures carry the 1-based line number
-    (and column for bad or non-finite entries).
-
-    The file is read once, a block of lines at a time, holding about two
-    grids' bytes at most: the rows parsed so far and the grid they are
-    joined into.  numpy's reader parses each block it reads as the
-    token-by-token scanner would; the scanner takes every other block.
+    ``_fmt.read_rows`` reads the rows a block of lines at a time, so the
+    reader holds about two grids' bytes at most: the rows parsed so far and
+    the grid they are joined into.
     """
     try:
         with open(path) as fh:
@@ -173,7 +156,9 @@ def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> He
                 if not pieces:
                     raise ParseError("line 1: empty heightmap file")
                 shape, dx, dy = _parse_header(pieces[0], dx, dy)
-                values = _read_blocks(fh, pieces[1:] if shape else pieces, 1 if shape else 0)
+                values = read_rows(pieces[1:] if shape else pieces, 1 if shape else 0, fh=fh)
+                if not values.size:
+                    raise ParseError("no data rows")
             except ParseError:
                 # Decode the rest: an undecodable file is reported as such.
                 while fh.read(_BLOCK_CHARS):
@@ -201,62 +186,6 @@ def _parse_header(first: str, dx, dy) -> tuple[tuple[int, int] | None, float, fl
         return (ny, nx), float(fields["dx"]), float(fields["dy"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"line 1: malformed header fields ({exc})") from exc
-
-
-def _read_blocks(fh, lines: list[str], lineno: int) -> np.ndarray:
-    # The data rows: `lines`, which follow line `lineno`, then the rest of
-    # fh, a block of lines at a time.  numpy parses a block of _FAST_CHARS
-    # with finite values as wide as the first row, split on commas if it
-    # holds one (its rows without a comma then agree with the scanner only
-    # where they hold one value, and otherwise fail numpy's parse).
-    # _scan_lines takes any other block, numbered in str.splitlines() lines.
-    blocks = []
-    lines += fh.readlines(_BLOCK_CHARS)
-    while lines:
-        block = "".join(lines)
-        width = blocks[0].shape[1] if blocks else None
-        if block.isspace():
-            lineno += len(block.splitlines())
-        else:
-            try:
-                if not block.isascii() or block.encode("ascii").translate(None, _FAST_CHARS):
-                    raise ValueError("a character numpy reads unlike float()")
-                values = np.loadtxt(lines, dtype=float, comments=None,
-                                    delimiter="," if "," in block else None, ndmin=2)
-                if not np.isfinite(values).all() or width not in (None, values.shape[1]):
-                    raise ValueError("a value or a row width the scanner rejects")
-            except ValueError:
-                lines = block.splitlines()
-                values = _scan_lines(lines, lineno, width)
-            blocks.append(values)
-            lineno += len(lines)
-        lines = fh.readlines(_BLOCK_CHARS)
-    if not blocks:
-        raise ParseError("no data rows")
-    return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-
-
-def _scan_lines(lines: list[str], lineno: int, width: int | None = None) -> np.ndarray:
-    # The reference reader, token by token, of lines lineno + 1, ... with rows as
-    # wide as `width` or the first; the source of every ParseError naming a line.
-    rows = []
-    for lineno, ln in enumerate(lines, start=lineno + 1):
-        if not ln.strip():
-            continue
-        row = []
-        for col, tok in enumerate(ln.split("," if "," in ln else None), start=1):
-            try:
-                v = float(tok)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}, column {col}: not a number: {tok!r}") from exc
-            if not math.isfinite(v):
-                raise ParseError(f"line {lineno}, column {col}: non-finite value {tok!r}")
-            row.append(v)
-        width = width or len(row)
-        if len(row) != width:
-            raise ParseError(f"line {lineno}: row has {len(row)} values, expected {width}")
-        rows.append(row)
-    return np.array(rows)
 
 
 def save_heightmap(hm: Heightmap, path) -> None:
@@ -423,8 +352,9 @@ def fit_gaussian(emp: Histogram) -> GaussianFit:
     y = w / w.sum()
     # The fit runs in nm with sigma >= 1e-9.  A histogram narrower than
     # that runs in units of its bin width, so the bound scales with it and
-    # the initial sigma, at least 1/sqrt(12) bins, lies above it.
-    for unit in (1.0, emp.bin_width):
+    # the initial sigma, at least 1/sqrt(12) bins, lies above it; so does
+    # one whose extent in nm, squared, would overflow.
+    for unit in (1.0, emp.bin_width) if len(w) * emp.bin_width < 1e150 else (emp.bin_width,):
         delta = emp.bin_width / unit
         edges = np.arange(len(w) + 1) * delta
         centers = (edges[:-1] + edges[1:]) / 2.0

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import table
+from ._fmt import read_rows, table
 from .distributions import HeightDistribution, _convolve_analytic, _degrees
 from .errors import InvalidParameterError, NumericError, ParseError
 
@@ -119,20 +119,16 @@ class InteractionCurve:
         such separation."""
         if not 0 < far_field_nw < math.inf:
             raise InvalidParameterError("far-field constant must be positive and finite")
-        with np.errstate(over="ignore"):
-            ratios = np.asarray(self.values) / far_field_nw
-        bad = ~np.isfinite(ratios)
-        if bad.any():
-            raise NumericError(
-                f"ratio to the far-field constant {far_field_nw!r} is not a finite float "
-                f"at d={float(self.separations[bad.argmax()])!r} nm"
-            )
+        ratios = _guarded(self.separations, lambda: self.values / far_field_nw,
+                          f"ratio to the far-field constant {far_field_nw!r}")
         return InteractionCurve(self.separations, self.values, self.kernel, ratios=ratios)
 
 
 def plate_plate(kernel: Kernel, d):
-    """Parallel-plate interaction per unit area, alpha / d^nu (nW/nm^2)."""
-    out = kernel.alpha / _separations(d) ** kernel.nu
+    """Parallel-plate interaction per unit area, alpha / d^nu (nW/nm^2);
+    NumericError where it is not a finite float."""
+    sep = _separations(d)
+    out = _guarded(sep, lambda: kernel.alpha / sep ** kernel.nu)
     return float(out) if np.isscalar(d) else out
 
 
@@ -334,18 +330,42 @@ def _interaction(f: HeightDistribution, kernel: Kernel, d: np.ndarray) -> np.nda
     return _fold(f, kernel, d)
 
 
+def _guarded(d: np.ndarray, values, what: str = "interaction") -> np.ndarray:
+    """values(), a result at each separation of d, formed with numpy's warnings
+    off; NumericError names the first separation where it is not finite."""
+    with np.errstate(all="ignore"):
+        out = values()
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise NumericError(f"{what} is not a finite float at d={float(np.ravel(d)[bad.argmax()])!r} nm")
+    return out
+
+
+def _evaluate(f: HeightDistribution, kernel: Kernel, d: np.ndarray, subtract_at=None) -> np.ndarray:
+    """I(d) at each separation of d, less I(subtract_at) if it is given,
+    guarded: the values of every public entry point."""
+    def values():
+        if subtract_at is None:
+            return _interaction(f, kernel, d)
+        both = _interaction(f, kernel, np.append(d, _separations(subtract_at)))
+        return both[:-1] - both[-1]
+    return _guarded(d, values)
+
+
 def pa_interaction(f: HeightDistribution, kernel: Kernel, d: float) -> float:
-    """Proximity-approximation interaction int f(u) alpha/(u+d)^nu du, in nW."""
-    return float(_interaction(f, kernel, _separations([d]))[0])
+    """Proximity-approximation interaction int f(u) alpha/(u+d)^nu du, in nW;
+    NumericError where it is not a finite float."""
+    return float(_evaluate(f, kernel, _separations([d]))[0])
 
 
 def far_field_subtracted(
     f: HeightDistribution, kernel: Kernel, d: float, d_ref: float = DEFAULT_D_REF
 ) -> float:
-    """PA interaction with the far-field contribution at d_ref removed."""
+    """PA interaction with the far-field contribution at d_ref removed;
+    NumericError where it is not a finite float."""
     if d_ref <= 0:
         raise InvalidParameterError("reference separation must be positive")
-    return pa_interaction(f, kernel, d) - pa_interaction(f, kernel, d_ref)
+    return float(_evaluate(f, kernel, _separations([d]), d_ref)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,13 +387,14 @@ def exactness_diagnostic(
     exactly as the PA term is, and their ratio is formed per separation.
     The shape is flagged asymptotically exact when, over the smallest
     available decade of d, the ratio decreases monotonically toward small d
-    and ends below 0.01.
+    and ends below 0.01.  An interaction or a ratio that is not a finite
+    float raises NumericError, as in ``sweep``.
     """
     d = np.sort(_separations(d_list))
     if d.size == 0:
         raise InvalidParameterError("exactness_diagnostic needs at least one separation")
-    pa = _interaction(f, kernel, d)
-    ratios = _interaction(g, kernel, d) / pa
+    pa = _evaluate(f, kernel, d)
+    ratios = _guarded(d, lambda: _interaction(g, kernel, d) / pa, "correction/PA ratio")
 
     decade = d <= d[0] * 10.0
     r = ratios[decade]
@@ -400,16 +421,7 @@ def sweep(
     error reports it.
     """
     d = _separations(d_list)
-    with np.errstate(all="ignore"):
-        if subtract_at is None:
-            values = _interaction(f, kernel, d)
-        else:
-            both = _interaction(f, kernel, np.append(d, _separations(subtract_at)))
-            values = both[:-1] - both[-1]
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise NumericError(f"interaction is not a finite float at d={float(d[bad.argmax()])!r} nm")
-    return InteractionCurve(d, values, kernel)
+    return InteractionCurve(d, _evaluate(f, kernel, d, subtract_at), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -428,31 +440,18 @@ def curve_to_csv(curve: InteractionCurve, provenance: str | None = None) -> str:
 
 
 def curve_from_csv(text: str, kernel: Kernel | None = None) -> InteractionCurve:
-    """Parse curve_to_csv text; ParseError names the offending line."""
-    rows = [
-        (lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.startswith("#")
-    ]
-    if not rows:
+    """Parse curve_to_csv text: comment lines ("#"), the header, then its
+    rows; a ParseError names the line, and the column of a bad value."""
+    lines = text.splitlines(keepends=True)
+    lineno = next((i for i, line in enumerate(lines, start=1)
+                   if not (line.isspace() or line.startswith("#"))), None)
+    if lineno is None:
         raise ParseError("no header line")
-    lineno, head = rows[0]
+    head = lines[lineno - 1].splitlines()[0]
     header = head.split(",")
     if header not in (["d_nm", "I_nW"], ["d_nm", "I_nW", "ratio"]):
         raise ParseError(f"line {lineno}: header must be d_nm,I_nW[,ratio], got {head!r}")
-    data = []
-    for lineno, ln in rows[1:]:
-        toks = ln.split(",")
-        if len(toks) != len(header):
-            raise ParseError(f"line {lineno}: row has {len(toks)} values, expected {len(header)}")
-        try:
-            row = [float(tok) for tok in toks]
-            finite = all(math.isfinite(v) for v in row)
-        except ValueError:
-            finite = False
-        if not finite:
-            raise ParseError(f"line {lineno}: not a finite number in {ln!r}")
-        data.append(row)
-    cols = dict(zip(header, np.array(data, dtype=float).reshape(len(data), len(header)).T))
+    cols = dict(zip(header, read_rows(lines[lineno:], lineno, width=len(header)).T))
     return InteractionCurve(
         cols["d_nm"],
         cols["I_nW"],

@@ -1004,6 +1004,16 @@ def cli_configs(draw):
     curve = {"base": f"sphere radius={draw(_MAGNITUDES)!r}"}
     curve.update({f"layer.{i}": spec for i, (_, spec) in enumerate(layers, start=1)})
     sections = {"scenario": scenario, "kernel": kern, "separations": seps, "curve.c": curve}
+    # Outside the grammar, and so exit 2: a "%" in a value, or a [DEFAULT]
+    # section, which configparser would interpolate or copy into each section.
+    odd = draw(st.sampled_from([None, None, None, "%", "%(nu)s", "DEFAULT"]))
+    if odd == "DEFAULT":
+        sections = {"DEFAULT": dict([draw(st.sampled_from([("dref", "5"), ("base", "sphere radius=100")]))]),
+                    **sections}
+    elif odd:
+        name = draw(st.sampled_from(sorted(sections)))
+        key = draw(st.sampled_from(sorted(sections[name])))
+        sections[name][key] = f"{sections[name][key]}{odd}"
     text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sec.items())
                    for name, sec in sections.items())
     return text, draw(st.sampled_from(["shape", "sweep", "asympt"]))
@@ -1013,10 +1023,14 @@ class TestContract:
     @settings(max_examples=50)
     @given(cli_configs())
     @example((OVERFLOW_STACK, "shape"))
+    @example(("[curve.c]\nbase = sphere radius=5%\n", "sweep"))
+    @example(("[curve.c]\nbase = sphere radius=%(nu)s\n", "shape"))
+    @example(("[DEFAULT]\nbase = sphere radius=100\n[curve.c]\nlayer.1 = dome height=1\n", "sweep"))
     def test_exit_codes_and_finite_output(self, config):
         # Exit 0, 2, 3 or 4 and never an exception; no CSV on exit 2 or 3
         # (asympt writes its report on a failed verification, exit 4),
-        # every number in a CSV finite, and no numpy warning escapes.
+        # every number in a CSV finite, and no numpy warning escapes.  A
+        # config outside the grammar exits 2.
         text, command = config
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp), text)
@@ -1026,6 +1040,8 @@ class TestContract:
                 warnings.simplefilter("error", RuntimeWarning)
                 rc = main([command, "--config", cfg, "--out", str(out)])
             assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_VERIFY)
+            if "%" in text or "[DEFAULT]" in text:
+                assert rc == EXIT_CONFIG, text
             assert out.exists() == (rc in (EXIT_OK, EXIT_VERIFY))
             if not out.exists():
                 return
@@ -1148,12 +1164,23 @@ def heightmap_scans(draw):
 
 
 SUBNORMAL_SPAN = ("# heightmap v1 nx=2 ny=2 dx=1 dy=1\n0 5e-324\n0 0\n", None, None, None)
+# Bins of 6.25e198 nm: a Gaussian fit in nm would square their width.  The
+# anisotropic spacing keeps |grad S|^2 finite.
+WIDE_BINS = ("# heightmap v1 nx=16 ny=2 dx=1e50 dy=1e-50\n"
+             + 2 * (" ".join(FMT % v for v in np.linspace(0.0, 1e200, 16)) + "\n"), None, None, 16)
+# Bins of 1e-101 nm: the classifying fit's window, raised to its degree,
+# underflows.
+TINY_BINS = ("# heightmap v1 nx=4 ny=4 dx=1 dy=1\n"
+             + "".join(" ".join(FMT % (k * 1e-101) for k in range(j, j + 4)) + "\n" for j in range(0, 16, 4)),
+             None, None, 16)
 
 
 class TestHeightmapContract:
     @settings(max_examples=150, derandomize=True)
     @given(heightmap_scans())
     @example(SUBNORMAL_SPAN)
+    @example(WIDE_BINS)
+    @example(TINY_BINS)
     def test_exit_codes_and_finite_output(self, scan):
         # A scan that loads exits 0 or 3, any other 2, never with an
         # exception or a numpy warning; exits 2 and 3 print one stderr line

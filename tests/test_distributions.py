@@ -735,16 +735,38 @@ class TestSerialization:
         with pytest.raises(ParseError, match="line 3"):
             text_to_distribution(text)
 
-    @pytest.mark.parametrize("body", ["1,2,1\n", "0,1,1\n1,1,1\n", "0,1,nan\n"])
-    def test_invalid_segments_rejected(self, body):
+    @pytest.mark.parametrize("body, error, match", [
+        ("1,2,1\n", InvalidParameterError, "start at s = 0"),
+        ("0,1,1\n1,1,1\n", InvalidParameterError, "strictly increasing"),
+        ("0,1,nan\n", ParseError, "line 2, column 3: non-finite value 'nan'"),
+    ], ids=["1,2,1\n", "0,1,1\n1,1,1\n", "0,1,nan\n"])
+    def test_invalid_segments_rejected(self, body, error, match):
         text = "# height-distribution v1, kind=analytic, unit_area=0\n" + body
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(error, match=match):
             text_to_distribution(text)
 
-    def test_nonuniform_sampled_grid_rejected(self):
-        text = "# height-distribution v1, kind=sampled, unit_area=0\n0,1\n1,1\n3,1\n"
+    @pytest.mark.parametrize("rows", [
+        "0,1\n1,1\n3,1\n",
+        # Each node against k * s[1] on its own scale: the third node lies
+        # 250 spacings off, far less than any absolute slack.
+        "0,1\n1e-12,2\n2.5e-10,3\n",
+        "1e-300,1\n1,1\n2,1\n",
+        "0,1\n-1,1\n-2,1\n",
+        "0,1\n0,2\n0,3\n",
+    ])
+    def test_nonuniform_sampled_grid_rejected(self, rows):
+        text = "# height-distribution v1, kind=sampled, unit_area=0\n" + rows
         with pytest.raises(ParseError, match="uniform"):
             text_to_distribution(text)
+
+    def test_written_grid_reads_back_at_any_length(self):
+        # The writer's nodes are arange(n) * delta bit for bit, rounded
+        # products of delta = 0.1 that no difference of nodes gives back.
+        n = 10**6
+        f = HeightDistribution.sampled(0.1, np.arange(n) % 7.0)
+        g = text_to_distribution(distribution_to_text(f))
+        assert g.bin_width == f.bin_width
+        assert g.values.tobytes() == f.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from proxint import (
     case_number,
     compose_gradient,
     convolve,
+    curve_from_csv,
     distribution_from_histogram,
     dome_distribution,
     empirical_distribution,
@@ -36,7 +37,9 @@ from proxint import (
 )
 from proxint import _fmt as fmt_module
 from proxint import heightmap as heightmap_module
-from proxint.heightmap import Histogram, _gaussian_bin_masses, _scan_lines
+from proxint._fmt import _scan_lines
+from proxint.distributions import text_to_distribution
+from proxint.heightmap import Histogram, _gaussian_bin_masses
 
 from conftest import traced_peak
 from convolution_oracle import assert_same_segments
@@ -196,13 +199,13 @@ def _write_raw(path, text):
 def _load_in_blocks(path, block_chars, dx=None, dy=None):
     # load_heightmap with blocks of lines of at least `block_chars` characters.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(heightmap_module, "_BLOCK_CHARS", block_chars)
+        mp.setattr(fmt_module, "_BLOCK_CHARS", block_chars)
         return load_heightmap(path, dx=dx, dy=dy)
 
 
 # The reader's own block size, and one of a few characters, at which rows,
 # blank lines and commas fall in different blocks.
-BLOCK_SIZES = pytest.mark.parametrize("block_chars", [heightmap_module._BLOCK_CHARS, 5])
+BLOCK_SIZES = pytest.mark.parametrize("block_chars", [fmt_module._BLOCK_CHARS, 5])
 
 
 @BLOCK_SIZES
@@ -231,7 +234,7 @@ class TestReaderMatchesLineScanner:
             raise AssertionError("well-formed file reached the line scanner")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heightmap_module, "_scan_lines", refuse)
+            mp.setattr(fmt_module, "_scan_lines", refuse)
             hm = _load_in_blocks(path, block_chars, dx=None if header else 1.0, dy=None if header else 1.0)
         assert hm.values.tobytes() == values.tobytes()
 
@@ -292,7 +295,7 @@ class TestBlockReader:
         # 17-digit values, ~380 kB: five or more blocks of lines.
         values = np.random.default_rng(3).uniform(0.0, 1e4, (rows, cols))
         lines = [" ".join("%.17g" % v for v in row) for row in values]
-        assert sum(map(len, lines)) > 5 * heightmap_module._BLOCK_CHARS
+        assert sum(map(len, lines)) > 5 * fmt_module._BLOCK_CHARS
         return values, lines
 
     @pytest.mark.parametrize("last, expected", [
@@ -372,6 +375,51 @@ class TestBlockReader:
         odd = load_heightmap(tmp_path / "odd.txt")
         assert odd.values.tobytes() == load_heightmap(tmp_path / "clean.txt").values.tobytes()
         assert traced_peak(lambda: load_heightmap(tmp_path / "odd.txt")) <= 2.5 * n * n * 8
+
+
+
+# The three readers of rows of numbers, each after its own head: a heightmap
+# file, a curve CSV with a comment line, and both kinds of distribution text.
+HEADS = {
+    "heightmap": "# heightmap v1 nx=2 ny=2 dx=1 dy=1\n",
+    "curve": "# provenance\nd_nm,I_nW\n",
+    "sampled": "# height-distribution v1, kind=sampled, unit_area=0\n",
+    "analytic": "# height-distribution v1, kind=analytic, unit_area=0\n",
+}
+
+
+def _read_text(tmp_path, reader, text):
+    if reader == "heightmap":
+        _write_raw(tmp_path / "map.txt", text)
+        return load_heightmap(tmp_path / "map.txt")
+    return (curve_from_csv if reader == "curve" else text_to_distribution)(text)
+
+
+class TestOneReader:
+    """Every reader of rows of numbers reports a fault with the one message
+    of ``_fmt.read_line`` and ``_fmt.read_rows``, on physical lines."""
+
+    @pytest.mark.parametrize("reader, body, expected", [
+        # A bad token after a blank line.
+        ("heightmap", "0 1\n\n2 x\n", "line 4, column 2: not a number: 'x'"),
+        ("curve", "1,2\n\n3,x\n", "line 5, column 2: not a number: 'x'"),
+        ("sampled", "\n0,1\n\n1,abc\n", "line 5, column 2: not a number: 'abc'"),
+        ("analytic", "0,1,1\n\n1,2,x\n", "line 4, column 3: not a number: 'x'"),
+        # A non-finite token.
+        ("heightmap", "0 1\n2 inf\n", "line 3, column 2: non-finite value 'inf'"),
+        ("curve", "1,-inf\n", "line 3, column 2: non-finite value '-inf'"),
+        ("sampled", "0,1\n1,1e400\n", "line 3, column 2: non-finite value '1e400'"),
+        ("analytic", "0,1,nan\n", "line 2, column 3: non-finite value 'nan'"),
+        # A short row.
+        ("heightmap", "0 1\n\n2\n", "line 4: row has 1 values, expected 2"),
+        ("curve", "1,2\n3\n", "line 4: row has 1 values, expected 2"),
+        ("sampled", "0\n", "line 2: row has 1 values, expected 2"),
+        ("analytic", "0,1,1\n\n1,2\n", "line 4: segment rows need lo,hi,c0,..."),
+    ])
+    def test_fault_names_line_and_column(self, tmp_path, reader, body, expected):
+        with pytest.raises(ParseError) as info:
+            _read_text(tmp_path, reader, HEADS[reader] + body)
+        assert str(info.value) == expected
 
 
 WRITE_BLOCK = fmt_module._WRITE_BLOCK

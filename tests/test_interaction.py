@@ -323,6 +323,43 @@ class TestSweep:
             curve.with_ratio(far_field)
 
 
+class TestGuardedEntryPoints:
+    """Every public evaluation takes sweep's guard: a value that is not a
+    finite float is a NumericError naming its separation, with no numpy
+    warning on the way."""
+
+    @pytest.mark.parametrize("entry", [pa_interaction, far_field_subtracted])
+    def test_overflow_is_numeric_error(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"interaction is not a finite float at d=1e-300 nm"):
+                entry(sphere_distribution(100.0), Kernel(1e300, 2.0), 1e-300)
+
+    def test_diagnostic_ratio_over_an_underflowed_interaction(self):
+        # I(d) = 2 pi R / (199 d^199) underflows to 0 at d = 1e3 nm.
+        s = sphere_distribution(100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"correction/PA ratio is not a finite float at d=1000\.0 nm"):
+                exactness_diagnostic(s, convolve(s, dome_distribution(10.0)), Kernel(1.0, 200.0), [2e3, 1e3])
+
+    def test_plate_plate_overflow_is_numeric_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"not a finite float at d=1e-200 nm"):
+                plate_plate(heat_sio2_kernel(), np.array([1.0, 1e-200]))
+
+    @pytest.mark.parametrize("f", [sphere_distribution(R), sampled_rough(20.0, 40.0),
+                                   convolve(sphere_distribution(R), sampled_rough(20.0, 40.0))])
+    def test_entry_points_are_sweep_rows(self, f):
+        k = heat_sio2_kernel()
+        d = np.geomspace(0.5, 500.0, 7)
+        plain, subtracted = sweep(f, k, d), sweep(f, k, d, subtract_at=300.0)
+        for i, di in enumerate(d.tolist()):
+            assert pa_interaction(f, k, di) == plain.values[i]
+            assert far_field_subtracted(f, k, di, 300.0) == subtracted.values[i]
+
+
 class TestCurveCsv:
     def test_round_trip_17_digits(self):
         f = sphere_distribution(R)
@@ -345,8 +382,10 @@ class TestCurveCsv:
         ("d_nm,I_nW,I_nW\n1,2,3\n", "header must be"),
         ("d_nm,I_nW\n1,2\n2,3,4\n", "line 3: row has 3 values, expected 2"),
         ("d_nm,I_nW\n1\n", "line 2: row has 1 values"),
-        ("# prov\nd_nm,I_nW\n1,abc\n", "line 3: not a finite number"),
-        ("d_nm,I_nW\n1,nan\n", "line 2: not a finite number"),
+        ("# prov\nd_nm,I_nW\n1,abc\n", "line 3, column 2: not a number: 'abc'"),
+        ("d_nm,I_nW\n1,nan\n", "line 2, column 2: non-finite value 'nan'"),
+        # Comment lines stand before the header, where curve_to_csv writes them.
+        ("d_nm,I_nW\n1,2\n# note\n", "line 3, column 1: not a number: '#'"),
     ])
     def test_malformed_csv_raises_parse_error(self, text, match):
         with pytest.raises(ParseError, match=match):
@@ -355,6 +394,8 @@ class TestCurveCsv:
     def test_header_only_is_empty_curve(self):
         curve = curve_from_csv("d_nm,I_nW\n")
         assert len(curve.separations) == 0 and curve.ratios is None
+        curve = curve_from_csv("# prov\n\n# more\nd_nm,I_nW,ratio\n\n")
+        assert len(curve.separations) == 0 and len(curve.ratios) == 0
 
     def test_monotone_separations_required(self):
         from proxint import InteractionCurve

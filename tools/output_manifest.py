@@ -23,6 +23,11 @@ stderr, and the sha256 of every distribution text, then one line
 ``manifest <sha256>`` over all the lines before.
 Commands run in process with relative paths, so no line depends on the
 temporary directory.  ``perfbench/`` is only read.
+
+Every curve CSV (``sweep``), distribution text and heightmap
+(``save_heightmap``) is also read back through the public readers,
+``curve_from_csv``, ``text_to_distribution`` and ``load_heightmap``, and
+written again: a ``readback`` line says whether that gives the same bytes.
 """
 
 from __future__ import annotations
@@ -71,6 +76,10 @@ class Manifest:
             with open(os.path.join(directory, name), "rb") as fh:
                 self.add(f"{label} {name} {_sha(fh.read())}")
 
+    def readback(self, label: str, data: bytes, again: bytes) -> None:
+        """Whether ``again``, data read and written again, is ``data``."""
+        self.add(f"{label} readback {'identical' if again == data else 'differs'}")
+
     def run(self, argv: list[str], out_name: str) -> None:
         import proxint.cli as cli
 
@@ -83,8 +92,35 @@ class Manifest:
         label = " ".join(argv)
         self.add(f"{label} exit {code}")
         self.digest_files(out_dir, f"{label} wrote")
+        if argv[0] == "sweep":
+            for name in _files(out_dir):
+                with open(os.path.join(out_dir, name), "rb") as fh:
+                    data = fh.read()
+                self.readback(f"{label} wrote {name}", data, _curve_again(data))
         self.add(f"{label} stdout {_sha(stdout.getvalue().encode())}")
         self.add(f"{label} stderr {_sha(stderr.getvalue().encode())}")
+
+
+def _curve_again(data: bytes) -> bytes:
+    from proxint import curve_from_csv, curve_to_csv
+
+    text = data.decode()
+    head = text.partition("\n")[0]
+    return curve_to_csv(curve_from_csv(text), head[2:] if head.startswith("# ") else None).encode()
+
+
+def _distribution_again(data: bytes) -> bytes:
+    from proxint.distributions import distribution_to_text, text_to_distribution
+
+    return distribution_to_text(text_to_distribution(data.decode())).encode()
+
+
+def _heightmap_again(path: str) -> bytes:
+    from proxint import load_heightmap, save_heightmap
+
+    save_heightmap(load_heightmap(path), "again.txt")
+    with open("again.txt", "rb") as fh:
+        return fh.read()
 
 
 def _workload_commands(manifest: Manifest, workload: str, seed: int) -> None:
@@ -99,6 +135,8 @@ def _workload_commands(manifest: Manifest, workload: str, seed: int) -> None:
             for command in ("sweep", "asympt"):
                 manifest.run([command, "--config", path], f"{name[:-4]}.csv")
         elif name.endswith(".txt"):
+            with open(path, "rb") as fh:
+                manifest.readback(f"input {workload} seed={seed} {name}", fh.read(), _heightmap_again(path))
             manifest.run(["heightmap", path], f"{name[:-4]}.csv")
     for scan in spec.get("scans", ()):
         path = os.path.join(indir, os.path.basename(scan["csv"]))
@@ -114,8 +152,10 @@ def _preset_distributions(manifest: Manifest) -> None:
 
     for preset, sections in cli.PRESETS.items():
         for stack in cli.build_config({k: dict(v) for k, v in sections.items()}).curves:
-            text = distribution_to_text(stack.build())
-            manifest.add(f"distribution {preset} {stack.label} {_sha(text.encode())}")
+            text = distribution_to_text(stack.build()).encode()
+            label = f"distribution {preset} {stack.label}"
+            manifest.add(f"{label} {_sha(text)}")
+            manifest.readback(label, text, _distribution_again(text))
 
 
 def _scan_distributions(manifest: Manifest, scan: dict, label: str) -> None:
@@ -130,7 +170,9 @@ def _scan_distributions(manifest: Manifest, scan: dict, label: str) -> None:
     sampled = distribution_from_histogram(empirical_distribution(hm, width), area=hm.area)
     composite = compose_gradient(sphere_distribution(SPHERE_NM), gradient_distribution(hm, width), hm.area)
     for name, dist in (("sampled", sampled), ("composite", composite)):
-        manifest.add(f"distribution {label} {scan['name']} {name} {_sha(distribution_to_text(dist).encode())}")
+        text = distribution_to_text(dist).encode()
+        manifest.add(f"distribution {label} {scan['name']} {name} {_sha(text)}")
+        manifest.readback(f"distribution {label} {scan['name']} {name}", text, _distribution_again(text))
 
 
 def main(argv=None) -> int:
