@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._fmt import FMT, table
+from ._fmt import FMT, read_line, table
 from .asymptotics import CSV_ROW_HEADER, fit_scaling, predict, smallest_decade, verify
 from .distributions import (
     GAUSSIAN_SUPPORT_SIGMAS,
@@ -270,11 +270,11 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
     sep = sections.get("separations", {})
     if "list" in sep:
         try:
-            d = np.array([float(t) for t in sep["list"].split(",")])
-        except ValueError:
-            raise ConfigError("separations.list: not a number list") from None
-        if not np.all(np.isfinite(d)):
-            raise ConfigError("separations.list: values must be finite")
+            d = np.array(read_line(sep["list"], None))
+        except ParseError as exc:
+            raise ConfigError(f"separations.list: {exc}") from None
+        if not d.size:
+            raise ConfigError("separations.list: no values")
     else:
         lo = _get_float(sep, "min", "separations") if "min" in sep else 1.0
         hi = _get_float(sep, "max", "separations") if "max" in sep else 300.0

@@ -33,6 +33,7 @@ all operations are pure functions and safe to call concurrently.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -945,11 +946,23 @@ def distribution_to_text(f: HeightDistribution) -> str:
 def text_to_distribution(text: str) -> HeightDistribution:
     """Parse the v1 text format; a ParseError names the line, and the
     column of a token that is not a finite number."""
-    lines = text.splitlines(keepends=True)
-    lineno = next((i for i, line in enumerate(lines, start=1) if not line.isspace()), None)
-    if lineno is None:
-        raise ParseError("empty distribution text")
-    header = lines[lineno - 1].strip()
+    return _read_distribution(io.StringIO(text))
+
+
+def _read_distribution(fh) -> HeightDistribution:
+    # The v1 text format from the text stream fh, on the lines of
+    # str.splitlines(); sampled rows are read a block of lines at a time.
+    lines, lineno = [], 0
+    # The header is the first line that is not blank.
+    while not lines:
+        lines = fh.readline().splitlines(keepends=True)
+        if not lines:
+            raise ParseError("empty distribution text")
+        while lines and lines[0].isspace():
+            lines.pop(0)
+            lineno += 1
+    lineno += 1
+    header = lines.pop(0).strip()
     if not header.startswith("# height-distribution v1"):
         raise ParseError(f"line {lineno}: unrecognized header {header!r}")
     fields = dict(part.strip().split("=", 1) for part in header.split(",")[1:] if "=" in part)
@@ -959,7 +972,7 @@ def text_to_distribution(text: str) -> HeightDistribution:
     unit = fields.get("unit_area") == "1"
 
     if kind == "sampled":
-        s, v = read_rows(lines[lineno:], lineno, width=2).T
+        s, v = read_rows(lines, lineno, width=2, fh=fh).T
         if len(s) < 2:
             raise ParseError("sampled distribution needs >= 2 rows" if len(s) else "no data rows")
         # Node k lies at k * s[1] > 0, as the writer's grid does bit for
@@ -970,7 +983,8 @@ def text_to_distribution(text: str) -> HeightDistribution:
         return HeightDistribution.sampled(s[1], v, unit_area_normalized=unit)
 
     # Segment rows lo,hi,c0,...: as long as each segment's polynomial.
-    rows = [(i, read_line(ln, i)) for i, ln in enumerate(text.splitlines()[lineno:], lineno + 1) if ln.strip()]
+    text = "".join(lines).splitlines() + [line for chunk in fh for line in chunk.splitlines()]
+    rows = [(i, read_line(ln, i)) for i, ln in enumerate(text, lineno + 1) if ln.strip()]
     if not rows:
         raise ParseError("no data rows")
     for i, row in rows:
@@ -991,5 +1005,7 @@ def write_distribution(f: HeightDistribution, path) -> None:
 
 
 def read_distribution(path) -> HeightDistribution:
+    """Parse the v1 text file at ``path``, as ``text_to_distribution``
+    does, holding one block of its lines at a time."""
     with open(path) as fh:
-        return text_to_distribution(fh.read())
+        return _read_distribution(fh)

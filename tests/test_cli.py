@@ -119,6 +119,23 @@ class TestConfig:
             build_config({"separations": {"list": "5,3,1"},
                           "curve.x": {"base": "sphere radius=1"}})
 
+    @pytest.mark.parametrize("text, message", [
+        ("1, x, 3", "separations.list: column 2: not a number: ' x'"),
+        ("1,,3", "separations.list: column 2: not a number: ''"),
+        ("1 2 inf", "separations.list: column 3: non-finite value 'inf'"),
+        ("", "separations.list: no values"),
+    ])
+    def test_separations_list_fault_names_column(self, text, message):
+        # The list is one row of numbers, read by the rule of every row.
+        with pytest.raises(ConfigError) as info:
+            build_config({"separations": {"list": text}, "curve.x": {"base": "sphere radius=1"}})
+        assert str(info.value) == message
+
+    def test_separations_list_commas_or_spaces(self):
+        for text in ("1, 2.5, 40", "1 2.5 40"):
+            cfg = build_config({"separations": {"list": text}, "curve.x": {"base": "sphere radius=1"}})
+            assert cfg.separations.tolist() == [1.0, 2.5, 40.0]
+
     def test_unknown_preset(self):
         assert main(["sweep", "--preset", "nope", "--out", "x.csv"]) == EXIT_CONFIG
 
@@ -1026,6 +1043,7 @@ class TestContract:
     @example(("[curve.c]\nbase = sphere radius=5%\n", "sweep"))
     @example(("[curve.c]\nbase = sphere radius=%(nu)s\n", "shape"))
     @example(("[DEFAULT]\nbase = sphere radius=100\n[curve.c]\nlayer.1 = dome height=1\n", "sweep"))
+    @example(("[separations]\nlist = 1, x\n[curve.c]\nbase = sphere radius=100\n", "sweep"))
     def test_exit_codes_and_finite_output(self, config):
         # Exit 0, 2, 3 or 4 and never an exception; no CSV on exit 2 or 3
         # (asympt writes its report on a failed verification, exit 4),

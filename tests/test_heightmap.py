@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -38,7 +38,7 @@ from proxint import (
 from proxint import _fmt as fmt_module
 from proxint import heightmap as heightmap_module
 from proxint._fmt import _scan_lines
-from proxint.distributions import text_to_distribution
+from proxint.distributions import read_distribution, text_to_distribution, write_distribution
 from proxint.heightmap import Histogram, _gaussian_bin_masses
 
 from conftest import traced_peak
@@ -207,6 +207,17 @@ def _load_in_blocks(path, block_chars, dx=None, dy=None):
 # blank lines and commas fall in different blocks.
 BLOCK_SIZES = pytest.mark.parametrize("block_chars", [fmt_module._BLOCK_CHARS, 5])
 
+# A value of 17 significant digits, as FMT writes most doubles.
+LONG = "1.2345678901234567"
+
+
+def _wide(cells, sep=" "):
+    # Two rows of 24 LONG values and then `cells` (the second row's all
+    # LONG): each row averages more than 15 digits a value, so that the
+    # exact reader takes it up.
+    width = 24 + len(cells.split(sep))
+    return sep.join([LONG] * 24 + [cells]) + "\n" + sep.join([LONG] * width) + "\n"
+
 
 @BLOCK_SIZES
 class TestReaderMatchesLineScanner:
@@ -274,6 +285,15 @@ class TestReaderMatchesLineScanner:
         ("0 1\x002\n3 4\n", "line 1, column 2: not a number: '1\\x002'"),
         # A header line ended by a break the "\n" split does not see.
         ("# heightmap v1 nx=2 ny=1 dx=1 dy=1\f0 1\n2 3\n", "grid is 2x2, header says ny=1 nx=2"),
+        # Tokens outside the exact reader's grammar, in rows it takes up.
+        pytest.param(_wide("."), "line 1, column 25: not a number: '.'", id="."),
+        pytest.param(_wide("+"), "line 1, column 25: not a number: '+'", id="+"),
+        pytest.param(_wide("-."), "line 1, column 25: not a number: '-.'", id="-."),
+        pytest.param(_wide("1.2.3"), "line 1, column 25: not a number: '1.2.3'", id="1.2.3"),
+        pytest.param(_wide("1e"), "line 1, column 25: not a number: '1e'", id="1e"),
+        pytest.param(_wide("e5"), "line 1, column 25: not a number: 'e5'", id="e5"),
+        pytest.param(_wide("0\r1"), "line 2: row has 1 values, expected 25", id="0\r1"),
+        pytest.param(_wide("1,,2", ","), "line 1, column 26: not a number: ''", id="1,,2"),
     ])
     def test_malformed_and_unusual_files(self, tmp_path, block_chars, text, expected):
         path = tmp_path / "map.txt"
@@ -376,6 +396,142 @@ class TestBlockReader:
         assert odd.values.tobytes() == load_heightmap(tmp_path / "clean.txt").values.tobytes()
         assert traced_peak(lambda: load_heightmap(tmp_path / "odd.txt")) <= 2.5 * n * n * 8
 
+
+
+# Doubles at the edges of the exact reader's range (the decimal scale of
+# FMT's text passes 27 below 10^-11, and above 10^28 as its digits allow),
+# at FMT's switches between fixed and exponent notation, and about 2^53,
+# with their neighbours a ulp away.
+def _reader_edges():
+    edges = [0.0, -0.0, 2.0**53, 2.0**53 + 2, 2.0**64]
+    for p in (-12, -11, -10, -5, -4, -3, 16, 17, 18, 27, 28, 29, 43, 44, 45):
+        power = float(f"1e{p}")
+        edges += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+    return edges + [-v for v in edges]
+
+
+READER_EDGES = _reader_edges()
+
+
+@st.composite
+def decimal_tokens(draw):
+    """(token, M, q): a decimal string of 1 to 20 digits, with an optional
+    sign, point and exponent, and the digit integer and decimal scale it
+    has."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=20))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    token = sign + (digits if point is None else digits[:point] + "." + digits[point:])
+    q = 0 if point is None else point - len(digits)
+    if draw(st.booleans()):
+        esign, e, width = draw(st.sampled_from(["", "-", "+"])), draw(st.integers(0, 45)), draw(st.integers(1, 3))
+        token += "e%s%0*d" % (esign, width, e)
+        q += -e if esign == "-" else e
+    return token, int(digits), q
+
+
+# Tokens whose M 10^q, rounded to the 64 bits of an extended double, lies
+# on a midpoint of two doubles, where a second rounding to a double misses
+# float()'s: found by a seeded search over the midpoints of random doubles.
+MIDPOINT_TOKENS = [
+    "69.1001142966476678", "17086361538.6787920", "17751.5271719806060", "855291499172.539978",
+    "9329.2556933662554", "295.87529500555965", "5.68251826004694663e+25", "6.03997174291295345e+35",
+    "8.62173508979653538e-09", "2.25109314227270526e-06", "7.75528982614568155e-04",
+]
+
+
+def _extended(token):
+    # M 10^q rounded once to an extended double, as the exact reader forms it.
+    mantissa, _, e = token.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    q = int(e or 0) - len(fraction)
+    m = np.longdouble(int(whole + fraction))
+    return m * np.longdouble(f"1e{q}") if q > 0 else m / np.longdouble(f"1e{-q}")
+
+
+def _parse(text):
+    return fmt_module._parse_block(text.encode(), None)
+
+
+@pytest.mark.skipif(not fmt_module._EXTENDED, reason="the exact reader needs the x87 extended double")
+class TestExactReader:
+    """``_fmt._parse_block`` reads each value it takes as float() does."""
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([b" ", b","]), st.lists(st.sampled_from(READER_EDGES), max_size=20))
+    def test_written_values_read_back_bit_for_bit(self, seed, sep, edges):
+        # Random doubles of 10^-29 to 10^46, either sign, with edge values
+        # dropped in: the text write_rows gives reads back as the same doubles.
+        rng = np.random.default_rng(seed)
+        shape = int(rng.integers(1, 40)), int(rng.integers(1, 300))
+        vals = rng.integers(10**16, 10**17, shape) * 10.0 ** rng.integers(-45, 30, shape)
+        vals *= rng.choice([-1.0, 1.0], shape)
+        for value in edges:
+            vals.flat[rng.integers(0, vals.size)] = value
+        text = b"".join(fmt_module.write_rows(vals, sep)).decode()
+        back = fmt_module.read_rows(text.splitlines(keepends=True), 0)
+        assert back.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("sep", [b" ", b","])
+    def test_written_range_takes_no_other_reader(self, sep):
+        # 10^-10 to 10^27: FMT writes a decimal scale of at most 27, so
+        # neither numpy nor the line scanner reads a block.
+        rng = np.random.default_rng(8)
+        shape = (300, 257)
+        vals = rng.integers(10**16, 10**17, shape) * 10.0 ** rng.integers(-26, 11, shape)
+        vals *= rng.choice([-1.0, 1.0], shape)
+        vals[::7, ::5] = 0.0
+        lines = b"".join(fmt_module.write_rows(vals, sep)).decode().splitlines(keepends=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a block in the exact reader's grammar went to another reader")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "loadtxt", refuse)
+            mp.setattr(fmt_module, "_scan_lines", refuse)
+            back = fmt_module.read_rows(lines, 0)
+        assert back.tobytes() == vals.tobytes()
+
+    @settings(max_examples=500)
+    @given(decimal_tokens(), st.sampled_from([" ", ","]))
+    def test_decimal_strings_match_float(self, case, sep):
+        # A token in a row of LONG values: taken if its M and q are in the
+        # grammar's range, and then read as float() reads it.
+        token, m, q = case
+        got = _parse(sep.join([token] + [LONG] * 8) + "\n")
+        if m < 10**18 and abs(q) <= 27:
+            assert got is not None, token
+            assert got[0, 0].tobytes() == np.float64(float(token)).tobytes(), token
+            assert (got[0, 1:] == float(LONG)).all()
+        else:
+            assert got is None, token
+
+    def test_midpoint_tokens_take_float(self):
+        # Each extended double lies on a midpoint, so its own rounding to a
+        # double is not float()'s; the reader gives float()'s.
+        for token in MIDPOINT_TOKENS:
+            v = _extended(token)
+            assert np.array([v]).view(np.uint64)[0] & 0x7FF == 0x400, token
+            assert float(v) != float(token), token
+        # 2^53 + 1 is a midpoint itself, rounded half-even either way.
+        tokens = MIDPOINT_TOKENS + ["9007199254740993", "9007199254740993.00"]
+        got = _parse(" ".join(tokens) + "\n" + " ".join("-" + t for t in tokens) + "\n")
+        assert got.tobytes() == np.array([[float(t) for t in tokens], [-float(t) for t in tokens]]).tobytes()
+
+    def test_short_values_go_to_numpy(self):
+        # Up to 15 digits a value, float() and numpy read by one exact
+        # operation on doubles, and faster: the exact reader leaves rows of
+        # 17 bytes a value or fewer.
+        assert _parse(" ".join(["4980.46875"] * 9) + "\n") is None
+        assert _parse(" ".join(["1234567.89012345"] * 9) + "\n") is None
+        assert _parse(" ".join(["1234567.890123456"] * 9) + "\n") is not None
+
+    def test_powers_of_ten_are_exact(self):
+        up, down = fmt_module._parse_tables()[1:]
+        q = fmt_module._Q_MAX
+        assert [int(p) for p in up[q:]] == [10**k for k in range(q + 1)]
+        assert [int(p) for p in down[q::-1]] == [10**k for k in range(q + 1)]
+        assert (up[:q] == 1).all() and (down[q + 1:] == 1).all()
 
 
 # The three readers of rows of numbers, each after its own head: a heightmap
@@ -503,10 +659,34 @@ class TestWriter:
         _save_per_value(hm, tmp_path / "values.txt")
         assert (tmp_path / "blocks.txt").read_bytes() == (tmp_path / "values.txt").read_bytes()
 
+    @pytest.mark.parametrize("outside", [5e-324, -1e300, 1e16, 9.9e-7, float("nan")])
+    @pytest.mark.parametrize("sep", [b" ", b","])
+    def test_one_outside_value_at_each_block_position(self, sep, outside):
+        # Blocks of 16 values in rows of 5, and of the writer's own size: a
+        # value outside the array path's range at each place of a block is
+        # written between the others as the per-value writer writes it.
+        vals = np.random.default_rng(2).uniform(-1e3, 1e3, (8, 5))
+
+        def per_value(v):
+            return "".join(sep.decode().join("%.17g" % x for x in row) + "\n" for row in v.tolist()).encode()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fmt_module, "_WRITE_BLOCK", 16)
+            for position in range(16, 32):
+                v = vals.copy()
+                v.flat[position] = outside
+                assert b"".join(fmt_module.write_rows(v, sep)) == per_value(v)
+        vals = np.random.default_rng(3).uniform(-1e3, 1e3, (3, WRITE_BLOCK))
+        for position in (WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK - 1):
+            v = vals.copy()
+            v.flat[position] = outside
+            assert b"".join(fmt_module.write_rows(v, sep)) == per_value(v)
+
     @pytest.mark.parametrize("sep", [b" ", b","])
     def test_array_path_and_its_fallback(self, sep):
-        # Edge values inside the range take the array path; a block with a
-        # value outside it, or the double 1e-6 (below 10^-6), does not.
+        # Edge values inside the range take the array path; a value outside
+        # it, or the double 1e-6 (below 10^-6), takes the template, in its
+        # place, and leaves its row ready for the next block.
         inside = np.array(WRITER_EDGES)
         inside = inside[(inside == 0.0) | (np.abs(inside) >= WRITER_LEAST) & (np.abs(inside) < 1e16)]
         assert 1e-6 not in inside
@@ -515,8 +695,10 @@ class TestWriter:
         text = fmt_module._format_block(inside, slice(len(inside) - 1, None), rows[:-1], sep)
         assert text.tobytes() == (sep.decode().join("%.17g" % v for v in inside.tolist()) + "\n").encode()
         for outside in (1e-6, 1e16, 5e-324, 1e300):
-            block = np.append(inside, outside)
-            assert fmt_module._format_block(block, slice(len(block) - 1, None), rows, sep) is None
+            block = np.insert(inside, len(inside) // 2, outside)
+            text = fmt_module._format_block(block, slice(len(block) - 1, None), rows, sep)
+            assert text.tobytes() == (sep.decode().join("%.17g" % v for v in block.tolist()) + "\n").encode()
+            assert (rows[:, 0] == np.frombuffer(fmt_module._ROW_START, fmt_module._WORD)).all()
 
 
 class TestShiftToContact:
@@ -773,6 +955,14 @@ class TestMemoryBudget:
         hm = synthesize_surface([CAP, PYRAMID], n=512, extent=8000.0)
         save_heightmap(hm, tmp_path / "scan.txt")
         assert traced_peak(lambda: load_heightmap(tmp_path / "scan.txt")) <= 2.5 * GRID_BYTES
+
+    def test_read_distribution(self, tmp_path):
+        # A sampled text of 10^5 nodes: the rows read so far, the table they
+        # are joined into and the grid check's arrays, no copy of the text.
+        n = 100_000
+        f = HeightDistribution.sampled(0.01, np.random.default_rng(1).uniform(0.0, 1.0, n))
+        write_distribution(f, tmp_path / "f.txt")
+        assert traced_peak(lambda: read_distribution(tmp_path / "f.txt")) <= 3 * 16 * n
 
     # At 1024^2: the first layer's grid is the sum, a later cap or tiling
     # adds one block of rows at a time, and a rough layer takes one more

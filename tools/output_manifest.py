@@ -28,6 +28,11 @@ Every curve CSV (``sweep``), distribution text and heightmap
 (``save_heightmap``) is also read back through the public readers,
 ``curve_from_csv``, ``text_to_distribution`` and ``load_heightmap``, and
 written again: a ``readback`` line says whether that gives the same bytes.
+Its rows, and those of each headerless CSV scan, are also read by
+``_fmt.read_rows``, the block reader under those readers, and by the
+reference line scanner ``_fmt._scan_lines``: a ``reference`` line says
+whether the two give the same doubles.  Analytic distribution rows, whose
+widths differ, are read by the scanner's own line rule and have none.
 """
 
 from __future__ import annotations
@@ -80,6 +85,15 @@ class Manifest:
         """Whether ``again``, data read and written again, is ``data``."""
         self.add(f"{label} readback {'identical' if again == data else 'differs'}")
 
+    def reference(self, label: str, data: bytes, head: int) -> None:
+        """Whether the rows after the ``head`` lines of ``data`` read as the
+        same doubles through the block reader and the line scanner."""
+        from proxint._fmt import _scan_lines, read_rows
+
+        lines = data.decode().splitlines(keepends=True)[head:]
+        same = read_rows(lines, head).tobytes() == _scan_lines(lines, head).tobytes()
+        self.add(f"{label} reference {'identical' if same else 'differs'}")
+
     def run(self, argv: list[str], out_name: str) -> None:
         import proxint.cli as cli
 
@@ -97,6 +111,9 @@ class Manifest:
                 with open(os.path.join(out_dir, name), "rb") as fh:
                     data = fh.read()
                 self.readback(f"{label} wrote {name}", data, _curve_again(data))
+                # The comment lines, then the line of column names.
+                head = 1 + sum(line.startswith(b"#") for line in data.splitlines())
+                self.reference(f"{label} wrote {name}", data, head)
         self.add(f"{label} stdout {_sha(stdout.getvalue().encode())}")
         self.add(f"{label} stderr {_sha(stderr.getvalue().encode())}")
 
@@ -136,10 +153,14 @@ def _workload_commands(manifest: Manifest, workload: str, seed: int) -> None:
                 manifest.run([command, "--config", path], f"{name[:-4]}.csv")
         elif name.endswith(".txt"):
             with open(path, "rb") as fh:
-                manifest.readback(f"input {workload} seed={seed} {name}", fh.read(), _heightmap_again(path))
+                data = fh.read()
+            manifest.readback(f"input {workload} seed={seed} {name}", data, _heightmap_again(path))
+            manifest.reference(f"input {workload} seed={seed} {name}", data, 1)
             manifest.run(["heightmap", path], f"{name[:-4]}.csv")
     for scan in spec.get("scans", ()):
         path = os.path.join(indir, os.path.basename(scan["csv"]))
+        with open(path, "rb") as fh:
+            manifest.reference(f"input {workload} seed={seed} {os.path.basename(path)}", fh.read(), 0)
         manifest.run(["heightmap", path, "--dx", "%.17g" % scan["dx"], "--dy", "%.17g" % scan["dy"]],
                      f"{scan['name']}.csvin.csv")
     if spec.get("scans"):
@@ -152,10 +173,13 @@ def _preset_distributions(manifest: Manifest) -> None:
 
     for preset, sections in cli.PRESETS.items():
         for stack in cli.build_config({k: dict(v) for k, v in sections.items()}).curves:
-            text = distribution_to_text(stack.build()).encode()
+            dist = stack.build()
+            text = distribution_to_text(dist).encode()
             label = f"distribution {preset} {stack.label}"
             manifest.add(f"{label} {_sha(text)}")
             manifest.readback(label, text, _distribution_again(text))
+            if dist.kind == "sampled":
+                manifest.reference(label, text, 1)
 
 
 def _scan_distributions(manifest: Manifest, scan: dict, label: str) -> None:
@@ -173,6 +197,8 @@ def _scan_distributions(manifest: Manifest, scan: dict, label: str) -> None:
         text = distribution_to_text(dist).encode()
         manifest.add(f"distribution {label} {scan['name']} {name} {_sha(text)}")
         manifest.readback(f"distribution {label} {scan['name']} {name}", text, _distribution_again(text))
+        if dist.kind == "sampled":
+            manifest.reference(f"distribution {label} {scan['name']} {name}", text, 1)
 
 
 def main(argv=None) -> int:
