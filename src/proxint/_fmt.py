@@ -4,18 +4,29 @@ one writer of arrays of numbers, and ``table`` builds a CSV table with it.
 ``read_rows`` is the one reader of rows of numbers, and ``read_line`` its
 rule for one line.
 
+``write_rows`` writes a block of values by ``_format_block``: the 17
+digits of each by Dekker's two-product and a table of four-digit groups,
+into a row of four words after its separator and sign; "." goes in by
+word shifts, and one boolean compaction keeps one run of bytes a row.  A
+value outside [10^-6, 10^16) that is not zero takes a FMT template.
+
 ``read_rows`` reads a block of lines by the first of three readers that
 takes it, and all three give the doubles ``read_line`` gives:
 
-1. ``_parse_block``, by array operations, a block in a strict grammar:
-   rows ending in "\n", values parted by one "," or one " ", each value
-   [+-]D[.D][e[+-]D] with an integer of digits M < 10^18 and a decimal
-   scale |q| <= 27, its first row averaging more than 17 bytes a value
-   (15 digits, a point and a separator).  M and 10^|q| are exact in the
-   x87 extended double, so M 10^q is rounded once there and once more to
-   a double, which is the correctly rounded double unless the first
-   rounding ended on a midpoint of two doubles; such a value goes to
-   float().
+1. ``_parse_block``, by array operations, a block of ASCII bytes in a
+   strict grammar: rows ending in "\n", values parted by one "," or one
+   " ", each value [+-]D[.D][e[+-]D] with an integer of digits M < 10^18
+   and a decimal scale |q| <= 27, its first row averaging more than 15
+   bytes a value.  One pass finds the separators and one the "."s; the
+   32 bytes before each mantissa's end are gathered as four words, the
+   digits before its "." move up over it, and SWAR steps turn the digits
+   into M.  Those steps fail every ASCII byte but a digit, so each byte
+   of a token is checked where it is read; only bytes above 0x7F, some
+   of which they would take for digits, are refused beforehand, by the
+   block's largest byte.  M and 10^|q| are exact in the x87 extended
+   double, so M 10^q is rounded once there and once more to a double,
+   which is the correctly rounded double unless the first rounding ended
+   on a midpoint of two doubles; such a value goes to float().
 2. ``np.loadtxt``, any other block of plain numeric text.
 3. ``_scan_lines``, line by line with ``read_line``, any other block; its
    faults name the line and column.
@@ -42,12 +53,12 @@ def write_rows(values: np.ndarray, sep: bytes):
     Besides the array, the writer holds less than 1 MiB."""
     width = values.shape[1]
     flat = values.reshape(-1)
-    rows = np.empty((min(flat.size, _WRITE_BLOCK), 4), _WORD)
-    rows[:, 0] = np.frombuffer(_ROW_START, _WORD)
     for start in range(0, flat.size, _WRITE_BLOCK):
         block = flat[start:start + _WRITE_BLOCK]
-        newlines = slice((width - 1 - start) % width, None, width)
-        yield _format_block(block, newlines, rows[:len(block)], sep)
+        text = _format_block(block, slice(-start % width, None, width), sep)
+        yield text[1:] if start == 0 else text
+    if flat.size:
+        yield b"\n"
 
 
 def _format_template(block: np.ndarray, newlines, sep: bytes) -> bytearray:
@@ -67,17 +78,17 @@ def table(head: list[str], columns) -> str:
 # bytes a value of a block.
 _WRITE_BLOCK = 4096
 
-# _format_block writes each value as a row of four little-endian words, and
-# a mask then keeps the bytes FMT writes.  The first word is
-# _ROW_START: "-", and "0.000" of 1e-4 <= |v| < 1 (its "0" alone writes 0).
-# The other three, the digit words, hold the 17 digits, "e-0" and "56", the
-# exponent digits of 1e-6 <= |v| < 1e-4, and the separator.  "." goes in
-# after the (k+1)th digit in fixed notation, or after the first in exponent
-# notation, k being the decimal exponent of |v| rounded to 17 digits; the
-# bytes after it move up by one.
-_ROW_START = b"__-0.000"
+# _format_block writes each value as a row of four little-endian words,
+# and a mask then keeps the bytes FMT writes, with the separator before
+# them, as one run.  The last three, the digit words, hold the 17 digits
+# from byte 8.  "." goes in after the (k+1)th digit in fixed notation, or
+# after the first in exponent notation, k being the decimal exponent of |v|
+# rounded to 17 digits; the bytes after it move up by one.  The first word
+# ends in the separator, then "-" and "0.000" of 1e-4 <= |v| < 1, as FMT
+# writes them; "e-05" or "e-06" follow the significant digits.
 _WORD, _HALF = np.dtype("<u8"), np.dtype("<u4")
 _DOTS = np.frombuffer(b"........", _WORD)[0]
+_EXPONENTS = np.frombuffer(b"e-06e-05", _HALF)
 # The decimal exponents of the values _format_block writes, and the least
 # such value: the double 1e-6 lies below 10^-6.
 _K_MIN, _K_MAX = -6, 15
@@ -91,14 +102,17 @@ def _format_tables():
     """The read-only tables of ``_format_block``, built on its first call.
 
     ``groups[g]``: the 4 ASCII digits of g < 10^4, as one half-word.
-    ``last[d]``: the digit d, then "e-0", as one half-word.
+    ``last[d]``: the digit d, as one half-word.
     ``trailing[g]``: the trailing zeros of g as four digits, 4 for g = 0.
     ``scales[i][k - _K_MIN]``: 10^(16 - k), exact, and its Veltkamp halves.
     ``dots[i][k - _K_MIN]``: the masks of a row's bytes before the place of
     "." (i = 0) and of that place (i = 1), as four words.
-    ``masks[key]``: the bytes of a row that FMT writes, for
-    key = (negative * 22 + k - _K_MIN) * 17 + significant digits - 1, and
-    for keys 748 + negative, a zero.
+    For key = (negative * 22 + k - _K_MIN) * 17 + significant digits - 1,
+    and for keys 748 + negative, a zero:
+    ``kept[key]``: the bytes of digits and "." FMT writes;
+    ``masks[key]``: the bytes of a row kept, the separator and FMT's text;
+    ``heads[key]``, ``seps[key]``: the first word of the row with its
+    separator 0, and with 1 in the separator's place.
     """
     # Built from arrays of 16 bits or less, so that the heap a process
     # keeps after its first write grows little.
@@ -109,7 +123,7 @@ def _format_tables():
         digits[:, i] = g // power % 10 + ord("0")
         trailing += g % (10_000 // power) == 0
     groups = digits.view(_HALF).ravel()
-    last = np.frombuffer(b"".join(b"%de-0" % d for d in range(10)), _HALF).copy()
+    last = np.arange(ord("0"), ord("0") + 10, dtype=_HALF)
     scale = np.array([float(10 ** (16 - k)) for k in range(_K_MIN, _K_MAX + 1)])
     high = scale * _SPLIT
     high -= high - scale
@@ -121,51 +135,62 @@ def _format_tables():
     byte = np.arange(32)
     dots = tuple(np.where(cut, 0xFF, 0).astype(np.uint8).view(_WORD) for cut in (byte < place, byte == place))
 
-    # Once "." is in, the digit words (bytes 8-31 of a row) hold the digits
-    # and "." from byte 8, "e-0" at bytes 26-28, "5" at 29, "6" at 30 and
-    # the separator at 31; where no "." goes in, the separator is at 30.
     neg, k, s = (x.ravel() for x in np.meshgrid([0, 1], k, np.arange(1, 18), indexing="ij"))
     fixed = k >= 0
     small = ~fixed & (k >= -4)
-    masks = np.zeros((len(k) + 2, 32), bool)
-    masks[:-2, 2] = neg
-    masks[:-2, 3:8] = np.arange(5) < np.where(small, 1 - k, 0)[:, None]
-    # Bytes kept from byte 8: in fixed notation the k + 1 integer digits,
-    # then "." and the significant fraction digits if there are any; in
+    # Bytes from byte 8: in fixed notation the k + 1 integer digits, then
+    # "." and the significant fraction digits if there are any; in
     # 1e-4 <= |v| < 1 the significant digits; in exponent notation the
-    # first digit, then "." and the other significant digits if any.
+    # first digit, then "." and the other significant digits if any.  A
+    # zero is written as its head alone.
     kept = np.where(fixed, np.maximum(s, k + 1) + (s > k + 1), np.where(small, s, s + (s > 1)))
-    masks[:-2, 8:26] = np.arange(18) < kept[:, None]
-    masks[:-2, 26:29] = (k <= -5)[:, None]
-    masks[:-2, 29] = k == -5
-    masks[:-2, 30] = (k == -6) | small
-    masks[:-2, 31] = ~small
-    masks[-2:, 3] = True
-    masks[-1, 2] = True
-    masks[-2:, 31] = True
-    for table in (groups, last, trailing, *scales, *dots, masks):
+    kept = np.concatenate([kept, [0, 0]]).astype(np.int8)
+    heads = [b"-" * n + (b"0." + b"0" * (-j - 1) if -4 <= j < 0 else b"") for n, j in zip(neg, k)]
+    heads = [h.rjust(8, b"\0") for h in heads + [b"0", b"-0"]]
+    lengths = np.array([len(h.lstrip(b"\0")) for h in heads])
+    heads = np.frombuffer(b"".join(heads), _WORD)
+    seps = np.left_shift(1, 8 * (7 - lengths)).astype(_WORD)
+    ends = 8 + kept + 4 * np.concatenate([k <= -5, [False, False]])
+    masks = (byte >= 7 - lengths[:, None]) & (byte < ends[:, None])
+    for table in (groups, last, trailing, *scales, *dots, kept, masks, heads, seps):
         table.setflags(write=False)
-    return groups, last, trailing, scales, dots, masks
+    return groups, last, trailing, scales, dots, kept, masks, (heads, seps)
 
 
-def _format_block(v: np.ndarray, newlines: slice, rows: np.ndarray, sep: bytes) -> np.ndarray:
-    """The bytes FMT writes for each value of v, each followed by ``sep``,
-    or by a newline at the values ``newlines`` selects.  Zeros and
-    magnitudes in [10^-6, 10^16) are written by array operations, any
-    other value by a FMT template into its row.  ``rows`` starts with
-    ``_ROW_START`` and takes the digit words.
+@functools.lru_cache(maxsize=None)
+def _first_words(sep: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # The first words of the rows, by key, after ``sep`` and after a newline.
+    heads, seps = _format_tables()[-1]
+    return tuple(heads + seps * ord(lead) for lead in (sep, b"\n"))
+
+
+def _format_block(v: np.ndarray, leads: slice, sep: bytes) -> np.ndarray:
+    """The bytes FMT writes for each value of v, each after ``sep``, or
+    after a newline at the values ``leads`` selects.  Zeros and magnitudes
+    in [10^-6, 10^16) are written by array operations, any other value by
+    a FMT template into its row.
     """
-    groups, last, trailing, scales, dots, masks = _format_tables()
+    groups, last, trailing, scales, dots, kept, masks, _ = _format_tables()
     a = np.abs(v)
-    zero = np.flatnonzero(a == 0.0)
-    a[zero] = 1.0
-    other = np.flatnonzero(~((a >= _LEAST) & (a < 1e16)))
-    # The array path runs over every value of the block, and putting the
-    # template's text in the rows costs about a third of the template: a
-    # block of which more than half need it is written by it alone.
-    if 2 * len(other) > len(v):
-        return np.frombuffer(_format_template(v, newlines, sep), np.uint8)
-    a[other] = 1.0
+    zero = other = np.empty(0, np.intp)
+    # NaN fails both tests.
+    if not (a.min() >= _LEAST and a.max() < 1e16):
+        zero = np.flatnonzero(a == 0.0)
+        a[zero] = 1.0
+        other = np.flatnonzero(~((a >= _LEAST) & (a < 1e16)))
+        # The array path runs over every value of the block, and putting
+        # the template's text in the rows costs about a third of the
+        # template: a block of which more than half need it is written by
+        # it alone.
+        if 2 * len(other) > len(v):
+            # A newline follows the values before those `leads` selects,
+            # and the template's last separator goes before its first value.
+            newlines = np.zeros(len(v) + 1, bool)
+            newlines[leads] = True
+            text = _format_template(v, newlines[1:], sep)
+            text[-1:] = b"\n" if newlines[0] else sep
+            return np.frombuffer(text[-1:] + text[:-1], np.uint8)
+        a[other] = 1.0
     k, n = _decimal_digits(a, scales)
 
     # The 17 digits: four groups of four, then the last digit.
@@ -194,17 +219,23 @@ def _format_block(v: np.ndarray, newlines: slice, rows: np.ndarray, sep: bytes) 
     negative = np.signbit(v)
     if negative.any():
         key += negative * (22 * 17)
-    key[zero] = 2 * 22 * 17 + negative[zero]
+    if zero.size:
+        key[zero] = 2 * 22 * 17 + negative[zero]
+    # An other value's template text follows its separator at byte 7, as
+    # after the first word of key 16, a positive value with no "0.000".
+    key[other] = 16
 
+    rows = np.empty((len(v), 4), _WORD)
+    after_sep, after_newline = _first_words(sep)
+    rows[:, 0] = after_sep.take(key)
+    rows[leads, 0] = after_newline.take(key[leads])
     halves = rows.view(_HALF)
     for column, group in enumerate((g1, g2, g3, g4), start=2):
         halves[:, column] = groups.take(group)
     halves[:, 6] = last.take(n)
-    halves[:, 7] = np.frombuffer(b"56" + sep + b"\0", _HALF)
-    halves[newlines, 7] = np.frombuffer(b"56\n\0", _HALF)
     del n, upper, lower, g1, g2, g3, g4
     # "." goes in: the bytes at and after its place move up by one.  The
-    # last byte of a row is 0, so nothing moves from one row to the next.
+    # first word keeps its bytes, so nothing moves from one row to the next.
     words = rows.reshape(-1)
     moved = words << 8
     moved[1:] |= words[:-1] >> 56
@@ -216,21 +247,21 @@ def _format_block(v: np.ndarray, newlines: slice, rows: np.ndarray, sep: bytes) 
     moved &= place.take(k, axis=0).reshape(-1)
     words ^= moved
     del moved
+    if k.min() <= 1:
+        # "e-05" or "e-06" after the digits, in exponent notation.
+        tiny = np.flatnonzero(k <= 1)
+        at = tiny * 32 + 8 + kept.take(key[tiny])
+        np.ndarray((len(words) * 8 - 3,), _HALF, rows, strides=(1,))[at] = _EXPONENTS.take(k[tiny])
     keep = masks.take(key, axis=0)
-    if not other.size:
-        return rows.view(np.uint8)[keep]
-    # Each other value's text and its end, from the template, take the
-    # first bytes of its row (FMT writes at most 24).
-    ends = np.zeros(len(v), bool)
-    ends[newlines] = True
-    text = np.frombuffer(_format_template(v[other], ends[other], sep), np.uint8)
-    cut = np.flatnonzero((text == sep[0]) | (text == ord("\n"))) + 1
-    size = np.diff(cut, prepend=0)
-    rows.view(np.uint8)[other, :25] = sliding_window_view(np.append(text, np.zeros(25, np.uint8)), 25)[cut - size]
-    keep[other] = np.arange(32) < size[:, None]
-    text = rows.view(np.uint8)[keep]
-    rows[other, 0] = np.frombuffer(_ROW_START, _WORD)
-    return text
+    if other.size:
+        # Each other value's text and its end, from the template, take the
+        # digit words of its row (FMT writes at most 24 bytes).
+        text = np.frombuffer(_format_template(v[other], slice(0, 0), sep), np.uint8)
+        cut = np.flatnonzero(text == sep[0]) + 1
+        size = np.diff(cut, prepend=0)
+        rows.view(np.uint8)[other, 8:] = sliding_window_view(np.append(text, np.zeros(24, np.uint8)), 24)[cut - size]
+        keep[other] = (np.arange(32) >= 7) & (np.arange(32) < 7 + size[:, None])
+    return rows.view(np.uint8)[keep]
 
 
 def _decimal_digits(a: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
@@ -244,13 +275,13 @@ def _decimal_digits(a: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
     of the 17th digit below a power of ten, so that integer stays below
     10^17.
     """
-    # k from log10, which misses by at most one next to a power of ten.
+    # k from log10, which misses by at most one next to a power of ten:
+    # log10(a) - _K_MIN is at least 0 less a rounding, so that truncation
+    # floors it.
     k = np.log10(a)
-    np.floor(k, out=k)
-    k = k.astype(np.intp)
-    np.maximum(k, _K_MIN, out=k)
-    np.minimum(k, _K_MAX, out=k)
     k -= _K_MIN
+    k = k.astype(np.intp)
+    np.minimum(k, _K_MAX - _K_MIN, out=k)
     high = a * _SPLIT
     high -= high - a
     low = a - high
@@ -343,6 +374,33 @@ def read_rows(lines: list[str], lineno: int, width: int | None = None, fh=None) 
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks or [np.empty((0, width or 0))])
 
 
+class StringLines:
+    """The lines of a string, each ending at "\n" as io.StringIO's do,
+    read as from a text stream, without a copy of the string (io.StringIO
+    holds one of four bytes a character)."""
+
+    def __init__(self, text: str):
+        self._text, self._at = text, 0
+
+    def readline(self) -> str:
+        end = self._text.find("\n", self._at) + 1 or len(self._text)
+        line, self._at = self._text[self._at:end], end
+        return line
+
+    def readlines(self, hint: int) -> list[str]:
+        """Whole lines, until they hold more than ``hint`` characters or the
+        string ends."""
+        end = self._text.find("\n", self._at + hint) + 1 or len(self._text)
+        lines = self._text[self._at:end].split("\n")
+        self._at = end
+        tail = lines.pop()
+        return [line + "\n" for line in lines] + ([tail] if tail else [])
+
+    def __iter__(self):
+        # Blocks of whole lines, as one string each.
+        return iter(lambda: "".join(self.readlines(_BLOCK_CHARS)), "")
+
+
 def _scan_lines(lines: list[str], lineno: int, width: int | None = None) -> np.ndarray:
     # The reference reader, line by line, of lines lineno + 1, ... with rows
     # as wide as `width` or the first.
@@ -359,15 +417,18 @@ def _scan_lines(lines: list[str], lineno: int, width: int | None = None) -> np.n
 
 
 # _parse_block reads each value as M 10^q, M the integer of its mantissa's
-# digits and q its decimal scale.  M comes from the 24 bytes of the block,
-# with every "." taken out, that end where the mantissa ends: three
-# little-endian words, in which the bytes before its digits become "0".
+# digits and q its decimal scale.  M comes from the 32 bytes of the block
+# that end where the mantissa ends: four little-endian words, in which the
+# bytes before its "." move up by one byte over it and the bytes before
+# its digits then become "0".
 _DIGIT_MAX, _Q_MAX = 10**18, 27
 # Up to 15 digits, float() and numpy read a value by one exact operation on
-# doubles (Clinger 1990), faster than _parse_block; past them they work
-# with long integers, two to three times slower.  15 digits, a point and
-# a separator take 17 bytes.
-_FAST_BYTES = 17
+# doubles (Clinger 1990); past them they work with long integers, two to
+# three times slower.  On 512-wide rows, _parse_block reads values of 14
+# bytes or more, separator included, faster than numpy, whether they are
+# 12-digit values of 10^3 or 8-digit ones of -10^-3: rows longer than 15
+# bytes a value go to it.
+_FAST_BYTES = 15
 # M < 2^64 and 10^|q| (5^27 < 2^63) are exact in the x87 extended double,
 # so M 10^q is rounded once there, and then to a double.  That gives the
 # correctly rounded double unless the first rounding ended on a midpoint
@@ -381,42 +442,48 @@ _ZEROS = np.frombuffer(b"00000000", _WORD)[0]
 def _parse_tables():
     """The read-only tables of ``_parse_block``, built on its first call.
 
-    ``last[n]``: the mask of the last n of 24 bytes, as three words.
+    ``last[words][n]``: the mask of the last n bytes of 8 * words, for
+    one word or four, as one item of that size.
     ``up[q + _Q_MAX]``, ``down[q + _Q_MAX]``: 10^q and 1 for q > 0, and 1
     and 10^-q for q <= 0, exact extended doubles.
     """
-    last = np.where(np.arange(24) >= 24 - np.arange(25)[:, None], 0xFF, 0).astype(np.uint8).view(_WORD)
+    masks = bytes(32) + b"\xff" * 32
+    last = {w: np.frombuffer(b"".join(masks[32 - 8 * w + n:32 + n] for n in range(8 * w + 1)), (np.void, 8 * w))
+            for w in (1, 4)}
     powers = np.cumprod([1] + [10] * _Q_MAX, dtype=np.longdouble)
     ones = np.ones(_Q_MAX, np.longdouble)
     up, down = np.concatenate([ones, powers]), np.concatenate([powers[::-1], ones])
-    for table in (last, up, down):
+    for table in (up, down):
         table.setflags(write=False)
     return last, up, down
 
 
-def _digit_words(text: bytes, ends: np.ndarray, digits: np.ndarray, words: int) -> np.ndarray | None:
-    """The last ``digits`` bytes of ``text`` before each place of ``ends``
-    as the integers of their digits, eight to a word and ``words`` words
-    each; None if one of them is not a digit."""
-    w = np.ndarray((len(text) - 8 * words + 1, words), _WORD, text, strides=(1, 8))[ends - 8 * words]
-    t = np.take(_parse_tables()[0][:, 3 - words:], digits, axis=0)
+def _words(text: bytes, starts: np.ndarray, words: int) -> np.ndarray:
+    # The 8 * words bytes of text from each place of starts, as rows of
+    # little-endian words; the windows overlap, so they are read as items
+    # of that size at a stride of one byte.
+    item = np.dtype((np.void, 8 * words))
+    return np.ndarray((len(text) - item.itemsize + 1,), item, text, strides=(1,))[starts].view(_WORD).reshape(-1, words)
+
+
+def _digit_values(w: np.ndarray, digits: np.ndarray) -> np.ndarray | None:
+    """The last ``digits`` bytes of each row of words w as the integers of
+    their digits, eight to a word, in place; None if one of them is not a
+    digit."""
     w ^= _ZEROS
-    w &= t
-    np.add(w, 0x0606060606060606, out=t)
-    t &= 0xF0F0F0F0F0F0F0F0
-    if t.any():
+    w &= _parse_tables()[0][w.shape[1]].take(digits).view(_WORD).reshape(w.shape)
+    # A digit less "0", plus 6, stays below 16.
+    if np.bitwise_or.reduce(w + 0x0606060606060606, axis=None) & 0xF0F0F0F0F0F0F0F0:
         return None
     # The eight digit values of a word, its first byte the leading digit,
     # become pairs, fours and then one integer (Lemire 2021).
-    np.right_shift(w, 8, out=t)
-    w *= 10
-    w += t
-    np.right_shift(w, 16, out=t)
-    t &= 0xFF000000FF
-    t *= 1 + (10000 << 32)
-    w &= 0xFF000000FF
-    w *= 100 + (1000000 << 32)
-    w += t
+    w *= 10 * 2**8 + 1
+    w >>= 8
+    w &= 0x00FF00FF00FF00FF
+    w *= 100 * 2**16 + 1
+    w >>= 16
+    w &= 0x0000FFFF0000FFFF
+    w *= 10000 * 2**32 + 1
     w >>= 32
     return w
 
@@ -431,21 +498,26 @@ def _parse_block(data: bytes, width: int | None) -> np.ndarray | None:
     [+-]D[.D][e[+-]D], D digits: 1 to 24 digits before "e" and 1 to 8 after
     it, with M < _DIGIT_MAX and |q| <= _Q_MAX.
     """
-    sep = b"," if b"," in data else b" "
+    # A "," after the first row is in a token if the first holds none, and
+    # fails the block below.
     first = data.find(b"\n") + 1
-    if (not _EXTENDED or first <= _FAST_BYTES * (data.count(sep, 0, first) + 1)
-            or not data.endswith(b"\n") or data.translate(None, b"0123456789+-.e\n" + sep)):
+    sep = b"," if data.find(b",", 0, first) >= 0 else b" "
+    # A first row of other than `width` values fails the block below.
+    if not _EXTENDED or first <= _FAST_BYTES * (width or data.count(sep, 0, first) + 1) or not data.endswith(b"\n"):
         return None
-    up, down = _parse_tables()[1:]
     b = np.frombuffer(data, np.uint8)
+    # Each byte that is not a separator, a sign, "e" or "." lies in a
+    # window that _digit_values checks, which fails every ASCII byte but a
+    # digit; bytes 0xCA to 0xCF would pass it.
+    if not b.max() < 0x80:
+        return None
+    last, up, down = _parse_tables()
     ends = np.flatnonzero((b == sep[0]) | (b == ord("\n")))
     newline = b[ends] == ord("\n")
     width = width or int(np.argmax(newline)) + 1
     if ends.size % width or not newline[width - 1::width].all() or np.count_nonzero(newline) * width != ends.size:
         return None
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
+    starts = np.concatenate(([0], ends[:-1] + 1))
     lead = b[starts]
     negative = lead == ord("-")
 
@@ -458,57 +530,70 @@ def _parse_block(data: bytes, width: int | None) -> np.ndarray | None:
             return None
         mend = ends.copy()
         mend[exponent] = at
-    # A mantissa holds one "." at most.  q is less its fraction digits, and
-    # `dots` counts the "."s up to each token's end.
+    # A mantissa holds one "." at most, `fraction` digits before its end
+    # (32 where it holds none); q + _Q_MAX is _Q_MAX less them.
     at = np.flatnonzero(b == ord("."))
     if at.size == ends.size and (at >= starts).all() and (at < mend).all():
-        q = at - mend + 1
-        dots = np.arange(1, ends.size + 1)
-        digits = mend - starts - 1
+        fraction = mend - at
+        fraction -= 1
+        q = _Q_MAX - fraction
+        digits = mend - starts
+        digits -= 1
     else:
         token = np.searchsorted(ends, at)
         if (np.diff(token) == 0).any() or (at >= mend[token]).any():
             return None
-        q = np.zeros(ends.size, np.int64)
-        q[token] = at - mend[token] + 1
-        dots = np.zeros(ends.size, np.int64)
-        dots[token] = 1
-        digits = mend - starts - dots
-        np.cumsum(dots, out=dots)
+        fraction = np.full(ends.size, 32)
+        fraction[token] = mend[token] - at - 1
+        q = np.full(ends.size, _Q_MAX)
+        q[token] -= fraction[token]
+        digits = mend - starts
+        digits[token] -= 1
     digits -= negative | (lead == ord("+"))
     del starts, lead, at
     if not (digits.min() >= 1 and digits.max() <= 24):
         return None
 
-    # Without its "."s and after 24 "0"s, the text holds every window.
-    text = b"0" * 24 + data.translate(None, b".")
-    dots -= 24
+    # After 32 bytes, the text holds every window: each starts 32 bytes
+    # before its end in the block.
+    text = bytes(32) + data
     if exponent is not None:
         sign = b[mend[exponent] + 1]
         size = ends[exponent] - mend[exponent] - 1 - ((sign == ord("+")) | (sign == ord("-")))
         if not (size.min() >= 1 and size.max() <= 8):
             return None
-        e = _digit_words(text, ends[exponent] - dots[exponent], size, 1)
+        e = _digit_values(_words(text, ends[exponent] + 24, 1), size)
         if e is None:
             return None
         e = e[:, 0].astype(np.int64)
         e[sign == ord("-")] *= -1
         q[exponent] += e
-    if not (np.abs(q).max() <= _Q_MAX):
+        # Without an exponent, 24 fraction digits at most put it in range.
+        if not (q.min() >= 0 and q.max() <= 2 * _Q_MAX):
+            return None
+    # The 32 bytes before a mantissa's end; those before its "." move up by
+    # one byte, over the ".", so that its digits end the window.
+    w = _words(text, mend, 4)
+    del text, mend
+    words = w.reshape(-1)
+    moved = words << 8
+    moved[1:] |= words[:-1] >> 56
+    words ^= moved
+    words &= last[4].take(fraction).view(_WORD)
+    words ^= moved
+    del moved, fraction
+    w = _digit_values(w, digits)
+    del digits
+    if w is None or not w[:, 1].max() < _DIGIT_MAX // 10**16:
         return None
-    w = _digit_words(text, mend - dots, digits, 3)
-    del text, mend, dots, digits
-    if w is None or not w[:, 0].max() < _DIGIT_MAX // 10**16:
-        return None
-    m = w[:, 0] * 10**16
-    m += w[:, 1] * 10**8
-    m += w[:, 2]
+    m = w[:, 1] * 10**16
+    m += w[:, 2] * 10**8
+    m += w[:, 3]
     del w
 
     v = m.astype(np.longdouble)
     del m
-    q += _Q_MAX
-    if q.max() > _Q_MAX:
+    if exponent is not None and q.max() > _Q_MAX:
         v *= up.take(q)
     v /= down.take(q)
     values = v.astype(float)

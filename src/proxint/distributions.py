@@ -33,14 +33,13 @@ all operations are pure functions and safe to call concurrently.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fmt import FMT, read_line, read_rows, table
+from ._fmt import FMT, StringLines, read_line, read_rows, table
 from .errors import InvalidParameterError, NumericError, ParseError, UnclassifiableError
 
 __all__ = [
@@ -946,7 +945,7 @@ def distribution_to_text(f: HeightDistribution) -> str:
 def text_to_distribution(text: str) -> HeightDistribution:
     """Parse the v1 text format; a ParseError names the line, and the
     column of a token that is not a finite number."""
-    return _read_distribution(io.StringIO(text))
+    return _read_distribution(StringLines(text))
 
 
 def _read_distribution(fh) -> HeightDistribution:

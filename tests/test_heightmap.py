@@ -38,7 +38,8 @@ from proxint import (
 from proxint import _fmt as fmt_module
 from proxint import heightmap as heightmap_module
 from proxint._fmt import _scan_lines
-from proxint.distributions import read_distribution, text_to_distribution, write_distribution
+from proxint.distributions import (distribution_to_text, read_distribution, text_to_distribution,
+                                  write_distribution)
 from proxint.heightmap import Histogram, _gaussian_bin_masses
 
 from conftest import traced_peak
@@ -519,12 +520,39 @@ class TestExactReader:
         assert got.tobytes() == np.array([[float(t) for t in tokens], [-float(t) for t in tokens]]).tobytes()
 
     def test_short_values_go_to_numpy(self):
-        # Up to 15 digits a value, float() and numpy read by one exact
-        # operation on doubles, and faster: the exact reader leaves rows of
-        # 17 bytes a value or fewer.
+        # numpy reads short values faster: the exact reader leaves rows of
+        # 15 bytes a value or fewer.
         assert _parse(" ".join(["4980.46875"] * 9) + "\n") is None
-        assert _parse(" ".join(["1234567.89012345"] * 9) + "\n") is None
-        assert _parse(" ".join(["1234567.890123456"] * 9) + "\n") is not None
+        assert _parse(" ".join(["12345.67890123"] * 9) + "\n") is None
+        assert _parse(" ".join(["123456.78901234"] * 9) + "\n") is not None
+
+    # Two blocks that _parse_block takes, one for each separator, of values
+    # as FMT writes them: signs, exponents both ways and "0.000", each with
+    # a decimal scale of at most 27.
+    MUTATED = [
+        b" ".join(b"%.17g" % v for v in (-1588.9088430643096, 1.2345678901234567e-05, 0.00098765432109876543)) + b"\n",
+        b",".join(b"%.17g" % v for v in (1.2345678901234567e17, -7.0000000000000018e-06, 0.1)) + b"\n",
+    ]
+
+    @pytest.mark.parametrize("block", MUTATED, ids=["space", "comma"])
+    def test_one_byte_mutations_read_as_the_line_scanner(self, block):
+        # Every ASCII byte at every place of the block: the reader refuses
+        # the block or reads the doubles the line scanner reads.
+        assert _parse(block.decode()).tobytes() == _scan_lines(block.decode().splitlines(), 0).tobytes()
+        for at in range(len(block)):
+            for byte in range(128):
+                data = block[:at] + bytes([byte]) + block[at + 1:]
+                got = fmt_module._parse_block(data, None)
+                if got is not None:
+                    text = data.decode()
+                    assert got.tobytes() == _scan_lines(text.splitlines(), 0).tobytes(), text
+
+    def test_bytes_past_ascii_are_refused(self):
+        # 0xCA less "0" plus 6 carries out of its byte, so that the digit
+        # check alone would take it for a digit.
+        block = self.MUTATED[0]
+        at = block.index(b"8")
+        assert fmt_module._parse_block(block[:at] + b"\xca" + block[at + 1:], None) is None
 
     def test_powers_of_ten_are_exact(self):
         up, down = fmt_module._parse_tables()[1:]
@@ -684,21 +712,23 @@ class TestWriter:
 
     @pytest.mark.parametrize("sep", [b" ", b","])
     def test_array_path_and_its_fallback(self, sep):
-        # Edge values inside the range take the array path; a value outside
+        # Edge values inside the range take the array path, with and
+        # without a value FMT writes with a sign or "0.000"; a value outside
         # it, or the double 1e-6 (below 10^-6), takes the template, in its
-        # place, and leaves its row ready for the next block.
+        # place.
         inside = np.array(WRITER_EDGES)
         inside = inside[(inside == 0.0) | (np.abs(inside) >= WRITER_LEAST) & (np.abs(inside) < 1e16)]
         assert 1e-6 not in inside
-        rows = np.empty((len(inside) + 1, 4), fmt_module._WORD)
-        rows[:, 0] = np.frombuffer(fmt_module._ROW_START, fmt_module._WORD)
-        text = fmt_module._format_block(inside, slice(len(inside) - 1, None), rows[:-1], sep)
-        assert text.tobytes() == (sep.decode().join("%.17g" % v for v in inside.tolist()) + "\n").encode()
+        plain = inside[~np.signbit(inside) & ((inside == 0.0) | (inside >= 1.0) | (inside < 1e-4))]
+
+        def expected(block):
+            return ("".join(sep.decode() + "%.17g" % v for v in block.tolist())).encode()
+
+        for block in (inside, plain):
+            assert fmt_module._format_block(block, slice(0, 0), sep).tobytes() == expected(block)
         for outside in (1e-6, 1e16, 5e-324, 1e300):
             block = np.insert(inside, len(inside) // 2, outside)
-            text = fmt_module._format_block(block, slice(len(block) - 1, None), rows, sep)
-            assert text.tobytes() == (sep.decode().join("%.17g" % v for v in block.tolist()) + "\n").encode()
-            assert (rows[:, 0] == np.frombuffer(fmt_module._ROW_START, fmt_module._WORD)).all()
+            assert fmt_module._format_block(block, slice(0, 0), sep).tobytes() == expected(block)
 
 
 class TestShiftToContact:
@@ -963,6 +993,14 @@ class TestMemoryBudget:
         f = HeightDistribution.sampled(0.01, np.random.default_rng(1).uniform(0.0, 1.0, n))
         write_distribution(f, tmp_path / "f.txt")
         assert traced_peak(lambda: read_distribution(tmp_path / "f.txt")) <= 3 * 16 * n
+
+    def test_text_to_distribution(self):
+        # The same text as a string: its lines are read a block at a time,
+        # without a copy of it.
+        n = 100_000
+        f = HeightDistribution.sampled(0.01, np.random.default_rng(1).uniform(0.0, 1.0, n))
+        text = distribution_to_text(f)
+        assert traced_peak(lambda: text_to_distribution(text)) <= 3 * 16 * n
 
     # At 1024^2: the first layer's grid is the sum, a later cap or tiling
     # adds one block of rows at a time, and a rough layer takes one more
