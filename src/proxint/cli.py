@@ -51,7 +51,6 @@ from .heightmap import (
     distribution_from_histogram,
     fit_gaussian,
     load_heightmap,
-    shift_to_contact,
 )
 from .interaction import DEFAULT_D_REF, Kernel, curve_to_csv, heat_sio2_kernel, sweep
 
@@ -432,7 +431,6 @@ def cmd_heightmap(args) -> int:
     cfg = load_config(args)
     _check_out(args.out)
     hm = load_heightmap(args.path, dx=args.dx, dy=args.dy)
-    hm = shift_to_contact(hm)
     emp, grad = _histograms(hm, cfg.bins)
     # Both histograms bin the same cells, so they have the same length.
     w = emp.bin_width
@@ -442,17 +440,13 @@ def cmd_heightmap(args) -> int:
         raise NumericError(f"bin width {w!r}: a density f or g per nm is not a finite float")
 
     lines = [f"# {_provenance(cfg, 'heightmap', f'input={os.path.basename(args.path)}')}"]
-    nonempty = int(np.count_nonzero(emp.weights))
-    if nonempty < 2:
+    if np.count_nonzero(emp.weights) < 2:
         lines.append("# delta-like distribution (single occupied bin); fit and "
                      "classification skipped")
         print("delta-like distribution: all separations in a single bin")
     else:
         fit = fit_gaussian(emp)
-        lines.append(
-            f"# gaussian-fit sigma={FMT % fit.sigma} s0={FMT % fit.s0} "
-            f"residual={FMT % fit.residual}"
-        )
+        lines.append(f"# gaussian-fit sigma={FMT % fit.sigma} s0={FMT % fit.s0} residual={FMT % fit.residual}")
         print(f"gaussian fit: sigma={fit.sigma:.6g} s0={fit.s0:.6g} residual={fit.residual:.3g}")
         try:
             report = case_number(distribution_from_histogram(emp), tol=1e-2)

@@ -256,8 +256,9 @@ class CaseReport:
     ``case_number`` is the order n of the first non-vanishing Taylor
     coefficient: f(0) = ... = f^{(n-2)}(0) = 0 and f^{(n-1)}(0) > 0.
     ``taylor_coeffs`` holds f^{(k)}(0) for k up to the first segment's degree
-    (the fitted ones up to SAMPLED_FIT_DEGREE on sampled data; for an analytic
-    (*) sampled distribution, n - 1 zeros and the leading one).
+    (the fitted ones up to SAMPLED_FIT_DEGREE on sampled data, ending before
+    the first that is not a finite float; for an analytic (*) sampled
+    distribution, n - 1 zeros and the leading one).
     """
 
     case_number: int
@@ -468,13 +469,6 @@ def convolve(f_c: HeightDistribution, f_r: HeightDistribution) -> HeightDistribu
             "result scales with its projected area",
             stacklevel=2,
         )
-    return _convolve(f_c, f_r)
-
-
-def _convolve(f_c: HeightDistribution, f_r: HeightDistribution) -> HeightDistribution:
-    """``convolve`` without the unit-area warning, for operands that carry
-    their own area on purpose (a gradient density integrates to the mean
-    squared slope)."""
     (a_c, s_c), (a_r, s_r) = _parts(f_c), _parts(f_r)
     analytic = _convolve_analytic(a_c, a_r) if a_c and a_r else a_c or a_r
     sampled = _convolve_numeric(s_c, s_r) if s_c and s_r else s_c or s_r
@@ -871,6 +865,9 @@ def case_number(f: HeightDistribution, tol: float = 1e-6) -> CaseReport:
             derivs = c * fact / w**ks
         if not 0.0 < abs(derivs[k]) < math.inf:
             raise NumericError(f"the derivative of order {k} of f at s = 0 is not a finite nonzero float")
+        # Higher fitted derivatives may leave the floats; the report ends
+        # before the first that does.
+        derivs = derivs[: k + 1 + int(np.isfinite(derivs[k + 1:]).cumprod().sum())]
     if derivs[k] < 0.0:
         raise UnclassifiableError(
             f"first significant derivative (order {k}) is negative; "
@@ -1005,6 +1002,10 @@ def write_distribution(f: HeightDistribution, path) -> None:
 
 def read_distribution(path) -> HeightDistribution:
     """Parse the v1 text file at ``path``, as ``text_to_distribution``
-    does, holding one block of its lines at a time."""
-    with open(path) as fh:
-        return _read_distribution(fh)
+    does, holding one block of its lines at a time.  A file that is not
+    text raises ParseError naming it."""
+    try:
+        with open(path) as fh:
+            return _read_distribution(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode as text ({exc.reason})") from exc

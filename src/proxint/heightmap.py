@@ -23,13 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import _BLOCK_CHARS, FMT, read_rows, write_rows
-from .distributions import HeightDistribution, _convolve
+from .distributions import HeightDistribution, convolve
 from .errors import FitError, InvalidParameterError, NumericError, ParseError
 
-# SciPy is imported inside its only callers, the Gaussian fit and the
-# rough-surface synthesis, so importing proxint (and every CLI command but
-# heightmap) does not load it; SciPy's import costs more than those
-# commands' work.
+# SciPy is imported inside its only caller, the rough-surface synthesis, so
+# no CLI command loads it; its import costs more than their work.
 
 __all__ = [
     "Heightmap",
@@ -61,7 +59,6 @@ class Heightmap:
     dx: float
     dy: float
     values: np.ndarray
-    contact_shifted: bool = False
 
     def __post_init__(self):
         if not all(math.isfinite(h) and h > 0 for h in (self.dx, self.dy)):
@@ -85,8 +82,6 @@ class Heightmap:
             )
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("heightmap values must be finite")
-        if self.contact_shifted and abs(float(v.min())) > 1e-12:
-            raise InvalidParameterError("contact-shifted heightmap must have min 0")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -168,7 +163,7 @@ def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> He
         raise ParseError(f"{path}: cannot decode as text ({exc.reason})") from exc
     if shape is not None and values.shape != shape:
         raise ParseError("grid is %dx%d, header says ny=%d nx=%d" % (values.shape + shape))
-    return Heightmap(dx=float(dx), dy=float(dy), values=values, contact_shifted=False)
+    return Heightmap(dx=float(dx), dy=float(dy), values=values)
 
 
 def _parse_header(first: str, dx, dy) -> tuple[tuple[int, int] | None, float, float]:
@@ -196,32 +191,31 @@ def save_heightmap(hm: Heightmap, path) -> None:
         fh.writelines(write_rows(hm.values, b" "))
 
 
-def shift_to_contact(hm: Heightmap) -> Heightmap:
-    """Shift values so the closest point sits at S = 0.
-
-    Raises NumericError when the span of the values is not a finite float.
-    """
-    vmin = float(hm.values.min())
-    if vmin == 0.0 and hm.contact_shifted:
-        return hm
-    vmax = float(hm.values.max())
-    # Every shifted value lies at or below the span, so none overflows.
+def _span(hm: Heightmap) -> tuple[float, float]:
+    # (least value, span); no value less the least overflows a finite span.
+    vmin, vmax = float(hm.values.min()), float(hm.values.max())
     if not math.isfinite(vmax - vmin):
         raise NumericError(f"heightmap values span [{vmin!r}, {vmax!r}]: the span is not a finite float")
-    return Heightmap(hm.dx, hm.dy, hm.values - vmin, contact_shifted=True)
+    return vmin, vmax - vmin
+
+
+def shift_to_contact(hm: Heightmap) -> Heightmap:
+    """Shift values so the closest point sits at S = 0 (``hm`` if it does);
+    NumericError when the span of the values is not a finite float."""
+    vmin, _ = _span(hm)
+    return hm if vmin == 0.0 else Heightmap(hm.dx, hm.dy, hm.values - vmin)
 
 
 # ---------------------------------------------------------------------------
 # histograms
 # ---------------------------------------------------------------------------
 
-def _bin_indices(hm: Heightmap, bin_width: float | None, op: str,
+def _bin_indices(hm: Heightmap, bin_width: float | None,
                  bins: int = DEFAULT_BIN_FRACTION) -> tuple[float, np.ndarray]:
     # Shared binning of empirical_distribution and gradient_distribution:
-    # (bin width, bin index of every cell in row-major order).
-    if not hm.contact_shifted:
-        raise InvalidParameterError(f"{op} needs a contact-shifted heightmap")
-    top = float(hm.values.max())
+    # (bin width, bin index of every cell in row-major order), measured from
+    # the least value with the roundings of shifting the map first.
+    vmin, top = _span(hm)
     if bin_width is None:
         bin_width = top / bins if top > 0.0 else 1.0
         if not _is_normal(bin_width):
@@ -230,21 +224,20 @@ def _bin_indices(hm: Heightmap, bin_width: float | None, op: str,
         raise InvalidParameterError("bin_width must be positive and finite")
     if not top / bin_width < 2.0**63:
         raise NumericError(f"bin width {bin_width!r}: the largest value {top!r} has no finite int64 bin index")
-    scaled = hm.values.ravel() / bin_width
+    scaled = hm.values.ravel() - vmin
+    np.divide(scaled, bin_width, out=scaled)
     np.floor(scaled, out=scaled)
-    idx = scaled.astype(np.int64)
-    np.maximum(idx, 0, out=idx)
-    return bin_width, idx
+    return bin_width, scaled.astype(np.int64)
 
 
 def empirical_distribution(hm: Heightmap, bin_width: float | None = None) -> Histogram:
     """Histogram of separations; each cell contributes dx*dy of area.
 
-    Bins are left-closed [k*w, (k+1)*w); the weights sum to the exact total
-    projected area.
+    Bins are left-closed [k*w, (k+1)*w) above the least value; the weights
+    sum to the exact total projected area.
     """
-    bin_width, idx = _bin_indices(hm, bin_width, "empirical_distribution")
-    return _area_histogram(hm, bin_width, idx)
+    bin_width, idx = _bin_indices(hm, bin_width)
+    return Histogram(bin_width, np.bincount(idx) * (hm.dx * hm.dy))
 
 
 def gradient_distribution(hm: Heightmap, bin_width: float | None = None) -> Histogram:
@@ -254,19 +247,15 @@ def gradient_distribution(hm: Heightmap, bin_width: float | None = None) -> Hist
     differences at the boundary rows/columns.  Raises NumericError when a
     bin's weight is not a finite float.
     """
-    bin_width, idx = _bin_indices(hm, bin_width, "gradient_distribution")
+    bin_width, idx = _bin_indices(hm, bin_width)
     return _gradient_histogram(hm, bin_width, idx)
 
 
 def _histograms(hm: Heightmap, bins: int) -> tuple[Histogram, Histogram]:
-    """empirical_distribution and gradient_distribution of ``bins`` bins
-    over the span, from one binning of the cells."""
-    bin_width, idx = _bin_indices(hm, None, "heightmap analysis", bins)
-    return _area_histogram(hm, bin_width, idx), _gradient_histogram(hm, bin_width, idx)
-
-
-def _area_histogram(hm: Heightmap, bin_width: float, idx: np.ndarray) -> Histogram:
-    return Histogram(bin_width, np.bincount(idx) * (hm.dx * hm.dy))
+    # empirical_distribution and gradient_distribution of ``bins`` bins over
+    # the span, from one binning of the cells.
+    bin_width, idx = _bin_indices(hm, None, bins)
+    return Histogram(bin_width, np.bincount(idx) * (hm.dx * hm.dy)), _gradient_histogram(hm, bin_width, idx)
 
 
 def _gradient_histogram(hm: Heightmap, bin_width: float, idx: np.ndarray) -> Histogram:
@@ -322,60 +311,76 @@ def _squared_gradient(S: np.ndarray, dx: float, dy: float) -> np.ndarray:
 # Gaussian roughness fit
 # ---------------------------------------------------------------------------
 
-def _gaussian_bin_masses(edges: np.ndarray, sigma: float, s0: float) -> np.ndarray:
-    # Exact bin masses of the truncated, renormalized Gaussian.
-    from scipy.special import erf
+def _gaussian_bin_masses(edges: np.ndarray, sigma: float, s0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bin masses between ascending ``edges`` of the Gaussian (sigma, s0)
+    truncated to s >= 0, and their derivatives by ln sigma and s0 (rows of
+    a 2 x bins array); math.erfc runs where it rounds to neither 2 nor 0."""
+    t = (edges - s0) * (math.sqrt(0.5) / sigma)
+    lo, hi = np.searchsorted(t, (-5.9, 27.3))
+    q = np.where(t < 0.0, 2.0, 0.0)  # erfc(t): twice the mass above each edge
+    q[lo:hi] = np.fromiter(map(math.erfc, t[lo:hi].tolist()), float, hi - lo)
+    masses = (q[:-1] - q[1:]) / q[0]
+    # Derivatives: differences of t exp(-t^2) and exp(-t^2), less mass x norm's.
+    e = np.exp(t * -t)
+    ends = np.stack((t * e, e))
+    jac = ends[:, :-1] - ends[:, 1:] - np.multiply.outer(ends[:, 0], masses)
+    jac *= np.array([[2.0], [math.sqrt(2.0) / sigma]]) / (math.sqrt(math.pi) * q[0])
+    return masses, jac
 
-    z = (edges - s0) / (sigma * math.sqrt(2.0))
-    cdf = 0.5 * (1.0 + erf(z))
-    norm = 1.0 - 0.5 * (1.0 + erf(-s0 / (sigma * math.sqrt(2.0))))
-    return np.diff(cdf) / norm
 
-
-# Lower bound of the fitted sigma, in the fit's unit of length.
-_SIGMA_MIN = 1e-9
+def _gauss_newton(edges: np.ndarray, y: np.ndarray, x: np.ndarray):
+    # At x = (ln sigma, s0): the cost, its rounding (eps * sum |r|), the step
+    # held to s0 >= 0 and its length over sigma; NaN if singular (numpy floats).
+    sigma = np.exp(x[0])
+    masses, jac = _gaussian_bin_masses(edges, sigma, x[1])
+    r = masses - y
+    (a, b), (_, c) = jac @ jac.T
+    g, h = jac @ r
+    ds = max((b * g - a * h) / (a * c - b * b), -x[1]) if a * c > b * b else math.nan
+    step = np.array([-(g + b * ds) / a, ds])
+    return float(r @ r), sys.float_info.epsilon * float(np.abs(r).sum()), step, max(abs(step[0]), abs(ds) / sigma)
 
 
 def fit_gaussian(emp: Histogram) -> GaussianFit:
     """Least-squares (sigma, s0) of the truncated Gaussian roughness model.
 
-    The histogram is normalized to unit mass and compared against exact
-    model bin masses.  A degenerate histogram (< 8 non-empty bins), or a
-    fit that fails or is not finite, raises FitError; a poor model fit is
-    reported through the residual, not an error.
+    Exact bin masses against the histogram of unit mass, in bin widths, so
+    the fit scales exactly with them.  Gauss-Newton steps run while they
+    lower the cost (halved if they raise it), then, once it changes by less
+    than its rounding, while they shorten.  Fewer than 8 non-empty bins, a
+    total mass that overflows, a singular step or a result that is not
+    finite raise FitError; a poor fit shows in the residual.
     """
-    from scipy.optimize import least_squares
-
     w = np.asarray(emp.weights, dtype=float)
     if int(np.count_nonzero(w)) < 8:
         raise FitError(f"need >= 8 non-empty bins to fit, have {int(np.count_nonzero(w))}")
-    y = w / w.sum()
-    # The fit runs in nm with sigma >= 1e-9.  A histogram narrower than
-    # that runs in units of its bin width, so the bound scales with it and
-    # the initial sigma, at least 1/sqrt(12) bins, lies above it; so does
-    # one whose extent in nm, squared, would overflow.
-    for unit in (1.0, emp.bin_width) if len(w) * emp.bin_width < 1e150 else (emp.bin_width,):
-        delta = emp.bin_width / unit
-        edges = np.arange(len(w) + 1) * delta
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        mean = float((y * centers).sum())
-        std = float(np.sqrt(max((y * (centers - mean) ** 2).sum(), delta**2 / 12.0)))
-        if std >= _SIGMA_MIN:
-            break
-
-    def resid(p):
-        sigma, s0 = p
-        return _gaussian_bin_masses(edges, sigma, s0) - y
-
-    try:
-        sol = least_squares(
-            resid, x0=[std, max(mean, 0.0)],
-            bounds=([_SIGMA_MIN, 0.0], [np.inf, np.inf]),
-        )
-    except ValueError as exc:
-        raise FitError(f"gaussian fit failed: {exc}") from exc
-    sigma, s0 = (float(v) * unit for v in sol.x)
-    residual = float(np.linalg.norm(sol.fun) / np.linalg.norm(y))
+    total = float(w.sum())
+    if not math.isfinite(total):
+        raise FitError(f"gaussian fit is not finite: the total mass {total!r} overflows")
+    y = w / total
+    edges = np.arange(len(w) + 1.0)
+    mean = float(y @ (edges[:-1] + 0.5))
+    var = max(float(y @ (edges[:-1] + 0.5 - mean) ** 2), 1.0 / 12.0)
+    x = np.array([0.5 * math.log(var), max(mean, 0.0)])
+    # A trial far from the data may overflow: its cost is then not finite.
+    with np.errstate(all="ignore"):
+        cost, slack, step, length = _gauss_newton(edges, y, x)
+        settled = False  # the cost no longer tells the steps apart
+        while math.isfinite(length) and not np.array_equal(x + step, x):
+            cost_t, slack_t, step_t, length_t = _gauss_newton(edges, y, x + step)
+            if settled or not cost_t < cost:
+                if cost_t <= cost + slack and length_t < length:
+                    settled = True
+                elif cost_t <= cost + slack or settled:
+                    break
+                else:
+                    step, length = step / 2.0, length / 2.0
+                    continue
+            x, cost, slack, step, length = x + step, cost_t, slack_t, step_t, length_t
+        if not math.isfinite(length):
+            raise FitError("gaussian fit failed: singular normal equations")
+        sigma, s0 = float(np.exp(x[0])) * emp.bin_width, float(x[1]) * emp.bin_width
+    residual = math.sqrt(cost / float(y @ y))
     if not all(math.isfinite(v) for v in (sigma, s0, residual)):
         raise FitError(f"gaussian fit is not finite: sigma={sigma!r} s0={s0!r} residual={residual!r}")
     return GaussianFit(sigma, s0, residual)
@@ -513,7 +518,7 @@ def synthesize_surface(
             for j in range(0, n, rows):
                 S[j:j + rows] += values(slice(j, j + rows))
     S -= S.min()
-    return Heightmap(dx, dx, S, contact_shifted=True)
+    return Heightmap(dx, dx, S)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +532,8 @@ def distribution_from_histogram(
 
     Node k (at s = k * bin_width) takes the average of the adjacent cell
     densities, which reproduces linear densities exactly.  With ``area``
-    given, the result is per unit projected area.  A density that is not a
-    finite float raises NumericError.
+    given, the result is per unit projected area and flagged so.  A density
+    that is not a finite float raises NumericError.
     """
     w = np.asarray(hist.weights, dtype=float)
     delta = hist.bin_width
@@ -548,7 +553,7 @@ def distribution_from_histogram(
             nodes[0] = nodes[-1] = dens[0]
     if not np.isfinite(nodes).all():
         raise NumericError(f"histogram density at bin width {delta!r} is not a finite float")
-    return HeightDistribution.sampled(delta, nodes, unit_area_normalized=False)
+    return HeightDistribution.sampled(delta, nodes, unit_area_normalized=area is not None)
 
 
 def compose_gradient(
@@ -560,8 +565,6 @@ def compose_gradient(
     convolution of the base height distribution with the modulation's
     per-unit-area gradient density (the base's own gradient is negligible on
     the modulation scale).  The result is the factored analytic (*) sampled
-    distribution that ``convolve`` returns, integrated as f is.  g integrates
-    to the mean squared slope rather than to 1, so it is convolved without
-    ``convolve``'s unit-area warning.
+    distribution that ``convolve`` returns, integrated as f is.
     """
-    return _convolve(f_c, distribution_from_histogram(g_r, area=area))
+    return convolve(f_c, distribution_from_histogram(g_r, area=area))

@@ -106,10 +106,17 @@ class InteractionCurve:
             raise InvalidParameterError("separations and values must be 1-D and equal length")
         if np.any(np.diff(d) <= 0):
             raise InvalidParameterError("separations must be strictly increasing")
-        d.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "separations", d)
-        object.__setattr__(self, "values", v)
+        arrays = {"separations": d, "values": v}
+        if self.ratios is not None:
+            r = np.ascontiguousarray(self.ratios, dtype=float)
+            if r.shape != d.shape:
+                raise InvalidParameterError("ratios must be 1-D and as long as separations")
+            if not np.isfinite(r).all():
+                raise InvalidParameterError("ratios must be finite")
+            arrays["ratios"] = r
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def with_ratio(self, far_field_nw: float) -> "InteractionCurve":
         """Attach the ratio column: values / far-field constant.

@@ -717,8 +717,8 @@ class TestPaths:
         self.assert_config_error(rc, capsys, tmp_path)
 
 
-# Runs in a fresh interpreter: the sweep, asympt and shape recipes, the
-# SciPy modules loaded by then, then a heightmap analysis (which needs SciPy).
+# Runs in a fresh interpreter: the sweep, asympt and shape recipes, then a
+# heightmap analysis, and the SciPy modules loaded after each.
 STARTUP_SCRIPT = """
 import json, sys
 import proxint
@@ -729,12 +729,13 @@ codes = [cli.main(["sweep", "--preset", "fig2", "--out", out + "/fig2.csv"]),
          cli.main(["shape", "--preset", "fig1", "--out", out + "/fig1.csv"])]
 scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
 heightmap = cli.main(["heightmap", scan, "--out", out + "/scan.csv", "--bins", "64"])
-print(json.dumps({"codes": codes, "scipy": scipy, "heightmap": heightmap}))
+after = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"codes": codes, "scipy": scipy, "heightmap": heightmap, "after": after}))
 """
 
 
 class TestStartup:
-    def test_only_heightmap_loads_scipy(self, tmp_path, deadline):
+    def test_no_command_loads_scipy(self, tmp_path, deadline):
         hm = synthesize_surface(
             [{"type": "cap", "radius": 5000.0}, {"type": "rough", "sigma": 5.0, "xi": 20.0}],
             n=64, extent=640.0, seed=3,
@@ -753,6 +754,7 @@ class TestStartup:
         assert result["codes"] == [EXIT_OK] * 3
         assert result["scipy"] == []
         assert result["heightmap"] == EXIT_OK
+        assert result["after"] == []
         assert "\n# gaussian-fit sigma=" in (tmp_path / "scan.csv").read_text()
 
 

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import pathlib
+import re
 import warnings
 
 import mpmath
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from proxint import (
     HeightDistribution,
+    Heightmap,
     Histogram,
     InvalidParameterError,
     NumericError,
@@ -22,6 +24,7 @@ from proxint import (
     convolve,
     distribution_from_histogram,
     dome_distribution,
+    empirical_distribution,
     evaluate,
     projected_area,
     pyramid_distribution,
@@ -579,6 +582,18 @@ class TestCaseNumber:
         with pytest.raises(InvalidParameterError):
             case_number(sphere_distribution(R), tol=2.0)
 
+    def test_sampled_taylor_coeffs_are_finite(self):
+        # A 4x4 scan of k * 1e-101 nm: the fitted derivatives of order 3 and
+        # up leave the floats, and the report ends before them.
+        hm = Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4) * 1e-101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = case_number(distribution_from_histogram(empirical_distribution(hm)), tol=1e-2)
+        assert rep.case_number == 1
+        assert len(rep.taylor_coeffs) == 3
+        assert all(math.isfinite(v) for v in rep.taylor_coeffs)
+        assert rep.taylor_coeffs[0] == rep.leading_coefficient
+
     def test_taylor_coeffs_reported(self):
         rep = case_number(sphere_distribution(R))
         assert rep.taylor_coeffs[0] == pytest.approx(2 * math.pi * R)
@@ -703,6 +718,14 @@ class TestSerialization:
         assert g.bin_width == pytest.approx(f.bin_width, rel=1e-15)
         np.testing.assert_array_equal(np.asarray(g.values), np.asarray(f.values))
         assert g.unit_area_normalized
+
+    def test_undecodable_file_is_parse_error(self, tmp_path):
+        # A byte that is not UTF-8 in a row: a ParseError naming the file,
+        # not a UnicodeDecodeError.
+        path = tmp_path / "dist.txt"
+        path.write_bytes(b"# height-distribution v1, kind=sampled, unit_area=1\n0,1\n1,\xff\n")
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}: cannot decode as text"):
+            read_distribution(path)
 
     def test_header_carries_kind_and_flag(self):
         text = distribution_to_text(dome_distribution(H))

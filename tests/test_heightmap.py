@@ -3,7 +3,9 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from proxint import (
     fit_gaussian,
     gradient_distribution,
     load_heightmap,
+    projected_area,
     pyramid_distribution,
     save_heightmap,
     shift_to_contact,
@@ -56,7 +59,6 @@ class TestLoadSave:
         save_heightmap(hm, path)
         back = load_heightmap(path)
         assert back.nx == 2 and back.ny == 2
-        assert not back.contact_shifted
         np.testing.assert_array_equal(back.values, hm.values)
 
     def test_round_trip_17_digits(self, tmp_path):
@@ -735,13 +737,11 @@ class TestShiftToContact:
     def test_min_subtraction(self):
         hm = Heightmap(1.0, 1.0, np.array([[3.0, 4.0], [5.0, 3.5]]))
         out = shift_to_contact(hm)
-        assert out.contact_shifted
         np.testing.assert_allclose(out.values, [[0.0, 1.0], [2.0, 0.5]])
 
     def test_idempotent(self):
         hm = shift_to_contact(Heightmap(1.0, 1.0, np.array([[3.0, 4.0], [5.0, 3.5]])))
-        again = shift_to_contact(hm)
-        np.testing.assert_array_equal(again.values, hm.values)
+        assert shift_to_contact(hm) is hm
 
     def test_first_bin_starts_at_zero(self):
         hm = shift_to_contact(Heightmap(1.0, 1.0, np.array([[3.0, 4.0], [5.0, 3.5]])))
@@ -750,13 +750,8 @@ class TestShiftToContact:
 
 
 class TestEmpiricalDistribution:
-    def test_requires_shift(self):
-        hm = Heightmap(1.0, 1.0, np.array([[3.0, 4.0], [5.0, 3.5]]))
-        with pytest.raises(InvalidParameterError, match="contact-shifted"):
-            empirical_distribution(hm, 1.0)
-
     def test_constant_map_single_bin(self):
-        hm = Heightmap(2.0, 3.0, np.zeros((4, 5)), contact_shifted=True)
+        hm = Heightmap(2.0, 3.0, np.zeros((4, 5)))
         emp = empirical_distribution(hm, 1.0)
         assert emp.weights[0] == pytest.approx(hm.area)
         assert np.count_nonzero(emp.weights) == 1
@@ -773,6 +768,12 @@ class TestEmpiricalDistribution:
         a = empirical_distribution(shift_to_contact(Heightmap(1.0, 1.0, vals)), 0.5)
         b = empirical_distribution(shift_to_contact(Heightmap(1.0, 1.0, vals + 17.3)), 0.5)
         np.testing.assert_array_equal(a.weights, b.weights)
+        # A map off contact bins from its least value with the roundings of
+        # shifting it first, at a given width and at the default one.
+        off = Heightmap(1.0, 1.0, vals + 17.3)
+        for width in (0.5, None):
+            c, d = empirical_distribution(off, width), empirical_distribution(shift_to_contact(off), width)
+            assert (c.bin_width, c.weights.tobytes()) == (d.bin_width, d.weights.tobytes())
 
     def test_pyramid_matches_closed_form(self):
         # Single pyramid tile: bin masses follow f = 2 s l^2/h^2 up to the
@@ -803,13 +804,13 @@ class TestNonFiniteBins:
     @pytest.mark.parametrize("histogram", [empirical_distribution, gradient_distribution])
     @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, 0.0])
     def test_bin_width_rejected(self, histogram, width):
-        hm = Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4), contact_shifted=True)
+        hm = Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4))
         with pytest.raises(InvalidParameterError, match="bin_width must be positive and finite"):
             histogram(hm, width)
 
     @pytest.mark.parametrize("histogram", [empirical_distribution, gradient_distribution])
     def test_index_past_int64_is_numeric_error(self, histogram):
-        hm = Heightmap(1.0, 1.0, np.array([[0.0, 1e300], [2e300, 3e300]]), contact_shifted=True)
+        hm = Heightmap(1.0, 1.0, np.array([[0.0, 1e300], [2e300, 3e300]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"bin width 1e-10: the largest value 3e\+300 "):
@@ -839,7 +840,7 @@ class TestGradientDistribution:
         assert g.weights.tobytes() == gradient_weights(hm.values, hm.dx, hm.dy, 2.5).tobytes()
 
     def test_flat_map_zero(self):
-        hm = Heightmap(1.0, 1.0, np.zeros((8, 8)), contact_shifted=True)
+        hm = Heightmap(1.0, 1.0, np.zeros((8, 8)))
         g = gradient_distribution(hm, 1.0)
         assert np.all(g.weights == 0.0)
 
@@ -868,10 +869,31 @@ class TestGradientDistribution:
         ratio = g.weights[mask] / emp.weights[mask]
         assert np.abs(ratio / target - 1).max() < 0.05
 
-    def test_requires_shift(self):
-        hm = Heightmap(1.0, 1.0, np.full((4, 4), 2.0))
-        with pytest.raises(InvalidParameterError):
-            gradient_distribution(hm, 1.0)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_off_contact_map_takes_raw_differences(self, seed):
+        # Two equal rows that climb from about -1024 to 1024 nm on a grid of
+        # 2^-43 nm, with power-of-two spacings and one column per bin.
+        # Every difference of neighbours is exact, and so is every step
+        # after it but the one squaring, so each bin's weight is the double
+        # nearest the exact one.  Differences of the shifted map,
+        # (a - vmin) - (b - vmin), round where a - vmin needs 54 bits.
+        rng = np.random.default_rng(seed)
+        ramp = (np.arange(64) - 31.5) * 32.0 + rng.uniform(-1.0, 1.0, 64)
+        row = np.round(ramp * 2.0**43) / 2.0**43
+        hm = Heightmap(0.5, 0.25, np.vstack([row, row]))
+        g = gradient_distribution(hm, 16.0)
+        shifted = gradient_distribution(shift_to_contact(hm), 16.0)
+        exact = [Fraction(v) for v in row.tolist()]
+        slopes = ([(exact[1] - exact[0]) * 2]
+                  + [exact[i + 1] - exact[i - 1] for i in range(1, 63)]
+                  + [(exact[63] - exact[62]) * 2])
+        bins = np.floor((row - row.min()) / 16.0).astype(int)
+        assert len(set(bins.tolist())) == 64
+        want = np.zeros(len(g.weights))
+        for k, slope in zip(bins.tolist(), slopes):
+            want[k] = float(2 * Fraction(0.125) * slope * slope)
+        assert g.weights.tolist() == want.tolist()
+        assert shifted.weights.tolist() != want.tolist()
 
 
 class TestFitGaussian:
@@ -879,7 +901,7 @@ class TestFitGaussian:
         # Histogram sampled exactly from the truncated-Gaussian model.
         sigma, s0, delta = 250.0, 500.0, 25.0
         edges = np.arange(121) * delta
-        masses = _gaussian_bin_masses(edges, sigma, s0) * 1e6
+        masses = _gaussian_bin_masses(edges, sigma, s0)[0] * 1e6
         fit = fit_gaussian(Histogram(delta, masses))
         assert fit.sigma == pytest.approx(sigma, rel=0.01)
         assert fit.s0 == pytest.approx(s0, rel=0.01)
@@ -898,18 +920,84 @@ class TestFitGaussian:
         fit = fit_gaussian(emp)
         assert fit.residual > 0.1  # bad fit reported, not raised
 
-    @pytest.mark.parametrize("c", [1e-12, 1e6])
+    @pytest.mark.parametrize("c", [1e-12, 1e6, 1e-300, 1e250])
     def test_scales_with_bin_width(self, c):
-        # sigma = 250e-12 nm lies below the fit's 1e-9 bound in nm; the bound
-        # scales with the histogram and the fit with it.
+        # The fit runs in bin widths, so it is the fit of unit bins times the
+        # bin width, bit for bit, from widths of 1e-299 nm to 1e251 nm.
         sigma, s0, delta = 250.0, 500.0, 25.0
         noise = 1.0 + 0.05 * np.random.default_rng(0).standard_normal(120)
-        masses = _gaussian_bin_masses(np.arange(121) * delta, sigma, s0) * 1e6 * noise
-        base = fit_gaussian(Histogram(delta, masses))
-        fit = fit_gaussian(Histogram(delta * c, masses))
-        assert fit.sigma == pytest.approx(c * base.sigma, rel=1e-6)
-        assert fit.s0 == pytest.approx(c * base.s0, rel=1e-6)
-        assert fit.residual == pytest.approx(base.residual, rel=1e-6)
+        masses = _gaussian_bin_masses(np.arange(121) * delta, sigma, s0)[0] * 1e6 * noise
+        unit = fit_gaussian(Histogram(1.0, masses))
+        for width in (delta, delta * c):
+            fit = fit_gaussian(Histogram(width, masses))
+            assert (fit.sigma, fit.s0, fit.residual) == (unit.sigma * width, unit.s0 * width, unit.residual)
+
+    @pytest.mark.parametrize("sigma, s0", [(9.0, 4.0), (10.0, -15.0), (40.0, 30.0)])
+    def test_reaches_the_least_squares_optimum(self, sigma, s0):
+        # Against the stationary point of the same cost in 40-digit
+        # arithmetic: the relative L2 misfit of the bin masses of unit bins.
+        # Drawn from s0 < 0, the histogram falls from contact, and the fit
+        # holds s0 at its bound 0, where the cost rises with s0.
+        noise = 1.0 + 0.1 * np.random.default_rng(5).standard_normal(48)
+        w = _gaussian_bin_masses(np.arange(49.0), sigma, s0)[0] * noise
+        fit = fit_gaussian(Histogram(1.0, w))
+        assert (fit.s0 == 0.0) == (s0 < 0.0)
+        with mpmath.workdps(40):
+            y = [mpmath.mpf(v) / mpmath.fsum(w.tolist()) for v in w.tolist()]
+
+            def cost(sig, mu):
+                q = [mpmath.erfc((k - mu) / (sig * mpmath.sqrt(2))) for k in range(len(y) + 1)]
+                return mpmath.fsum(((q[k] - q[k + 1]) / q[0] - y[k]) ** 2 for k in range(len(y)))
+
+            if fit.s0 == 0.0:
+                best = (mpmath.findroot(lambda sig: mpmath.diff(lambda v: cost(v, 0), sig), fit.sigma), 0)
+                assert mpmath.diff(lambda mu: cost(best[0], mu), 0, direction=1) > 0
+            else:
+                best = mpmath.findroot(lambda sig, mu: [mpmath.diff(cost, (sig, mu), (1, 0)),
+                                                        mpmath.diff(cost, (sig, mu), (0, 1))],
+                                       (fit.sigma, fit.s0))
+            residual = mpmath.sqrt(cost(*best) / mpmath.fsum(v * v for v in y))
+        assert abs(fit.sigma / best[0] - 1) < 1e-12
+        assert abs(fit.s0 - best[1]) < 1e-12 * fit.sigma
+        assert abs(fit.residual / residual - 1) < 1e-12
+
+    def test_bin_masses_and_derivatives(self):
+        # The masses against 40-digit ones and the derivatives by ln sigma
+        # and s0 against central differences of those; from contact to the
+        # far tail, where erfc rounds to 0 and is not called.
+        edges = np.array([0.0, 0.5, 3.0, 7.25, 12.0, 40.0, 400.0, 500.0])
+        sigma, s0 = 2.5, 6.0
+        masses, jac = _gaussian_bin_masses(edges, sigma, s0)
+        with mpmath.workdps(40):
+            def exact(lns, mu):
+                sig = mpmath.exp(lns)
+                q = [mpmath.erfc((e - mu) / (sig * mpmath.sqrt(2))) for e in edges.tolist()]
+                return [(a - b) / q[0] for a, b in zip(q, q[1:])]
+
+            want = exact(mpmath.log(sigma), s0)
+            d_lns = [mpmath.diff(lambda v, k=k: exact(v, s0)[k], mpmath.log(sigma)) for k in range(len(want))]
+            d_s0 = [mpmath.diff(lambda v, k=k: exact(mpmath.log(sigma), v)[k], s0) for k in range(len(want))]
+        for k in range(len(want)):
+            assert abs(masses[k] - want[k]) <= 1e-15 * max(abs(want[k]), 1e-300) + 1e-16
+            assert abs(jac[0, k] - d_lns[k]) <= 1e-14
+            assert abs(jac[1, k] - d_s0[k]) <= 1e-14
+        assert masses[-1] == 0.0 < masses[-2]
+
+    def test_saturated_edges_take_erfc_values(self):
+        # Edges where erfc rounds to 2 or to 0 are filled, not computed;
+        # the masses are those of math.erfc at every edge, bit for bit.
+        edges = np.arange(0.0, 4001.0, 0.5)
+        for sigma, s0 in [(1.0, 2000.0), (0.3, 17.0), (50.0, 1000.0)]:
+            q = np.array([math.erfc((e - s0) * (math.sqrt(0.5) / sigma)) for e in edges.tolist()])
+            assert (q == 2.0).any() and (q == 0.0).any()
+            masses, _ = _gaussian_bin_masses(edges, sigma, s0)
+            assert masses.tobytes() == ((q[:-1] - q[1:]) / q[0]).tobytes()
+
+    def test_singular_normal_equations_raise(self):
+        # Nearly all the mass in the first bin: the two derivatives are
+        # parallel to the last bits, and the fit says so.
+        with pytest.raises(FitError, match="singular normal equations"):
+            fit_gaussian(Histogram(1.0, np.r_[1e6, np.ones(20)]))
 
     def test_failed_fit_raises(self):
         # The total mass overflows: no fit, and a FitError rather than a
@@ -1129,10 +1217,27 @@ class TestHistogramDensityBridge:
 
     def test_exact_gaussian_histogram_classified_case_one(self):
         edges = np.arange(121) * 25.0
-        masses = _gaussian_bin_masses(edges, 250.0, 500.0) * 1e6
+        masses = _gaussian_bin_masses(edges, 250.0, 500.0)[0] * 1e6
         emp = Histogram(25.0, masses)
         rep = case_number(distribution_from_histogram(emp), tol=1e-2)
         assert rep.case_number == 1
+
+    def test_per_unit_area_density_is_flagged(self):
+        # With the scan's area the density is per unit projected area, its
+        # text says so, and convolve takes it without a warning; g composed
+        # under a sphere keeps the sphere's flag.
+        hm = synthesize_surface([{"type": "rough", "sigma": 5.0, "xi": 20.0}], n=64, extent=640.0, seed=1)
+        f = distribution_from_histogram(empirical_distribution(hm), area=hm.area)
+        assert f.unit_area_normalized
+        assert projected_area(f) == pytest.approx(1.0, abs=1e-3)
+        assert distribution_to_text(f).startswith("# height-distribution v1, kind=sampled, unit_area=1\n")
+        assert not distribution_from_histogram(empirical_distribution(hm)).unit_area_normalized
+        sphere = sphere_distribution(1e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            convolve(sphere, f)
+            g = compose_gradient(sphere, gradient_distribution(hm), hm.area)
+        assert g.unit_area_normalized == sphere.unit_area_normalized is False
 
     # w / bin_width overflows, or the node average of two finite densities.
     @pytest.mark.parametrize("bin_width, weights", [(1e-300, [1e10, 1e10]), (1.0, [1.7e308, 1.7e308])])

@@ -397,6 +397,26 @@ class TestCurveCsv:
         curve = curve_from_csv("# prov\n\n# more\nd_nm,I_nW,ratio\n\n")
         assert len(curve.separations) == 0 and len(curve.ratios) == 0
 
+    @pytest.mark.parametrize("ratios, match", [
+        ([1.0, 2.0], "ratios must be 1-D and as long as separations"),
+        ([[1.0, 2.0, 3.0]], "ratios must be 1-D and as long as separations"),
+        ([1.0, math.nan, 3.0], "ratios must be finite"),
+        ([1.0, 2.0, math.inf], "ratios must be finite"),
+    ])
+    def test_ratios_checked(self, ratios, match):
+        from proxint import InteractionCurve
+
+        with pytest.raises(InvalidParameterError, match=match):
+            InteractionCurve([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], heat_sio2_kernel(), ratios=ratios)
+
+    def test_ratios_read_only(self):
+        from proxint import InteractionCurve
+
+        ratios = np.array([0.5, 0.25, 0.125])
+        curve = InteractionCurve([1.0, 2.0, 3.0], [3.0, 2.0, 1.0], heat_sio2_kernel(), ratios=ratios)
+        with pytest.raises(ValueError):
+            curve.ratios[0] = 1.0
+
     def test_monotone_separations_required(self):
         from proxint import InteractionCurve
 
