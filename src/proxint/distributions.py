@@ -157,6 +157,18 @@ ANALYTIC_RESAMPLE_FRACTION = 256
 SAMPLED_FIT_DEGREE = 5
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only C-contiguous float array for a constructor to
+    keep.  A read-only array is kept as it is, as the library hands over
+    the arrays it makes; an array the caller can still write is copied,
+    never frozen."""
+    v = np.ascontiguousarray(a, dtype=float)
+    if v.flags.writeable and (v is a or v.base is not None):
+        v = v.copy()
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class HeightDistribution:
     """Area density of separations; analytic (piecewise polynomial) or sampled.
@@ -228,12 +240,11 @@ class HeightDistribution:
     def sampled(cls, bin_width: float, values, unit_area_normalized: bool = False) -> "HeightDistribution":
         if bin_width <= 0:
             raise InvalidParameterError("bin_width must be positive")
-        vals = np.ascontiguousarray(values, dtype=float)
+        vals = _frozen(values)
         if vals.ndim != 1 or len(vals) < 2:
             raise InvalidParameterError("sampled distribution needs >= 2 node values")
         if not np.all(np.isfinite(vals)):
             raise InvalidParameterError("sampled values must be finite")
-        vals.setflags(write=False)
         return cls(
             support_max=(len(vals) - 1) * bin_width,
             unit_area_normalized=unit_area_normalized,
@@ -442,8 +453,9 @@ def to_sampled(f: HeightDistribution, n: int = 2048, bin_width: float | None = N
         if n < 2:
             raise InvalidParameterError("need at least 2 sample nodes")
         delta = f.support_max / (n - 1)
-    s = np.arange(n) * delta
-    return HeightDistribution.sampled(delta, evaluate(f, s), f.unit_area_normalized)
+    values = evaluate(f, np.arange(n) * delta)
+    values.setflags(write=False)
+    return HeightDistribution.sampled(delta, values, f.unit_area_normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +815,7 @@ def _convolve_numeric(fa: HeightDistribution, fb: HeightDistribution) -> HeightD
     # At s = 0 the integral runs over an empty interval; the stencil's terms
     # cancel there only to rounding.
     out[0] = 0.0
+    out.setflags(write=False)
     unit = fa.unit_area_normalized and fb.unit_area_normalized
     return HeightDistribution.sampled(delta, out, unit_area_normalized=unit)
 

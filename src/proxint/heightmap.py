@@ -23,11 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import _BLOCK_CHARS, FMT, read_rows, write_rows
-from .distributions import HeightDistribution, convolve
+from .distributions import HeightDistribution, _frozen, convolve
 from .errors import FitError, InvalidParameterError, NumericError, ParseError
-
-# SciPy is imported inside its only caller, the rough-surface synthesis, so
-# no CLI command loads it; its import costs more than their work.
 
 __all__ = [
     "Heightmap",
@@ -72,7 +69,7 @@ class Heightmap:
                 raise InvalidParameterError(f"grid spacing {name}={h!r}: 1/{name} is not a normal float")
         if not _is_normal(dx * dy):
             raise InvalidParameterError(f"grid spacings dx={dx!r} dy={dy!r}: cell area dx*dy is not a normal float")
-        v = np.ascontiguousarray(self.values, dtype=float)
+        v = _frozen(self.values)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
             raise InvalidParameterError("heightmap needs at least a 2x2 grid")
         if not math.isfinite(v.shape[1] * dx * v.shape[0] * dy):
@@ -82,7 +79,6 @@ class Heightmap:
             )
         if not np.all(np.isfinite(v)):
             raise InvalidParameterError("heightmap values must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -109,12 +105,11 @@ class Histogram:
     def __post_init__(self):
         if not (self.bin_width > 0 and math.isfinite(self.bin_width)):
             raise InvalidParameterError("bin_width must be positive and finite")
-        w = np.ascontiguousarray(self.weights, dtype=float)
+        w = _frozen(self.weights)
         if not np.all(np.isfinite(w)):
             raise InvalidParameterError("bin weights must be finite")
         if np.any(w < 0):
             raise InvalidParameterError("bin weights must be >= 0")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -163,6 +158,7 @@ def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> He
         raise ParseError(f"{path}: cannot decode as text ({exc.reason})") from exc
     if shape is not None and values.shape != shape:
         raise ParseError("grid is %dx%d, header says ny=%d nx=%d" % (values.shape + shape))
+    values.setflags(write=False)
     return Heightmap(dx=float(dx), dy=float(dy), values=values)
 
 
@@ -203,7 +199,11 @@ def shift_to_contact(hm: Heightmap) -> Heightmap:
     """Shift values so the closest point sits at S = 0 (``hm`` if it does);
     NumericError when the span of the values is not a finite float."""
     vmin, _ = _span(hm)
-    return hm if vmin == 0.0 else Heightmap(hm.dx, hm.dy, hm.values - vmin)
+    if vmin == 0.0:
+        return hm
+    values = hm.values - vmin
+    values.setflags(write=False)
+    return Heightmap(hm.dx, hm.dy, values)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +269,8 @@ def _gradient_histogram(hm: Heightmap, bin_width: float, idx: np.ndarray) -> His
     return Histogram(bin_width, weights)
 
 
-# Grid values per block of rows in which _squared_gradient forms d/dy and
-# synthesize_surface adds a layer.
+# Grid values per block of lines in which _squared_gradient forms d/dy,
+# synthesize_surface adds a layer and _wrap_gaussian filters.
 _BLOCK_VALUES = 1 << 15
 
 
@@ -450,10 +450,8 @@ def _layer_heights(layer: dict, coords: np.ndarray, extent: float, rng):
         sigma, xi = _field(layer, "sigma"), _field(layer, "xi")
 
         def rough(rows):
-            from scipy.ndimage import gaussian_filter
-
             field = rng.standard_normal((n, n))
-            gaussian_filter(field, sigma=xi / (extent / n), mode="wrap", output=field)
+            _wrap_gaussian(field, xi / (extent / n))
             std = float(field.std())
             if std == 0.0:
                 raise InvalidParameterError("roughness field degenerate (xi too large for grid)")
@@ -461,6 +459,33 @@ def _layer_heights(layer: dict, coords: np.ndarray, extent: float, rng):
             return field
         return rough
     raise InvalidParameterError(f"unknown layer type {kind!r}")
+
+
+def _wrap_gaussian(field: np.ndarray, s: float) -> None:
+    # SciPy's ndimage.gaussian_filter(field, s, mode="wrap", output=field),
+    # bit for bit: its kernel of radius r = int(4 s + 0.5), axis 0 then 1,
+    # and each value summed as its correlate1d sums a symmetric kernel,
+    # x[i] w_0 and then (x[i - j] + x[i + j]) w_j for j = r, ..., 1, with
+    # indices mod n.  A block of lines is filtered at a time from a doubled
+    # copy that holds every wrapped read, so the memory does not grow with r.
+    if s <= 1e-15:  # SciPy leaves such axes as they are.
+        return
+    r = int(4.0 * s + 0.5)
+    phi = np.exp(-0.5 / (s * s) * np.arange(-r, r + 1) ** 2)
+    w = phi / phi.sum()
+    for axis in (0, 1):
+        x = field.swapaxes(0, axis)
+        n = x.shape[0]
+        lines = max(1, _BLOCK_VALUES // n)
+        for a in range(0, x.shape[1], lines):
+            twice = np.concatenate((x[:, a:a + lines],) * 2)
+            acc = twice[:n] * w[r]
+            tmp = np.empty_like(acc)
+            for j in range(r, 0, -1):
+                np.add(twice[-j % n:][:n], twice[j % n:][:n], out=tmp)
+                tmp *= w[r + j]
+                acc += tmp
+            x[:, a:a + lines] = acc
 
 
 def synthesize_surface(
@@ -480,8 +505,10 @@ def synthesize_surface(
     Coordinates are cell-centered on an n x n grid, so dx = dy = extent / n.
     The first layer's grid becomes the sum, and every later cap or tiling
     is added a block of rows at a time, so besides the sum only one block
-    is alive.  A rough layer takes a second grid while it is drawn and
-    normalized; a rough layer after the first takes a third.
+    is alive.  A rough layer is drawn as one grid and filtered in it a few
+    blocks at a time; normalizing it takes one more grid for a moment.  A
+    first rough layer is the sum, so it peaks at two grids, and a rough
+    layer after the first at three.
     """
     layers = [dict(layer) for layer in layers]
     if not layers:
@@ -518,6 +545,7 @@ def synthesize_surface(
             for j in range(0, n, rows):
                 S[j:j + rows] += values(slice(j, j + rows))
     S -= S.min()
+    S.setflags(write=False)
     return Heightmap(dx, dx, S)
 
 

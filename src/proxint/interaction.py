@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import read_rows, table
-from .distributions import HeightDistribution, _convolve_analytic, _degrees
+from .distributions import HeightDistribution, _convolve_analytic, _degrees, _frozen
 from .errors import InvalidParameterError, NumericError, ParseError
 
 __all__ = [
@@ -100,22 +100,21 @@ class InteractionCurve:
     ratios: np.ndarray | None = None
 
     def __post_init__(self):
-        d = np.ascontiguousarray(_separations(self.separations))
-        v = np.ascontiguousarray(self.values, dtype=float)
+        d = _separations(_frozen(self.separations))
+        v = _frozen(self.values)
         if d.ndim != 1 or d.shape != v.shape:
             raise InvalidParameterError("separations and values must be 1-D and equal length")
         if np.any(np.diff(d) <= 0):
             raise InvalidParameterError("separations must be strictly increasing")
         arrays = {"separations": d, "values": v}
         if self.ratios is not None:
-            r = np.ascontiguousarray(self.ratios, dtype=float)
+            r = _frozen(self.ratios)
             if r.shape != d.shape:
                 raise InvalidParameterError("ratios must be 1-D and as long as separations")
             if not np.isfinite(r).all():
                 raise InvalidParameterError("ratios must be finite")
             arrays["ratios"] = r
         for name, a in arrays.items():
-            a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     def with_ratio(self, far_field_nw: float) -> "InteractionCurve":

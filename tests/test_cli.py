@@ -635,8 +635,8 @@ class TestHeightmapCommand:
         assert traced_peak(lambda: main(argv)) <= 4 * hm.values.nbytes
 
     def test_low_relief_scan_fits(self, tmp_path, capsys):
-        # Heights below 1e-12 nm: the histogram's spread lies below the
-        # fit's 1e-9 nm bound on sigma, which then scales with the bins.
+        # Heights below 1e-12 nm: the fit runs in bin widths, with no bound
+        # on sigma in nm, so it fits a spread this small as any other.
         vals = np.random.default_rng(0).uniform(0.0, 1e-12, (16, 16))
         save_heightmap(Heightmap(1.0, 1.0, vals), tmp_path / "low.txt")
         out = tmp_path / "low.csv"
@@ -717,44 +717,43 @@ class TestPaths:
         self.assert_config_error(rc, capsys, tmp_path)
 
 
-# Runs in a fresh interpreter: the sweep, asympt and shape recipes, then a
-# heightmap analysis, and the SciPy modules loaded after each.
+# Runs in a fresh interpreter: the sweep, asympt and shape recipes, the
+# synthesis of a cap + rough scan, then its heightmap analysis, and the
+# SciPy modules loaded after each.
 STARTUP_SCRIPT = """
 import json, sys
 import proxint
 import proxint.cli as cli
-out, scan = sys.argv[1], sys.argv[2]
+out = sys.argv[1]
+scipy = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
 codes = [cli.main(["sweep", "--preset", "fig2", "--out", out + "/fig2.csv"]),
          cli.main(["asympt", "--preset", "fig4", "--out", out + "/fig4.csv"]),
          cli.main(["shape", "--preset", "fig1", "--out", out + "/fig1.csv"])]
-scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
-heightmap = cli.main(["heightmap", scan, "--out", out + "/scan.csv", "--bins", "64"])
-after = sorted(m for m in sys.modules if m.startswith("scipy"))
-print(json.dumps({"codes": codes, "scipy": scipy, "heightmap": heightmap, "after": after}))
+loaded = {"commands": scipy()}
+hm = proxint.synthesize_surface(
+    [{"type": "cap", "radius": 5000.0}, {"type": "rough", "sigma": 5.0, "xi": 20.0}],
+    n=64, extent=640.0, seed=3)
+loaded["synthesis"] = scipy()
+proxint.save_heightmap(hm, out + "/scan.txt")
+codes.append(cli.main(["heightmap", out + "/scan.txt", "--out", out + "/scan.csv", "--bins", "64"]))
+loaded["heightmap"] = scipy()
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 class TestStartup:
-    def test_no_command_loads_scipy(self, tmp_path, deadline):
-        hm = synthesize_surface(
-            [{"type": "cap", "radius": 5000.0}, {"type": "rough", "sigma": 5.0, "xi": 20.0}],
-            n=64, extent=640.0, seed=3,
-        )
-        scan = tmp_path / "scan.txt"
-        save_heightmap(hm, scan)
+    def test_no_command_or_synthesis_loads_scipy(self, tmp_path, deadline):
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         with deadline(120):
             done = subprocess.run(
-                [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path), str(scan)],
+                [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
                 cwd=tmp_path, env=env, capture_output=True, text=True,
             )
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout.splitlines()[-1])
-        assert result["codes"] == [EXIT_OK] * 3
-        assert result["scipy"] == []
-        assert result["heightmap"] == EXIT_OK
-        assert result["after"] == []
+        assert result["codes"] == [EXIT_OK] * 4
+        assert result["loaded"] == {"commands": [], "synthesis": [], "heightmap": []}
         assert "\n# gaussian-fit sigma=" in (tmp_path / "scan.csv").read_text()
 
 

@@ -331,6 +331,15 @@ class TestAnalyticConstructor:
                 a[0] = 7.0
 
 
+class TestSampledConstructor:
+    def test_keeps_a_copy_of_the_callers_values(self):
+        values = np.array([1.0, 2.0, 3.0])
+        f = HeightDistribution.sampled(0.5, values)
+        values[0] = 9.0
+        assert values.flags.writeable and not f.values.flags.writeable
+        assert f.values.tolist() == [1.0, 2.0, 3.0]
+
+
 class TestEvaluate:
     def test_zero_below_support(self):
         assert evaluate(sphere_distribution(R), -1.0) == 0.0

@@ -749,6 +749,39 @@ class TestShiftToContact:
         assert emp.weights[0] > 0
 
 
+class TestCallerArrays:
+    """A constructor keeps a read-only array of its own: the caller's array
+    stays writable, and writing to it leaves the stored one as it was."""
+
+    def test_heightmap(self):
+        a = np.arange(4.0).reshape(2, 2)
+        hm = Heightmap(1.0, 1.0, a)
+        a[0, 0] = 9.0
+        assert a.flags.writeable and not hm.values.flags.writeable
+        assert hm.values.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+    def test_histogram(self):
+        w = np.array([1.0, 2.0, 3.0])
+        hist = Histogram(0.5, w)
+        w[0] = 9.0
+        assert w.flags.writeable and not hist.weights.flags.writeable
+        assert hist.weights.tolist() == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("make", [
+        lambda path: synthesize_surface([CAP, ROUGH], n=32, extent=8000.0),
+        lambda path: load_heightmap(path),
+        lambda path: shift_to_contact(Heightmap(1.0, 1.0, np.full((4, 4), 2.0))),
+    ], ids=["synthesize", "load", "shift"])
+    def test_library_grids_are_kept(self, tmp_path, monkeypatch, make):
+        # The grid a library function makes is handed over without a copy.
+        save_heightmap(Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4)), tmp_path / "map.txt")
+        given = []
+        frozen = heightmap_module._frozen
+        monkeypatch.setattr(heightmap_module, "_frozen", lambda a: given.append(a) or frozen(a))
+        hm = make(tmp_path / "map.txt")
+        assert hm.values is given[-1]
+
+
 class TestEmpiricalDistribution:
     def test_constant_map_single_bin(self):
         hm = Heightmap(2.0, 3.0, np.zeros((4, 5)))
@@ -1036,7 +1069,7 @@ class TestSynthesizeMatchesMeshgridOracle:
         assert hm.values.tobytes() == synthesize_heights([DOME], n).tobytes()
 
     @pytest.mark.parametrize("block", [1, 80, 63 * 63])
-    @pytest.mark.parametrize("layers", [[CAP, PYRAMID], [CAP, DOME, PYRAMID], [CAP, ROUGH]],
+    @pytest.mark.parametrize("layers", [[CAP, PYRAMID], [CAP, DOME, PYRAMID], [CAP, ROUGH], [ROUGH]],
                              ids=lambda layers: "+".join(l["type"] for l in layers))
     def test_row_blocks_match(self, layers, block):
         # Blocks of one row, of two or more rows and of the whole grid.
@@ -1044,6 +1077,33 @@ class TestSynthesizeMatchesMeshgridOracle:
             mp.setattr(heightmap_module, "_BLOCK_VALUES", block)
             hm = synthesize_surface(layers, n=63, extent=8000.0, seed=5)
         assert hm.values.tobytes() == synthesize_heights(layers, 63, 8000.0, seed=5).tobytes()
+
+    # On a 16 x 16 grid of 10 nm cells (17 x 17 of 160/17 nm), xi = 60 nm is
+    # a kernel radius of 24 (26) cells, past the grid, so reads wrap more
+    # than once; xi = 1 nm is radius 0; xi = 1e-170 nm is a width whose
+    # square underflows, which SciPy leaves unfiltered.
+    @pytest.mark.parametrize("block", [1, 7, 1 << 15])
+    @pytest.mark.parametrize("xi", [60.0, 1.0, 1e-170], ids=["wide", "r0", "unfiltered"])
+    @pytest.mark.parametrize("first", [[], [CAP]], ids=["rough", "cap+rough"])
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_filter_radius_edges(self, n, first, xi, block):
+        layers = first + [{"type": "rough", "sigma": 5.0, "xi": xi}]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heightmap_module, "_BLOCK_VALUES", block)
+            hm = synthesize_surface(layers, n=n, extent=160.0, seed=4)
+        assert hm.values.tobytes() == synthesize_heights(layers, n, 160.0, seed=4).tobytes()
+
+    @pytest.mark.parametrize("s", [0.01, 0.124, 0.126, 0.7, 1.7, 6.0, 40.0])
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64])
+    def test_wrap_gaussian_matches_scipy(self, n, s):
+        # Every radius from 0 to far past the grid, on grids of odd and
+        # even sizes, filtered in place as synthesize_surface does.
+        from scipy.ndimage import gaussian_filter
+
+        field = np.random.default_rng(n).standard_normal((n, n))
+        expected = gaussian_filter(field, s, mode="wrap")
+        heightmap_module._wrap_gaussian(field, s)
+        assert field.tobytes() == expected.tobytes()
 
     def test_rough_layer_keeps_its_place(self):
         # Addition is not associative: a rough layer between two others is

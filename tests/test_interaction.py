@@ -417,6 +417,17 @@ class TestCurveCsv:
         with pytest.raises(ValueError):
             curve.ratios[0] = 1.0
 
+    def test_caller_arrays_stay_writable(self):
+        from proxint import InteractionCurve
+
+        d, v, r = np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 1.0]), np.array([0.5, 0.25, 0.125])
+        curve = InteractionCurve(d, v, heat_sio2_kernel(), ratios=r)
+        for a in (d, v, r):
+            a[0] = 9.0
+            assert a.flags.writeable
+        for a, first in ((curve.separations, 1.0), (curve.values, 3.0), (curve.ratios, 0.5)):
+            assert not a.flags.writeable and a[0] == first
+
     def test_monotone_separations_required(self):
         from proxint import InteractionCurve
 
