@@ -8,26 +8,28 @@ rule for one line.
 digits of each by Dekker's two-product and a table of four-digit groups,
 into a row of four words after its separator and sign; "." goes in by
 word shifts, and one boolean compaction keeps one run of bytes a row.  A
-value outside [10^-6, 10^16) that is not zero takes a FMT template.
+value outside [10^-4, 10^16) that is not zero, FMT's exponent notation
+and its fixed values of 17 integer digits, takes a FMT template.
 
 ``read_rows`` reads a block of lines by the first of three readers that
 takes it, and all three give the doubles ``read_line`` gives:
 
 1. ``_parse_block``, by array operations, a block of ASCII bytes in a
    strict grammar: rows ending in "\n", values parted by one "," or one
-   " ", each value [+-]D[.D][e[+-]D] with an integer of digits M < 10^18
-   and a decimal scale |q| <= 27, its first row averaging more than 15
-   bytes a value.  One pass finds the separators and one the "."s; the
-   32 bytes before each mantissa's end are gathered as four words, the
-   digits before its "." move up over it, and SWAR steps turn the digits
-   into M.  Those steps fail every ASCII byte but a digit, so each byte
-   of a token is checked where it is read; only bytes above 0x7F, some
-   of which they would take for digits, are refused beforehand, by the
-   block's largest byte.  M and 10^|q| are exact in the x87 extended
-   double, so M 10^q is rounded once there and once more to a double,
+   " ", each value in fixed notation, [+-]D[.D] with 1 to 24 digits whose
+   integer M < 10^18 and decimal scale f <= 24, its first row averaging
+   more than 15 bytes a value.  One pass finds the separators and one the
+   "."s; the 32 bytes before each value's end are gathered as four words,
+   the digits before its "." move up over it, and SWAR steps turn the
+   digits into M.  Those steps fail every ASCII byte but a digit, so each
+   byte of a token is checked where it is read; only bytes above 0x7F,
+   some of which they would take for digits, are refused beforehand, by
+   the block's largest byte.  M and 10^f are exact in the x87 extended
+   double, so M / 10^f is rounded once there and once more to a double,
    which is the correctly rounded double unless the first rounding ended
    on a midpoint of two doubles; such a value goes to float().
-2. ``np.loadtxt``, any other block of plain numeric text.
+2. ``np.loadtxt``, any other block of plain numeric text, among them
+   every block holding FMT's exponent notation.
 3. ``_scan_lines``, line by line with ``read_line``, any other block; its
    faults name the line and column.
 """
@@ -49,7 +51,7 @@ def write_rows(values: np.ndarray, sep: bytes):
     """Yield the text of a 2-D float array, ``_WRITE_BLOCK`` values at a time:
     each value as FMT writes it, then the byte ``sep`` or, last in its row, a
     newline.  ``_format_block`` writes a block: its zeros and magnitudes in
-    [10^-6, 10^16) by array operations, and a FMT template the others.
+    [10^-4, 10^16) by array operations, and a FMT template the others.
     Besides the array, the writer holds less than 1 MiB."""
     width = values.shape[1]
     flat = values.reshape(-1)
@@ -59,13 +61,6 @@ def write_rows(values: np.ndarray, sep: bytes):
         yield text[1:] if start == 0 else text
     if flat.size:
         yield b"\n"
-
-
-def _format_template(block: np.ndarray, newlines, sep: bytes) -> bytearray:
-    # The text of a block by one FMT template.
-    text = bytearray((FMT.encode() + sep) * len(block))
-    np.frombuffer(text, np.uint8)[5::6][newlines] = ord("\n")
-    return text % tuple(block.tolist())
 
 
 def table(head: list[str], columns) -> str:
@@ -81,18 +76,16 @@ _WRITE_BLOCK = 4096
 # _format_block writes each value as a row of four little-endian words,
 # and a mask then keeps the bytes FMT writes, with the separator before
 # them, as one run.  The last three, the digit words, hold the 17 digits
-# from byte 8.  "." goes in after the (k+1)th digit in fixed notation, or
-# after the first in exponent notation, k being the decimal exponent of |v|
-# rounded to 17 digits; the bytes after it move up by one.  The first word
-# ends in the separator, then "-" and "0.000" of 1e-4 <= |v| < 1, as FMT
-# writes them; "e-05" or "e-06" follow the significant digits.
+# from byte 8.  "." goes in after the (k+1)th digit, k >= 0 being the
+# decimal exponent of |v| rounded to 17 digits; the bytes after it move up
+# by one.  The first word ends in the separator, then "-" and the "0.000"
+# of |v| < 1, as FMT writes them.
 _WORD, _HALF = np.dtype("<u8"), np.dtype("<u4")
 _DOTS = np.frombuffer(b"........", _WORD)[0]
-_EXPONENTS = np.frombuffer(b"e-06e-05", _HALF)
-# The decimal exponents of the values _format_block writes, and the least
-# such value: the double 1e-6 lies below 10^-6.
-_K_MIN, _K_MAX = -6, 15
-_LEAST = math.nextafter(1e-6, 1.0)
+# The decimal exponents of the values _format_block writes (the double 1e-4
+# lies above 10^-4), and the keys of one sign's nonzero values.
+_K_MIN, _K_MAX = -4, 15
+_KEYS = (_K_MAX - _K_MIN + 1) * 17
 # Veltkamp's splitting constant for doubles, 2^27 + 1.
 _SPLIT = 134217729.0
 
@@ -107,9 +100,8 @@ def _format_tables():
     ``scales[i][k - _K_MIN]``: 10^(16 - k), exact, and its Veltkamp halves.
     ``dots[i][k - _K_MIN]``: the masks of a row's bytes before the place of
     "." (i = 0) and of that place (i = 1), as four words.
-    For key = (negative * 22 + k - _K_MIN) * 17 + significant digits - 1,
-    and for keys 748 + negative, a zero:
-    ``kept[key]``: the bytes of digits and "." FMT writes;
+    For key = negative * _KEYS + (k - _K_MIN) * 17 + significant digits - 1,
+    and for keys 2 * _KEYS + negative, a zero:
     ``masks[key]``: the bytes of a row kept, the separator and FMT's text;
     ``heads[key]``, ``seps[key]``: the first word of the row with its
     separator 0, and with 1 in the separator's place.
@@ -130,31 +122,26 @@ def _format_tables():
     scales = (scale, high, scale - high)
 
     k = np.arange(_K_MIN, _K_MAX + 1)
-    # The byte of a row where "." goes; in 1e-4 <= |v| < 1, none.
-    place = 8 + np.where(k >= 0, k + 1, np.where(k >= -4, 32, 1))[:, None]
+    # The byte of a row where "." goes; below 1, none.
+    place = 8 + np.where(k >= 0, k + 1, 32)[:, None]
     byte = np.arange(32)
     dots = tuple(np.where(cut, 0xFF, 0).astype(np.uint8).view(_WORD) for cut in (byte < place, byte == place))
 
     neg, k, s = (x.ravel() for x in np.meshgrid([0, 1], k, np.arange(1, 18), indexing="ij"))
-    fixed = k >= 0
-    small = ~fixed & (k >= -4)
-    # Bytes from byte 8: in fixed notation the k + 1 integer digits, then
-    # "." and the significant fraction digits if there are any; in
-    # 1e-4 <= |v| < 1 the significant digits; in exponent notation the
-    # first digit, then "." and the other significant digits if any.  A
-    # zero is written as its head alone.
-    kept = np.where(fixed, np.maximum(s, k + 1) + (s > k + 1), np.where(small, s, s + (s > 1)))
-    kept = np.concatenate([kept, [0, 0]]).astype(np.int8)
-    heads = [b"-" * n + (b"0." + b"0" * (-j - 1) if -4 <= j < 0 else b"") for n, j in zip(neg, k)]
+    # Bytes from byte 8: from 1 up, the k + 1 integer digits, then "." and
+    # the significant fraction digits if there are any; below 1, the
+    # significant digits.  A zero is written as its head alone.
+    kept = np.where(k >= 0, np.maximum(s, k + 1) + (s > k + 1), s)
+    heads = [b"-" * n + (b"0." + b"0" * (-j - 1) if j < 0 else b"") for n, j in zip(neg, k)]
     heads = [h.rjust(8, b"\0") for h in heads + [b"0", b"-0"]]
     lengths = np.array([len(h.lstrip(b"\0")) for h in heads])
     heads = np.frombuffer(b"".join(heads), _WORD)
     seps = np.left_shift(1, 8 * (7 - lengths)).astype(_WORD)
-    ends = 8 + kept + 4 * np.concatenate([k <= -5, [False, False]])
+    ends = 8 + np.concatenate([kept, [0, 0]])
     masks = (byte >= 7 - lengths[:, None]) & (byte < ends[:, None])
-    for table in (groups, last, trailing, *scales, *dots, kept, masks, heads, seps):
+    for table in (groups, last, trailing, *scales, *dots, masks, heads, seps):
         table.setflags(write=False)
-    return groups, last, trailing, scales, dots, kept, masks, (heads, seps)
+    return groups, last, trailing, scales, dots, masks, (heads, seps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,29 +154,17 @@ def _first_words(sep: bytes) -> tuple[np.ndarray, np.ndarray]:
 def _format_block(v: np.ndarray, leads: slice, sep: bytes) -> np.ndarray:
     """The bytes FMT writes for each value of v, each after ``sep``, or
     after a newline at the values ``leads`` selects.  Zeros and magnitudes
-    in [10^-6, 10^16) are written by array operations, any other value by
+    in [10^-4, 10^16) are written by array operations, any other value by
     a FMT template into its row.
     """
-    groups, last, trailing, scales, dots, kept, masks, _ = _format_tables()
+    groups, last, trailing, scales, dots, masks, _ = _format_tables()
     a = np.abs(v)
     zero = other = np.empty(0, np.intp)
     # NaN fails both tests.
-    if not (a.min() >= _LEAST and a.max() < 1e16):
+    if not (a.min() >= 1e-4 and a.max() < 1e16):
         zero = np.flatnonzero(a == 0.0)
         a[zero] = 1.0
-        other = np.flatnonzero(~((a >= _LEAST) & (a < 1e16)))
-        # The array path runs over every value of the block, and putting
-        # the template's text in the rows costs about a third of the
-        # template: a block of which more than half need it is written by
-        # it alone.
-        if 2 * len(other) > len(v):
-            # A newline follows the values before those `leads` selects,
-            # and the template's last separator goes before its first value.
-            newlines = np.zeros(len(v) + 1, bool)
-            newlines[leads] = True
-            text = _format_template(v, newlines[1:], sep)
-            text[-1:] = b"\n" if newlines[0] else sep
-            return np.frombuffer(text[-1:] + text[:-1], np.uint8)
+        other = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)))
         a[other] = 1.0
     k, n = _decimal_digits(a, scales)
 
@@ -218,12 +193,12 @@ def _format_block(v: np.ndarray, leads: slice, sep: bytes) -> np.ndarray:
     key -= zeros
     negative = np.signbit(v)
     if negative.any():
-        key += negative * (22 * 17)
+        key += negative * _KEYS
     if zero.size:
-        key[zero] = 2 * 22 * 17 + negative[zero]
+        key[zero] = 2 * _KEYS + negative[zero]
     # An other value's template text follows its separator at byte 7, as
-    # after the first word of key 16, a positive value with no "0.000".
-    key[other] = 16
+    # after the first word of a positive value of 1 <= v < 10.
+    key[other] = -_K_MIN * 17
 
     rows = np.empty((len(v), 4), _WORD)
     after_sep, after_newline = _first_words(sep)
@@ -247,16 +222,11 @@ def _format_block(v: np.ndarray, leads: slice, sep: bytes) -> np.ndarray:
     moved &= place.take(k, axis=0).reshape(-1)
     words ^= moved
     del moved
-    if k.min() <= 1:
-        # "e-05" or "e-06" after the digits, in exponent notation.
-        tiny = np.flatnonzero(k <= 1)
-        at = tiny * 32 + 8 + kept.take(key[tiny])
-        np.ndarray((len(words) * 8 - 3,), _HALF, rows, strides=(1,))[at] = _EXPONENTS.take(k[tiny])
     keep = masks.take(key, axis=0)
     if other.size:
         # Each other value's text and its end, from the template, take the
         # digit words of its row (FMT writes at most 24 bytes).
-        text = np.frombuffer(_format_template(v[other], slice(0, 0), sep), np.uint8)
+        text = np.frombuffer((FMT.encode() + sep) * len(other) % tuple(v[other].tolist()), np.uint8)
         cut = np.flatnonzero(text == sep[0]) + 1
         size = np.diff(cut, prepend=0)
         rows.view(np.uint8)[other, 8:] = sliding_window_view(np.append(text, np.zeros(24, np.uint8)), 24)[cut - size]
@@ -265,10 +235,10 @@ def _format_block(v: np.ndarray, leads: slice, sep: bytes) -> np.ndarray:
 
 
 def _decimal_digits(a: np.ndarray, scales) -> tuple[np.ndarray, np.ndarray]:
-    """(k - _K_MIN, the 17 digits of a as an integer) for 10^-6 <= a < 10^16,
+    """(k - _K_MIN, the 17 digits of a as an integer) for 10^-4 <= a < 10^16,
     k the decimal exponent of a rounded to 17 digits as FMT rounds.
 
-    P = a 10^(16 - k) lies in [10^16, 10^17), and 10^(16 - k) <= 10^22 is a
+    P = a 10^(16 - k) lies in [10^16, 10^17), and 10^(16 - k) <= 10^20 is a
     double, so Dekker's two-product gives P exactly as p + err.  p, a
     double above 2^53, is an even integer, so p + rint(err) is P rounded
     half-even to an integer.  No double in range lies within half a unit
@@ -416,12 +386,12 @@ def _scan_lines(lines: list[str], lineno: int, width: int | None = None) -> np.n
     return np.array(rows)
 
 
-# _parse_block reads each value as M 10^q, M the integer of its mantissa's
-# digits and q its decimal scale.  M comes from the 32 bytes of the block
-# that end where the mantissa ends: four little-endian words, in which the
-# bytes before its "." move up by one byte over it and the bytes before
+# _parse_block reads each value as M / 10^f, M the integer of its digits
+# and f the number of them after its ".".  M comes from the 32 bytes of the
+# block that end where the value ends: four little-endian words, in which
+# the bytes before its "." move up by one byte over it and the bytes before
 # its digits then become "0".
-_DIGIT_MAX, _Q_MAX = 10**18, 27
+_DIGIT_MAX, _DIGITS = 10**18, 24
 # Up to 15 digits, float() and numpy read a value by one exact operation on
 # doubles (Clinger 1990); past them they work with long integers, two to
 # three times slower.  On 512-wide rows, _parse_block reads values of 14
@@ -429,8 +399,8 @@ _DIGIT_MAX, _Q_MAX = 10**18, 27
 # 12-digit values of 10^3 or 8-digit ones of -10^-3: rows longer than 15
 # bytes a value go to it.
 _FAST_BYTES = 15
-# M < 2^64 and 10^|q| (5^27 < 2^63) are exact in the x87 extended double,
-# so M 10^q is rounded once there, and then to a double.  That gives the
+# M < 2^64 and 10^f (5^24 < 2^56) are exact in the x87 extended double, so
+# M / 10^f is rounded once there, and then to a double.  That gives the
 # correctly rounded double unless the first rounding ended on a midpoint
 # of two doubles, where the low 11 of its 64 significand bits are 0x400:
 # such a token goes to float().
@@ -442,36 +412,30 @@ _ZEROS = np.frombuffer(b"00000000", _WORD)[0]
 def _parse_tables():
     """The read-only tables of ``_parse_block``, built on its first call.
 
-    ``last[words][n]``: the mask of the last n bytes of 8 * words, for
-    one word or four, as one item of that size.
-    ``up[q + _Q_MAX]``, ``down[q + _Q_MAX]``: 10^q and 1 for q > 0, and 1
-    and 10^-q for q <= 0, exact extended doubles.
+    ``last[n]``: the mask of the last n of 32 bytes, as one 32-byte item.
+    ``down[f]``: 10^f for f <= _DIGITS, exact extended doubles.
     """
     masks = bytes(32) + b"\xff" * 32
-    last = {w: np.frombuffer(b"".join(masks[32 - 8 * w + n:32 + n] for n in range(8 * w + 1)), (np.void, 8 * w))
-            for w in (1, 4)}
-    powers = np.cumprod([1] + [10] * _Q_MAX, dtype=np.longdouble)
-    ones = np.ones(_Q_MAX, np.longdouble)
-    up, down = np.concatenate([ones, powers]), np.concatenate([powers[::-1], ones])
-    for table in (up, down):
-        table.setflags(write=False)
-    return last, up, down
+    last = np.frombuffer(b"".join(masks[n:32 + n] for n in range(33)), (np.void, 32))
+    down = np.cumprod([1] + [10] * _DIGITS, dtype=np.longdouble)
+    down.setflags(write=False)
+    return last, down
 
 
-def _words(text: bytes, starts: np.ndarray, words: int) -> np.ndarray:
-    # The 8 * words bytes of text from each place of starts, as rows of
+def _words(text: bytes, starts: np.ndarray) -> np.ndarray:
+    # The 32 bytes of text from each place of starts, as rows of four
     # little-endian words; the windows overlap, so they are read as items
-    # of that size at a stride of one byte.
-    item = np.dtype((np.void, 8 * words))
-    return np.ndarray((len(text) - item.itemsize + 1,), item, text, strides=(1,))[starts].view(_WORD).reshape(-1, words)
+    # of 32 bytes at a stride of one byte.
+    item = np.dtype((np.void, 32))
+    return np.ndarray((len(text) - 31,), item, text, strides=(1,))[starts].view(_WORD).reshape(-1, 4)
 
 
 def _digit_values(w: np.ndarray, digits: np.ndarray) -> np.ndarray | None:
-    """The last ``digits`` bytes of each row of words w as the integers of
-    their digits, eight to a word, in place; None if one of them is not a
-    digit."""
+    """The last ``digits`` bytes of each row of four words w as the integers
+    of their digits, eight to a word, in place; None if one of them is not
+    a digit."""
     w ^= _ZEROS
-    w &= _parse_tables()[0][w.shape[1]].take(digits).view(_WORD).reshape(w.shape)
+    w &= _parse_tables()[0].take(digits).view(_WORD).reshape(w.shape)
     # A digit less "0", plus 6, stays below 16.
     if np.bitwise_or.reduce(w + 0x0606060606060606, axis=None) & 0xF0F0F0F0F0F0F0F0:
         return None
@@ -495,23 +459,24 @@ def _parse_block(data: bytes, width: int | None) -> np.ndarray | None:
 
     Each row ends in "\n" and is as wide as ``width`` or the first.  One
     "," parts its values if the block holds one, else one " ".  A value is
-    [+-]D[.D][e[+-]D], D digits: 1 to 24 digits before "e" and 1 to 8 after
-    it, with M < _DIGIT_MAX and |q| <= _Q_MAX.
+    [+-]D[.D], D digits, in all 1 to _DIGITS of them with M < _DIGIT_MAX:
+    fixed notation, so a block holding an "e" is refused.
     """
     # A "," after the first row is in a token if the first holds none, and
     # fails the block below.
     first = data.find(b"\n") + 1
     sep = b"," if data.find(b",", 0, first) >= 0 else b" "
     # A first row of other than `width` values fails the block below.
-    if not _EXTENDED or first <= _FAST_BYTES * (width or data.count(sep, 0, first) + 1) or not data.endswith(b"\n"):
+    if (not _EXTENDED or first <= _FAST_BYTES * (width or data.count(sep, 0, first) + 1)
+            or not data.endswith(b"\n") or b"e" in data):
         return None
     b = np.frombuffer(data, np.uint8)
-    # Each byte that is not a separator, a sign, "e" or "." lies in a
-    # window that _digit_values checks, which fails every ASCII byte but a
-    # digit; bytes 0xCA to 0xCF would pass it.
+    # Each byte that is not a separator, a sign or "." lies in a window that
+    # _digit_values checks, which fails every ASCII byte but a digit; bytes
+    # 0xCA to 0xCF would pass it.
     if not b.max() < 0x80:
         return None
-    last, up, down = _parse_tables()
+    last, down = _parse_tables()
     ends = np.flatnonzero((b == sep[0]) | (b == ord("\n")))
     newline = b[ends] == ord("\n")
     width = width or int(np.argmax(newline)) + 1
@@ -521,65 +486,39 @@ def _parse_block(data: bytes, width: int | None) -> np.ndarray | None:
     lead = b[starts]
     negative = lead == ord("-")
 
-    # A mantissa ends at its token's "e", if it has one.
-    mend, exponent = ends, None
-    if b"e" in data:
-        at = np.flatnonzero(b == ord("e"))
-        exponent = np.searchsorted(ends, at)
-        if (np.diff(exponent) == 0).any():
-            return None
-        mend = ends.copy()
-        mend[exponent] = at
-    # A mantissa holds one "." at most, `fraction` digits before its end
-    # (32 where it holds none); q + _Q_MAX is _Q_MAX less them.
+    # A value holds one "." at most, `fraction` digits before its end (32
+    # where it holds none, so that no byte moves); `scale` is f.
     at = np.flatnonzero(b == ord("."))
-    if at.size == ends.size and (at >= starts).all() and (at < mend).all():
-        fraction = mend - at
+    if at.size == ends.size and (at >= starts).all() and (at < ends).all():
+        fraction = ends - at
         fraction -= 1
-        q = _Q_MAX - fraction
-        digits = mend - starts
+        scale = fraction
+        digits = ends - starts
         digits -= 1
     else:
         token = np.searchsorted(ends, at)
-        if (np.diff(token) == 0).any() or (at >= mend[token]).any():
+        if (np.diff(token) == 0).any():
             return None
         fraction = np.full(ends.size, 32)
-        fraction[token] = mend[token] - at - 1
-        q = np.full(ends.size, _Q_MAX)
-        q[token] -= fraction[token]
-        digits = mend - starts
+        fraction[token] = ends[token] - at - 1
+        scale = np.zeros(ends.size, np.intp)
+        scale[token] = fraction[token]
+        digits = ends - starts
         digits[token] -= 1
     digits -= negative | (lead == ord("+"))
     del starts, lead, at
-    if not (digits.min() >= 1 and digits.max() <= 24):
+    if not (digits.min() >= 1 and digits.max() <= _DIGITS):
         return None
 
-    # After 32 bytes, the text holds every window: each starts 32 bytes
-    # before its end in the block.
-    text = bytes(32) + data
-    if exponent is not None:
-        sign = b[mend[exponent] + 1]
-        size = ends[exponent] - mend[exponent] - 1 - ((sign == ord("+")) | (sign == ord("-")))
-        if not (size.min() >= 1 and size.max() <= 8):
-            return None
-        e = _digit_values(_words(text, ends[exponent] + 24, 1), size)
-        if e is None:
-            return None
-        e = e[:, 0].astype(np.int64)
-        e[sign == ord("-")] *= -1
-        q[exponent] += e
-        # Without an exponent, 24 fraction digits at most put it in range.
-        if not (q.min() >= 0 and q.max() <= 2 * _Q_MAX):
-            return None
-    # The 32 bytes before a mantissa's end; those before its "." move up by
-    # one byte, over the ".", so that its digits end the window.
-    w = _words(text, mend, 4)
-    del text, mend
+    # The 32 bytes before a value's end, from a text in which every window
+    # starts 32 bytes before its end in the block; those before its "."
+    # move up by one byte, over the ".", so that its digits end the window.
+    w = _words(bytes(32) + data, ends)
     words = w.reshape(-1)
     moved = words << 8
     moved[1:] |= words[:-1] >> 56
     words ^= moved
-    words &= last[4].take(fraction).view(_WORD)
+    words &= last.take(fraction).view(_WORD)
     words ^= moved
     del moved, fraction
     w = _digit_values(w, digits)
@@ -593,9 +532,7 @@ def _parse_block(data: bytes, width: int | None) -> np.ndarray | None:
 
     v = m.astype(np.longdouble)
     del m
-    if exponent is not None and q.max() > _Q_MAX:
-        v *= up.take(q)
-    v /= down.take(q)
+    v /= down.take(scale)
     values = v.astype(float)
     np.negative(values, out=values, where=negative)
     for i in np.flatnonzero((v.view(np.uint64)[::2] & 0x7FF) == 0x400).tolist():

@@ -133,7 +133,9 @@ class GaussianFit:
 def load_heightmap(path, dx: float | None = None, dy: float | None = None) -> Heightmap:
     """Parse the v1 heightmap text format, or a headerless CSV matrix.
 
-    The headerless form needs ``dx`` and ``dy`` supplied by the caller.
+    The headerless form needs ``dx`` and ``dy`` supplied by the caller; a
+    file with a header takes its spacings from it, and supplying either
+    there is a ParseError.
     ``_fmt.read_rows`` reads the rows a block of lines at a time, so the
     reader holds about two grids' bytes at most: the rows parsed so far and
     the grid they are joined into.
@@ -173,10 +175,14 @@ def _parse_header(first: str, dx, dy) -> tuple[tuple[int, int] | None, float, fl
         raise ParseError(f"line 1: unrecognized header {first!r}")
     fields = dict(tok.split("=", 1) for tok in first.split()[3:] if "=" in tok)
     try:
-        nx, ny = int(fields["nx"]), int(fields["ny"])
-        return (ny, nx), float(fields["dx"]), float(fields["dy"])
+        shape = int(fields["ny"]), int(fields["nx"])
+        spacings = float(fields["dx"]), float(fields["dy"])
     except (KeyError, ValueError) as exc:
         raise ParseError(f"line 1: malformed header fields ({exc})") from exc
+    if dx is not None or dy is not None:
+        raise ParseError(f"line 1: the header gives dx={fields['dx']} dy={fields['dy']}; "
+                         "dx and dy may be supplied only for a headerless file")
+    return (shape, *spacings)
 
 
 def save_heightmap(hm: Heightmap, path) -> None:
@@ -448,10 +454,17 @@ def _layer_heights(layer: dict, coords: np.ndarray, extent: float, rng):
         return lambda rows: np.maximum(g[np.newaxis, :], g[rows, np.newaxis])
     if kind == "rough":
         sigma, xi = _field(layer, "sigma"), _field(layer, "xi")
+        # The filter's radius, about 4 xi / dx cells, may wrap round the grid
+        # 100 times at most: past that the field is all but constant, and
+        # the filter's time and kernel grow with the radius.
+        s = xi / (extent / n)
+        if not s <= 25 * n:
+            raise InvalidParameterError(
+                f"rough xi must be at most 25 times the extent ({25 * extent:.6g} nm), got {xi!r}")
 
         def rough(rows):
             field = rng.standard_normal((n, n))
-            _wrap_gaussian(field, xi / (extent / n))
+            _wrap_gaussian(field, s)
             std = float(field.std())
             if std == 0.0:
                 raise InvalidParameterError("roughness field degenerate (xi too large for grid)")

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import read_rows, table
-from .distributions import HeightDistribution, _convolve_analytic, _degrees, _frozen
+from .distributions import (HeightDistribution, _convolve_analytic, _degrees, _frozen, _ordered_sums,
+                            _shift_terms)
 from .errors import InvalidParameterError, NumericError, ParseError
 
 __all__ = [
@@ -180,27 +181,36 @@ def _separations(d) -> np.ndarray:
     return d
 
 
-def _expanded(coeffs, a: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarray:
+def _expanded(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarray:
     """int_a^b sum_k c_k (x - a)^k alpha x^-nu dx, each term binomially expanded
     in powers of x, with the logarithmic antiderivative where an exponent
     collides with -1."""
     nu = kernel.nu
+    n = len(coeffs)
     # (-a)^(k-j) depends on k - j alone and each power integral on j alone.
     neg = -a
-    neg_pow = [neg**m for m in range(len(coeffs))]
-    power_integral = []
-    for j in range(len(coeffs)):
+    neg_pow = np.array([neg**m for m in range(n)])
+    power_integral = np.empty_like(neg_pow)
+    for j in range(n):
         p = j - nu
         if abs(p + 1.0) < 1e-12:
-            power_integral.append(np.log(b / a))
+            power_integral[j] = np.log(b / a)
         else:
-            power_integral.append((b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0))
-    total = np.zeros_like(a)
-    for k, c_k in enumerate(coeffs):
-        if c_k == 0.0:
-            continue
-        for j in range(k + 1):
-            total += c_k * math.comb(k, j) * neg_pow[k - j] * power_integral[j]
+            power_integral[j] = (b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0)
+    # The terms c_k C(k, j) (-a)^(k-j) P_j, k outer and j <= k inner, of
+    # every c_k but a zero, added in that order from +0.0 in blocks of
+    # columns, so that no array exceeds _FOLD_BLOCK terms.
+    k, e, binom, j = _shift_terms(n, False)
+    keep = coeffs.take(k) != 0.0
+    e, j = e[keep], j[keep, 0]
+    scaled = coeffs.take(k[keep])[:, None] * binom[keep]
+    cells = np.zeros((len(e), 1), np.intp)
+    total = np.empty_like(a)
+    step = max(1, _FOLD_BLOCK // max(len(e), 1))
+    for i in range(0, len(a), step):
+        terms = scaled * neg_pow[e, i:i + step]
+        terms *= power_integral[j, i:i + step]
+        total[i:i + step] = _ordered_sums(terms, cells, 1)[0]
     return kernel.alpha * total
 
 
@@ -224,7 +234,7 @@ def _segment_integrals(breaks: np.ndarray, coeffs: np.ndarray, d: np.ndarray, ke
     out = np.empty_like(base)
     degree = _degrees(coeffs)
     for s in np.nonzero(~far.all(axis=1))[0]:
-        row, near = coeffs[s, : degree[s] + 1].tolist(), ~far[s]
+        row, near = coeffs[s, : degree[s] + 1], ~far[s]
         if near.all():
             out[s] = _expanded(row, base[s], hi[s] + d, kernel)
         else:
@@ -286,7 +296,7 @@ def _closed_form(f: HeightDistribution, d: np.ndarray, kernel: Kernel) -> np.nda
 # lies at least twice its own width from it (error ~ 1e-16 of the piece's
 # share).  The (separation x node) products are formed in blocks of about
 # _FOLD_BLOCK.
-_FOLD_X, _FOLD_W = np.polynomial.legendre.leggauss(8)
+_FOLD_X, _FOLD_W = _GAUSS_LEGENDRE[8]
 _FOLD_BLOCK = 1 << 15
 
 

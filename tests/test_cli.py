@@ -532,6 +532,15 @@ class TestHeightmapCommand:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == EXIT_CONFIG
 
+    def test_spacings_with_a_header_are_config_error(self, tmp_path, capsys):
+        save_heightmap(Heightmap(2.0, 3.0, np.arange(16.0).reshape(4, 4)), tmp_path / "map.txt")
+        out = tmp_path / "x.csv"
+        rc = main(["heightmap", str(tmp_path / "map.txt"), "--dx", "5", "--dy", "7", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: line 1: the header gives dx=2 dy=3; "
+                                           "dx and dy may be supplied only for a headerless file\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("spacing", [
         ["--dx", "nan", "--dy", "1"],
         ["--dx", "inf", "--dy", "1"],

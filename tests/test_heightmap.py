@@ -84,6 +84,14 @@ class TestLoadSave:
         hm = load_heightmap(path, dx=2.0, dy=3.0)
         assert hm.dx == 2.0 and hm.values[1, 1] == 3.0
 
+    @pytest.mark.parametrize("dx, dy", [(5.0, 7.0), (5.0, None), (None, 7.0)])
+    def test_header_refuses_supplied_spacings(self, tmp_path, dx, dy):
+        save_heightmap(Heightmap(2.0, 3.0, np.zeros((2, 2))), tmp_path / "map.txt")
+        with pytest.raises(ParseError) as info:
+            load_heightmap(tmp_path / "map.txt", dx=dx, dy=dy)
+        assert str(info.value) == ("line 1: the header gives dx=2 dy=3; "
+                                   "dx and dy may be supplied only for a headerless file")
+
     def test_nan_entry_names_cell(self, tmp_path):
         path = tmp_path / "map.csv"
         path.write_text("0,1\n2,nan\n")
@@ -301,12 +309,14 @@ class TestReaderMatchesLineScanner:
     def test_malformed_and_unusual_files(self, tmp_path, block_chars, text, expected):
         path = tmp_path / "map.txt"
         _write_raw(path, text)
+        # Spacings are supplied for a headerless file only.
+        spacings = {} if text.startswith("#") else {"dx": 1.0, "dy": 1.0}
         if isinstance(expected, str):
             with pytest.raises(ParseError, match=re.escape(expected)) as info:
-                _load_in_blocks(path, block_chars, dx=1.0, dy=1.0)
+                _load_in_blocks(path, block_chars, **spacings)
             assert str(info.value) == expected
         else:
-            hm = _load_in_blocks(path, block_chars, dx=1.0, dy=1.0)
+            hm = _load_in_blocks(path, block_chars, **spacings)
             np.testing.assert_array_equal(hm.values, expected)
 
 
@@ -401,10 +411,9 @@ class TestBlockReader:
 
 
 
-# Doubles at the edges of the exact reader's range (the decimal scale of
-# FMT's text passes 27 below 10^-11, and above 10^28 as its digits allow),
-# at FMT's switches between fixed and exponent notation, and about 2^53,
-# with their neighbours a ulp away.
+# Doubles at FMT's switches between fixed and exponent notation, which
+# bound the exact reader's range, at powers of ten on either side, and
+# about 2^53, with their neighbours a ulp away.
 def _reader_edges():
     edges = [0.0, -0.0, 2.0**53, 2.0**53 + 2, 2.0**64]
     for p in (-12, -11, -10, -5, -4, -3, 16, 17, 18, 27, 28, 29, 43, 44, 45):
@@ -420,7 +429,7 @@ READER_EDGES = _reader_edges()
 def decimal_tokens(draw):
     """(token, M, q): a decimal string of 1 to 20 digits, with an optional
     sign, point and exponent, and the digit integer and decimal scale it
-    has."""
+    has (M 10^q)."""
     digits = draw(st.text("0123456789", min_size=1, max_size=20))
     point = draw(st.none() | st.integers(0, len(digits)))
     sign = draw(st.sampled_from(["", "-", "+"]))
@@ -433,23 +442,20 @@ def decimal_tokens(draw):
     return token, int(digits), q
 
 
-# Tokens whose M 10^q, rounded to the 64 bits of an extended double, lies
+# Tokens whose M / 10^f, rounded to the 64 bits of an extended double, lies
 # on a midpoint of two doubles, where a second rounding to a double misses
-# float()'s: found by a seeded search over the midpoints of random doubles.
+# float()'s: found by a seeded search over the midpoints of random doubles,
+# in fixed notation, the last two with a scale of 21 and 23.
 MIDPOINT_TOKENS = [
     "69.1001142966476678", "17086361538.6787920", "17751.5271719806060", "855291499172.539978",
-    "9329.2556933662554", "295.87529500555965", "5.68251826004694663e+25", "6.03997174291295345e+35",
-    "8.62173508979653538e-09", "2.25109314227270526e-06", "7.75528982614568155e-04",
+    "9329.2556933662554", "295.87529500555965", "0.000775528982614568155", "0.00000225109314227270526",
 ]
 
 
 def _extended(token):
-    # M 10^q rounded once to an extended double, as the exact reader forms it.
-    mantissa, _, e = token.partition("e")
-    whole, _, fraction = mantissa.partition(".")
-    q = int(e or 0) - len(fraction)
-    m = np.longdouble(int(whole + fraction))
-    return m * np.longdouble(f"1e{q}") if q > 0 else m / np.longdouble(f"1e{-q}")
+    # M / 10^f rounded once to an extended double, as the exact reader forms it.
+    whole, _, fraction = token.partition(".")
+    return np.longdouble(int(whole + fraction)) / np.longdouble(f"1e{len(fraction)}")
 
 
 def _parse(text):
@@ -477,13 +483,14 @@ class TestExactReader:
 
     @pytest.mark.parametrize("sep", [b" ", b","])
     def test_written_range_takes_no_other_reader(self, sep):
-        # 10^-10 to 10^27: FMT writes a decimal scale of at most 27, so
-        # neither numpy nor the line scanner reads a block.
+        # 10^-4 to 10^16, FMT's fixed notation: neither numpy nor the line
+        # scanner reads a block.
         rng = np.random.default_rng(8)
         shape = (300, 257)
-        vals = rng.integers(10**16, 10**17, shape) * 10.0 ** rng.integers(-26, 11, shape)
+        vals = rng.integers(10**16, 10**17, shape) * 10.0 ** rng.integers(-20, 0, shape)
         vals *= rng.choice([-1.0, 1.0], shape)
         vals[::7, ::5] = 0.0
+        assert ((vals == 0.0) | (np.abs(vals) >= 1e-4) & (np.abs(vals) < 1e16)).all()
         lines = b"".join(fmt_module.write_rows(vals, sep)).decode().splitlines(keepends=True)
 
         def refuse(*args, **kwargs):
@@ -498,16 +505,28 @@ class TestExactReader:
     @settings(max_examples=500)
     @given(decimal_tokens(), st.sampled_from([" ", ","]))
     def test_decimal_strings_match_float(self, case, sep):
-        # A token in a row of LONG values: taken if its M and q are in the
-        # grammar's range, and then read as float() reads it.
+        # A token in a row of LONG values: taken if it has no exponent and
+        # its M is in the grammar's range, and then read as float() reads it.
         token, m, q = case
         got = _parse(sep.join([token] + [LONG] * 8) + "\n")
-        if m < 10**18 and abs(q) <= 27:
+        if "e" not in token and m < 10**18:
             assert got is not None, token
             assert got[0, 0].tobytes() == np.float64(float(token)).tobytes(), token
             assert (got[0, 1:] == float(LONG)).all()
         else:
             assert got is None, token
+
+    @pytest.mark.parametrize("token, taken", [
+        ("0." + "0" * 22 + "1", True), ("0." + "0" * 23 + "1", False), ("1" + "0" * 24, False),
+    ])
+    def test_at_most_24_digits(self, token, taken):
+        # The digits of a window's last three words, and no more: a 25th
+        # digit would fall in its first word, which is not read.
+        got = _parse(" ".join([token] + [LONG] * 8) + "\n")
+        if taken:
+            assert got[0, 0].tobytes() == np.float64(float(token)).tobytes()
+        else:
+            assert got is None
 
     def test_midpoint_tokens_take_float(self):
         # Each extended double lies on a midpoint, so its own rounding to a
@@ -529,11 +548,11 @@ class TestExactReader:
         assert _parse(" ".join(["123456.78901234"] * 9) + "\n") is not None
 
     # Two blocks that _parse_block takes, one for each separator, of values
-    # as FMT writes them: signs, exponents both ways and "0.000", each with
-    # a decimal scale of at most 27.
+    # as FMT writes them in fixed notation: signs, "0.000", 16 integer
+    # digits and a decimal scale of 20, FMT's largest.
     MUTATED = [
-        b" ".join(b"%.17g" % v for v in (-1588.9088430643096, 1.2345678901234567e-05, 0.00098765432109876543)) + b"\n",
-        b",".join(b"%.17g" % v for v in (1.2345678901234567e17, -7.0000000000000018e-06, 0.1)) + b"\n",
+        b" ".join(b"%.17g" % v for v in (-1588.9088430643096, 0.00012345678901234567, 0.00098765432109876543)) + b"\n",
+        b",".join(b"%.17g" % v for v in (1234567890123456.8, -0.00070000000000000018, 0.1)) + b"\n",
     ]
 
     @pytest.mark.parametrize("block", MUTATED, ids=["space", "comma"])
@@ -557,11 +576,39 @@ class TestExactReader:
         assert fmt_module._parse_block(block[:at] + b"\xca" + block[at + 1:], None) is None
 
     def test_powers_of_ten_are_exact(self):
-        up, down = fmt_module._parse_tables()[1:]
-        q = fmt_module._Q_MAX
-        assert [int(p) for p in up[q:]] == [10**k for k in range(q + 1)]
-        assert [int(p) for p in down[q::-1]] == [10**k for k in range(q + 1)]
-        assert (up[:q] == 1).all() and (down[q + 1:] == 1).all()
+        down = fmt_module._parse_tables()[1]
+        assert [int(p) for p in down] == [10**f for f in range(25)]
+
+    @pytest.mark.parametrize("sep", [" ", ","])
+    def test_exponent_notation_goes_to_numpy(self, sep):
+        # A block with one exponent token, in a row of LONG values, is
+        # refused by the exact reader and read as float() reads it.
+        for token in ("1.2345678901234567e-05", "-6.0399717429129534e+35", "5e-324", "1E+16"):
+            text = sep.join([LONG] * 4 + [token] + [LONG] * 4) + "\n"
+            assert _parse(text) is None, token
+            back = fmt_module.read_rows([text, text], 0)
+            expected = [float(LONG)] * 4 + [float(token)] + [float(LONG)] * 4
+            assert back.tobytes() == np.array([expected, expected]).tobytes(), token
+
+    @pytest.mark.parametrize("sep", [b" ", b","])
+    def test_values_outside_the_fixed_range_take_the_template(self, sep):
+        # Every value that is not zero and not in [10^-4, 10^16), written
+        # alone or between values of the array path, is FMT's text.
+        rng = np.random.default_rng(12)
+        outside = rng.integers(10**16, 10**17, 400) * 10.0 ** rng.integers(-340, 292, 400)
+        outside = outside[(outside < 1e-4) | (outside >= 1e16)]
+        edges = [np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e17, 0.0), 1e17, 9.9e-5, 1e-6, 5e-324,
+                 np.finfo(float).max, np.inf, np.nan]
+        outside = np.concatenate([outside, edges])
+        outside = np.concatenate([outside, -outside])
+        inside = rng.uniform(-1e3, 1e3, len(outside))
+
+        def expected(block):
+            return ("".join(sep.decode() + "%.17g" % v for v in block.tolist())).encode()
+
+        mixed = np.column_stack([outside, inside]).ravel()
+        for block in (outside, mixed):
+            assert fmt_module._format_block(block, slice(0, 0), sep).tobytes() == expected(block)
 
 
 # The three readers of rows of numbers, each after its own head: a heightmap
@@ -609,13 +656,12 @@ class TestOneReader:
 
 
 WRITE_BLOCK = fmt_module._WRITE_BLOCK
-# The least double the array writer takes: the double 1e-6 is below 10^-6.
-WRITER_LEAST = np.nextafter(1e-6, 1.0)
 
 
 def _writer_edges():
-    # Values at the edges of the array writer: +-0, 1e-6 and 1e16 and
-    # every power of ten between them with their neighbours a ulp away,
+    # Values at and about the edges of the array writer, 1e-4 and 1e16:
+    # +-0, every power of ten from 1e-6 to 1e16 with its neighbours a ulp
+    # away,
     # values whose 18th significant digit is a 5 followed by zeros, which
     # "%.17g" rounds half-even, and the negatives of all these.
     edges = [0.0, -0.0]
@@ -716,19 +762,17 @@ class TestWriter:
     def test_array_path_and_its_fallback(self, sep):
         # Edge values inside the range take the array path, with and
         # without a value FMT writes with a sign or "0.000"; a value outside
-        # it, or the double 1e-6 (below 10^-6), takes the template, in its
-        # place.
+        # it, or the double below 1e-4, takes the template, in its place.
         inside = np.array(WRITER_EDGES)
-        inside = inside[(inside == 0.0) | (np.abs(inside) >= WRITER_LEAST) & (np.abs(inside) < 1e16)]
-        assert 1e-6 not in inside
-        plain = inside[~np.signbit(inside) & ((inside == 0.0) | (inside >= 1.0) | (inside < 1e-4))]
+        inside = inside[(inside == 0.0) | (np.abs(inside) >= 1e-4) & (np.abs(inside) < 1e16)]
+        plain = inside[~np.signbit(inside) & ((inside == 0.0) | (inside >= 1.0))]
 
         def expected(block):
             return ("".join(sep.decode() + "%.17g" % v for v in block.tolist())).encode()
 
         for block in (inside, plain):
             assert fmt_module._format_block(block, slice(0, 0), sep).tobytes() == expected(block)
-        for outside in (1e-6, 1e16, 5e-324, 1e300):
+        for outside in (np.nextafter(1e-4, 0.0), 1e-6, 1e16, 5e-324, 1e300):
             block = np.insert(inside, len(inside) // 2, outside)
             assert fmt_module._format_block(block, slice(0, 0), sep).tobytes() == expected(block)
 
@@ -1253,6 +1297,18 @@ class TestSynthesize:
         with pytest.raises(InvalidParameterError,
                            match=rf"^{layer['type']} {key} must be positive and finite, got {bad!r}$"):
             synthesize_surface([{**layer, key: bad}], n=16, extent=10.0)
+
+    @pytest.mark.parametrize("xi, n, extent", [(1e300, 4, 1e-10), (1e6, 16, 16.0), (251.0, 16, 10.0)])
+    def test_rough_xi_past_the_grid_named(self, xi, n, extent):
+        # xi / dx overflows, or the filter's radius would wrap round the
+        # grid more than 100 times.
+        message = rf"^rough xi must be at most 25 times the extent .*, got {re.escape(repr(xi))}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            synthesize_surface([{"type": "rough", "sigma": 1.0, "xi": xi}], n=n, extent=extent)
+
+    def test_rough_xi_at_its_bound(self):
+        hm = synthesize_surface([{"type": "rough", "sigma": 1.0, "xi": 250.0}], n=4, extent=10.0)
+        assert np.isfinite(hm.values).all()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_tile_named_when_it_sets_the_extent(self, bad):

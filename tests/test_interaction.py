@@ -7,6 +7,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from proxint import (
@@ -16,6 +18,7 @@ from proxint import (
     Kernel,
     NumericError,
     ParseError,
+    casimir_ideal_kernel,
     compose_gradient,
     convolve,
     curve_from_csv,
@@ -39,6 +42,7 @@ from proxint import (
     truncated_gaussian_distribution,
 )
 import proxint.distributions
+import proxint.interaction
 from proxint.distributions import _convolve_analytic
 from proxint.interaction import _FAR_FALLBACK, _FAR_NU_MAX, _FAR_ORDERS, _closed_form, _segment_integrals
 
@@ -634,6 +638,59 @@ class TestVectorisedClosedForm:
             want = [sum(_segment_integral_scalar(coeffs, lo, hi, di, kernel)
                         for lo, hi, coeffs in rows(f)) for di in d.tolist()]
             np.testing.assert_allclose(got, want, rtol=20 * np.finfo(float).eps, atol=0.0)
+
+
+def _expanded_loop(coeffs, a, b, kernel):
+    """The near branch term by term: each (k, j) term of the binomial
+    expansion added to a zero start by three numpy operations, k outer and
+    j <= k inner, skipping every k whose coefficient is zero."""
+    nu = kernel.nu
+    neg = -a
+    neg_pow = [neg**m for m in range(len(coeffs))]
+    power_integral = []
+    for j in range(len(coeffs)):
+        p = j - nu
+        if abs(p + 1.0) < 1e-12:
+            power_integral.append(np.log(b / a))
+        else:
+            power_integral.append((b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0))
+    total = np.zeros_like(a)
+    for k, c_k in enumerate(coeffs.tolist()):
+        if c_k == 0.0:
+            continue
+        for j in range(k + 1):
+            total += c_k * math.comb(k, j) * neg_pow[k - j] * power_integral[j]
+    return kernel.alpha * total
+
+
+@st.composite
+def catalog_stacks(draw):
+    """A sphere carrying up to two dome or pyramid layers and, at times, the
+    analytic roughness, whose pieces are of degree 17."""
+    f = sphere_distribution(draw(st.floats(min_value=1e4, max_value=2e5)))
+    for kind in draw(st.lists(st.sampled_from(["dome", "pyramid"]), max_size=2)):
+        h = draw(st.floats(min_value=10.0, max_value=2000.0))
+        f = convolve(f, dome_distribution(h) if kind == "dome" else pyramid_distribution(h, h, per_unit_area=True))
+    if draw(st.booleans()):
+        sigma = draw(st.floats(min_value=1.0, max_value=10.0))
+        f = convolve(f, truncated_gaussian_distribution(sigma, draw(st.floats(min_value=0.0, max_value=3.0)) * sigma))
+    return f
+
+
+class TestExpandedTerms:
+    @settings(max_examples=15)
+    @given(catalog_stacks(), st.sampled_from([heat_sio2_kernel(), casimir_ideal_kernel(1.0)]))
+    def test_matches_term_loop(self, f, kernel):
+        # The near branch's terms, built as arrays and added in the loop's
+        # order, give every segment integral bit for bit, from d = 1e-12,
+        # over many separations and over one alone.
+        d = np.geomspace(1e-12, 1e3, 46)
+        for sep in (d, d[:1], d[20:21]):
+            got = _segment_integrals(f.breaks, f.coeffs, sep, kernel)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(proxint.interaction, "_expanded", _expanded_loop)
+                want = _segment_integrals(f.breaks, f.coeffs, sep, kernel)
+            np.testing.assert_array_equal(got, want)
 
 
 FIG2_ROUGHNESS = [(10.0, 20.0), (2.5, 5.0), (10.0, 0.0), (2.5, 0.0)]  # fig2, fig2-inset, s0 = 0
