@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import collections
-import configparser
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -170,6 +170,8 @@ def _parse_layer(text: str, path: str) -> dict:
         key, val = tok.split("=", 1)
         if key not in spec.fields:
             raise ConfigError(f"{path}.{key}: unknown field for {toks[0]}")
+        if key in raw:
+            raise ConfigError(f"{path}.{key}: field given twice")
         raw[key] = val
     layer: dict = {"type": toks[0]}
     for key in spec.fields:
@@ -268,6 +270,9 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
 
     sep = sections.get("separations", {})
     if "list" in sep:
+        if len(sep) > 1:
+            others = ", ".join(k for k in sep if k != "list")
+            raise ConfigError(f"separations.list: replaces min, max and per_decade, but {others} given too")
         try:
             d = np.array(read_line(sep["list"], None))
         except ParseError as exc:
@@ -338,6 +343,64 @@ def build_config(sections: dict, args=None) -> ScenarioConfig:
     return cfg
 
 
+# A key line: the key, then the value after the first "=" or ":".
+_KEY_LINE = re.compile(r"([^=:]+)[=:](.*)")
+
+
+def read_ini(path: str) -> dict[str, dict[str, str]]:
+    """The sections of the config file at ``path``, each a dict of its keys.
+
+    The grammar is configparser's, less its options: ``[section]`` headers;
+    ``key = value`` or ``key: value`` lines, split at the first delimiter,
+    with the key lower-cased and both sides stripped; ``#`` and ``;``
+    comment lines; blank lines; and continuation lines, indented deeper
+    than their key line, whose text joins the value after a newline.  A
+    blank line within a continued value is kept, and trailing ones are
+    dropped.  Values are read as written: no ``%`` interpolation, and
+    ``[DEFAULT]`` is a section like any other.  Any other line, a repeated
+    section, a repeated key in one section or a key before any section is
+    a ConfigError naming the line."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: cannot decode {path} as text ({exc.reason})") from None
+    except OSError:
+        raise ConfigError(f"config: cannot read {path}") from None
+    sections: dict[str, dict[str, list[str]]] = {}
+    section = value = None  # the current section, and the lines of its last value
+    key_indent = 0
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text[0] in "#;":
+            if not text and value is not None:
+                value.append("")
+            continue
+        indent = len(line) - len(line.lstrip())
+        if value is not None and indent > key_indent:
+            value.append(text)
+            continue
+        key_indent = indent
+        where = f"config: {path}, line {lineno}"
+        if text[0] == "[" and text[-1] == "]" and len(text) > 2:
+            name = text[1:-1]
+            if name in sections:
+                raise ConfigError(f"{where}: duplicate section [{name}]")
+            section = sections[name] = {}
+            value = None
+            continue
+        match = _KEY_LINE.fullmatch(text)
+        if match is None:
+            raise ConfigError(f"{where}: expected [section], key = value or a comment, got {text!r}")
+        if section is None:
+            raise ConfigError(f"{where}: key before any [section]")
+        key = match[1].rstrip().lower()
+        if key in section:
+            raise ConfigError(f"{where}: duplicate key {key!r} in [{name}]")
+        value = section[key] = [match[2].strip()]
+    return {name: {key: "\n".join(v).rstrip() for key, v in sec.items()} for name, sec in sections.items()}
+
+
 def load_config(args) -> ScenarioConfig:
     sections: dict = {}
     if getattr(args, "preset", None):
@@ -347,19 +410,11 @@ def load_config(args) -> ScenarioConfig:
             )
         sections = {k: dict(v) for k, v in PRESETS[args.preset].items()}
     if getattr(args, "config", None):
-        # Values are read as written, without "%" interpolation; no header
-        # names the section "", so [DEFAULT] is an unknown section.
-        parser = configparser.ConfigParser(interpolation=None, default_section="")
-        try:
-            read = parser.read(args.config)
-        except configparser.Error as exc:
-            raise ConfigError(f"config: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config: cannot decode {args.config} as text ({exc.reason})") from None
-        if not read:
-            raise ConfigError(f"config: cannot read {args.config}")
-        for name in parser.sections():
-            sections.setdefault(name, {}).update(dict(parser[name]))
+        for name, sec in read_ini(args.config).items():
+            merged = sections.setdefault(name, {})
+            if name == "separations" and "list" in sec:
+                merged.clear()  # the file's list replaces a preset's grid
+            merged.update(sec)
     return build_config(sections, args)
 
 

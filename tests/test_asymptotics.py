@@ -193,6 +193,18 @@ class TestFitScaling:
         # Outside the window the value is not read.
         assert fit_scaling(curve, (10.0, 100.0)).form == LawForm.POWER_LAW
 
+    def test_negative_value_rules_out_the_power_law(self):
+        # A subtracted sweep can cross zero; a power law cannot, so it is not
+        # fitted and cannot win.
+        from proxint import InteractionCurve
+
+        d = np.geomspace(1.0, 10.0, 31)
+        curve = InteractionCurve(d, 1.0 / d**2 - 0.05, heat_sio2_kernel())
+        assert (curve.values < 0).any() and (curve.values != 0).all()
+        law = fit_scaling(curve, (1.0, 10.0))
+        assert law.residuals["power-law"] == math.inf
+        assert law.form == LawForm.LOGARITHMIC
+
     def test_underflowed_window(self):
         # At nu = 1000 the sphere's I(d) underflows to 0 past about 2 nm.
         d = np.geomspace(1.0, 10.0, 31)

@@ -79,6 +79,30 @@ layer.1 = dome height=50
 """
 
 
+# SPHERE_DOME_CFG in the rest of the config grammar: comment lines, "key:
+# value", keys in upper case, and values continued on indented lines.
+SPHERE_DOME_CFG_STYLED = """# heat transfer, sphere over a dome
+[scenario]
+DREF: 300
+
+; the SiO2 kernel
+[kernel]
+Preset = heat-sio2
+
+[separations]
+min: 1
+max = 300
+    # a comment line within a value is skipped
+per_decade=20
+
+[curve.main]
+base = sphere
+    radius=50000
+Layer.1: dome
+    height=50
+"""
+
+
 # A stack whose exact convolution overflows, though each layer is valid.
 OVERFLOW_STACK = "[curve.c]\nbase = sphere radius=4.02821e+135\nlayer.1 = pyramid height=2.28978e-144\n"
 
@@ -325,6 +349,105 @@ class TestConfig:
             assert str(exc).startswith(f"curve.x.{key}")
         else:
             assert stack.describe().startswith(kind)
+
+    def test_repeated_layer_field_names_it(self):
+        with pytest.raises(ConfigError, match=r"^curve\.x\.layer\.1\.height: field given twice$"):
+            build_config({"curve.x": {"base": "sphere radius=1", "layer.1": "dome height=1 height=2"}})
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"min": "1"}, "min"),
+        ({"max": "300", "per_decade": "20"}, "max, per_decade"),
+    ])
+    def test_separations_list_with_grid_keys_is_config_error(self, extra, named):
+        with pytest.raises(ConfigError) as info:
+            build_config({"separations": {"list": "1, 2", **extra}, "curve.x": {"base": "sphere radius=1"}})
+        assert str(info.value) == f"separations.list: replaces min, max and per_decade, but {named} given too"
+
+    def test_config_list_replaces_preset_grid(self, tmp_path):
+        # A preset's grid keys give way to the file's list, as a preset's
+        # other keys give way to the file's.
+        cfg = write_config(tmp_path, "[separations]\nlist = 1, 2.5, 40\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--preset", "fig2", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert " d=[1,40]x3 " in out.with_name("x.dome.csv").read_text().splitlines()[0]
+
+    # Each exit-2 branch of the config checks, through main: the edit to
+    # SPHERE_DOME_CFG, extra arguments, and the whole message.
+    @pytest.mark.parametrize("old, new, argv, message", [
+        ("dome height=50", "dome height", [], "curve.main.layer.1: expected key=value, got 'height'"),
+        ("preset = heat-sio2", "preset = heat-sio2\nalpha = -1", [],
+         "kernel: kernel alpha must be positive and finite"),
+        ("min = 1", "min = 300", [], "separations: need 0 < min < max"),
+        ("per_decade = 20", "per_decade = 0", [], "separations.per_decade: must be positive"),
+        ("base = sphere radius=50000", "base = dome height=5000", [],
+         "curve.main.base: base-curvature layer must be a sphere"),
+        ("layer.1 = dome height=50", "layer.1 = dome height=50\ncolour = red", [], "curve.main.colour: unknown key"),
+        ("", "", ["--window", "1"], "window: expected LO,HI"),
+        ("dref = 300", "dref = 300\nfarfield = -1", [], "scenario.farfield: must be positive and finite"),
+    ])
+    def test_config_check_exits_config_with_message(self, tmp_path, capsys, old, new, argv, message):
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG.replace(old, new))
+        out = tmp_path / "x.csv"
+        rc = main(["asympt", "--config", cfg, "--out", str(out), *argv])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+
+class TestConfigGrammar:
+    """read_ini: configparser's INI grammar, without configparser."""
+
+    def test_styled_twin_reads_as_plain(self, tmp_path):
+        plain = proxint.cli.read_ini(write_config(tmp_path, SPHERE_DOME_CFG, "plain.cfg"))
+        styled = proxint.cli.read_ini(write_config(tmp_path, SPHERE_DOME_CFG_STYLED, "styled.cfg"))
+        assert styled == {**plain, "curve.main": {"base": "sphere\nradius=50000", "layer.1": "dome\nheight=50"}}
+
+    @pytest.mark.parametrize("command", ["sweep", "asympt"])
+    def test_styled_twin_writes_the_same_bytes(self, tmp_path, command):
+        outs = []
+        for name, text in (("plain", SPHERE_DOME_CFG), ("styled", SPHERE_DOME_CFG_STYLED)):
+            out = tmp_path / f"{name}.csv"
+            cfg = write_config(tmp_path, text, f"{name}.cfg")
+            assert main([command, "--config", cfg, "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("text, sections", [
+        ("", {}),
+        ("# only a comment\n", {}),
+        ("[a]\n", {"a": {}}),
+        ("[a]\nk =\n", {"a": {"k": ""}}),
+        ("[a]\nk = x = y: z\n", {"a": {"k": "x = y: z"}}),
+        ("[a]\nk: x = y\n", {"a": {"k": "x = y"}}),
+        # Blank lines within a continued value are kept, trailing ones dropped.
+        ("[a]\nk = x\n\n  y\n\n\n[b]\n", {"a": {"k": "x\n\ny"}, "b": {}}),
+        # A key line as deeply indented as the last starts a new key.
+        ("[a]\n  k = 1\n  j = 2\n", {"a": {"k": "1", "j": "2"}}),
+        ("[a]\nk = 1\n  [b]\n", {"a": {"k": "1\n[b]"}}),
+        # No "%" interpolation, and [DEFAULT] is a section like any other.
+        ("[DEFAULT]\nk = 5%(x)s\n[Mixed]\nK = 1\n", {"DEFAULT": {"k": "5%(x)s"}, "Mixed": {"k": "1"}}),
+        ("[a]\r\nk = 1\r\n", {"a": {"k": "1"}}),
+    ])
+    def test_sections(self, tmp_path, text, sections):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(text.encode())
+        assert proxint.cli.read_ini(str(path)) == sections
+
+    @pytest.mark.parametrize("text, message", [
+        ("[a]\n[b]\n[a]\n", "line 3: duplicate section [a]"),
+        ("[a]\nK = 1\nk: 2\n", "line 3: duplicate key 'k' in [a]"),
+        ("# c\nk = 1\n", "line 2: key before any [section]"),
+        ("[scenario\n", "line 1: expected [section], key = value or a comment, got '[scenario'"),
+        ("[a]\n\nword\n", "line 3: expected [section], key = value or a comment, got 'word'"),
+        ("[a]\n= 1\n", "line 2: expected [section], key = value or a comment, got '= 1'"),
+        ("[a] # c\n", "line 1: expected [section], key = value or a comment, got '[a] # c'"),
+        ("[]\n", "line 1: expected [section], key = value or a comment, got '[]'"),
+    ])
+    def test_fault_names_its_line(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path, text)
+        rc = main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config: {cfg}, {message}\n"
 
 
 # Flags each subcommand accepts; every other flag is an argument error.
@@ -696,6 +819,12 @@ class TestPaths:
                    "--out", str(tmp_path / "o.csv")])
         self.assert_config_error(rc, capsys, path)
 
+    def test_missing_config(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config: cannot read {path}\n"
+
     def test_undecodable_config(self, tmp_path, capsys):
         path = tmp_path / "utf16.cfg"
         path.write_bytes(b"\xff\xfe[scenario]\n")
@@ -764,6 +893,29 @@ class TestStartup:
         assert result["codes"] == [EXIT_OK] * 4
         assert result["loaded"] == {"commands": [], "synthesis": [], "heightmap": []}
         assert "\n# gaussian-fit sigma=" in (tmp_path / "scan.csv").read_text()
+
+    def test_no_command_loads_configparser(self, tmp_path, deadline):
+        # The config reader is the CLI's own; configparser costs milliseconds
+        # of start-up to import.
+        save_heightmap(Heightmap(1.0, 1.0, np.arange(16.0).reshape(4, 4)), tmp_path / "map.txt")
+        cfg = write_config(tmp_path, SPHERE_DOME_CFG_STYLED)
+        script = (
+            "import sys\n"
+            "import proxint.cli as cli\n"
+            "assert 'configparser' not in sys.modules\n"
+            f"cfg, out = {cfg!r}, {str(tmp_path)!r}\n"
+            "codes = [cli.main([c, '--config', cfg, '--out', f'{out}/{c}.csv']) for c in ('shape', 'sweep', 'asympt')]\n"
+            "codes.append(cli.main(['heightmap', f'{out}/map.txt', '--config', cfg, '--out', f'{out}/map.csv']))\n"
+            "print(codes, 'configparser' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        with deadline(120):
+            done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        # asympt reads the config and runs to its end, where the smallest
+        # decade of this stack fails verification.
+        assert done.stdout.splitlines()[-1] == f"{[EXIT_OK, EXIT_OK, EXIT_VERIFY, EXIT_OK]} False"
 
 
 class TestAsymptCommand:
