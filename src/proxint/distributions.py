@@ -530,9 +530,8 @@ def _merged_cuts(cuts, total: float, tol: float) -> list[float]:
 
 # The exact convolution runs as array operations over every segment pair at
 # once, with the pairs along the last axis.  Each polynomial sum below adds
-# its terms in one fixed order, term by term from zero: a stage lists its
-# terms in that order and ``_ordered_sums`` adds them with np.bincount,
-# which adds its weights one at a time in input order.  So every
+# its terms in one fixed order, term by term from zero: a loop over one
+# index adds that index's terms to their cells as one slice.  So every
 # coefficient is the same bits whatever the number of pairs, and the same
 # as the term-by-term oracle of the tests.  Powers of the scaled lengths
 # come from np.float_power, which calls the C library's pow per element as
@@ -540,17 +539,12 @@ def _merged_cuts(cuts, total: float, tol: float) -> list[float]:
 # some results differently.  The scale factors take ** on arrays, as the
 # oracle's do.
 
-def _read_only(*arrays):
-    """The arrays, marked read-only: a cached table is shared by every caller."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @functools.lru_cache(maxsize=None)
 def _exponents(n: int) -> np.ndarray:
-    """0, 1, ..., n - 1 as a float column."""
-    return _read_only(np.arange(float(n))[:, None])[0]
+    """0, 1, ..., n - 1 as a read-only float column."""
+    out = np.arange(float(n))[:, None]
+    out.setflags(write=False)
+    return out
 
 
 def _powers(base, n: int) -> np.ndarray:
@@ -558,86 +552,53 @@ def _powers(base, n: int) -> np.ndarray:
     return np.float_power(base, _exponents(n))
 
 
-def _ordered_sums(terms: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
-    """(size, m): cell c of column p holds the sum of terms[t, p] over every t
-    with cells[t, 0] == c, added in increasing t to a zero start."""
-    m = terms.shape[1]
-    index = cells * m + np.arange(m)
-    return np.bincount(index.ravel(), terms.ravel(), minlength=size * m).reshape(size, m)
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_terms(n: int, signed: bool):
-    """The terms of ``_shift_rows`` for n coefficients, source index j outer and
-    target index k <= j inner: j, j - k, C(j, k) (times (-1)^k if
-    ``signed``) and k."""
-    j, k = np.tril_indices(n)
-    return _read_only(j, j - k, _binomial_array(n, signed)[j, k, None], k[:, None])
-
-
 def _shift_rows(coeffs: np.ndarray, pw: np.ndarray, signed: bool = False) -> np.ndarray:
     """Each column's polynomial sum_j c_j x^j re-anchored at delta, as
     p(delta + t) in t, or reversed, as p(delta - t), if ``signed``;
-    pw[e] = delta ** e."""
+    pw[e] = delta ** e.  Target k takes c_j C(j, k) delta^(j-k) in ascending j."""
     n = len(coeffs)
-    j, e, binom, k = _shift_terms(n, signed)
-    terms = coeffs.take(j, 0)
-    terms *= binom
-    terms *= pw.take(e, 0)
-    return _ordered_sums(terms, k, n)
-
-
-@functools.lru_cache(maxsize=None)
-def _bivariate_terms(na: int, nb: int):
-    """The terms of ``_bivariate_integral_rows``, pa[k] pb[q] C(q, j) (-1)^j for
-    j <= q, with k outer, then q, then j, so that each cell adds its terms
-    in ascending k: k, q, the signed binomials, each term's cell in the
-    flattened (nb, na + nb) result and each cell's divisor."""
-    n = na + nb
-    k, q, j = (x.ravel() for x in np.meshgrid(np.arange(na), np.arange(nb), np.arange(nb), indexing="ij"))
-    keep = j <= q
-    k, q, j = k[keep], q[keep], j[keep]
-    divisor = np.tile(np.maximum(np.arange(n), 1.0), nb)
-    signed = _binomial_array(nb, signed=True)[q, j]
-    return _read_only(k, q, signed[:, None], ((q - j) * n + k + j + 1)[:, None], divisor[:, None])
+    binom = _binomial_array(n, signed)
+    out = np.zeros(coeffs.shape)
+    for j in range(n):
+        term = coeffs[j] * binom[j, : j + 1, None]
+        term *= pw[j::-1]
+        out[: j + 1] += term
+    return out
 
 
 def _bivariate_integral_rows(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Antiderivative in t of p(t) q(x - t) for each column pair, as
-    Bi[i, j] the coefficient of x^i t^j, shape (len(pb), len(pa) + len(pb), m)."""
-    na, nb = len(pa), len(pb)
-    k, q, signed, cells, divisor = _bivariate_terms(na, nb)
-    terms = pb.take(q, 0)
-    terms *= pa.take(k, 0)
-    terms *= signed
-    B = _ordered_sums(terms, cells, nb * (na + nb))
-    B /= divisor
-    return B.reshape(nb, na + nb, -1)
-
-
-@functools.lru_cache(maxsize=None)
-def _phase_terms(nb: int, n: int):
-    """The entries Bi[i, j] of a rising phase, those with i + j < n, i outer,
-    as flat indices into (nb, n), each one's power i + j, and the row i of
-    every entry of (nb, n), which a plateau sums over."""
-    i, j = (x.ravel() for x in np.meshgrid(np.arange(nb), np.arange(n), indexing="ij"))
-    keep = i + j < n
-    return _read_only((i * n + j)[keep], (i + j)[keep, None], i[:, None])
+    Bi[i, j] the coefficient of x^i t^j, shape (len(pb), len(pa) + len(pb), m).
+    Cell (q - j, k + j + 1) takes pb[q] pa[k] C(q, j) (-1)^j in descending j,
+    which is ascending k."""
+    (na, m), nb = pa.shape, len(pb)
+    products = pb[:, None] * pa
+    signed = _binomial_array(nb, signed=True)
+    B = np.zeros((nb, na + nb, m))
+    for j in range(nb - 1, -1, -1):
+        B[: nb - j, j + 1 : j + 1 + na] += products[j:] * signed[j:, j, None, None]
+    B /= np.maximum(_exponents(na + nb), 1.0)
+    return B
 
 
 def _rising_rows(Bi: np.ndarray) -> np.ndarray:
-    """sum_ij Bi[i, j] x^(i+j), the antiderivative from t = 0 to t = x; terms
-    past x^(n-1) are zero and dropped."""
+    """sum_ij Bi[i, j] x^(i+j), the antiderivative from t = 0 to t = x, in
+    ascending i; terms past x^(n-1) are zero and dropped."""
     nb, n, m = Bi.shape
-    flat, power, _ = _phase_terms(nb, n)
-    return _ordered_sums(Bi.reshape(nb * n, m).take(flat, 0), power, n)
+    out = np.zeros((n, m))
+    for i in range(nb):
+        out[i:] += Bi[i, : n - i]
+    return out
 
 
 def _plateau_rows(Bi: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """sum_ij Bi[i, j] x^i la^j, the antiderivative from t = 0 to t = la, with
-    pw[j] = la ** j."""
-    nb, n, m = Bi.shape
-    return _ordered_sums((Bi * pw).reshape(nb * n, m), _phase_terms(nb, n)[2], nb)
+    """sum_ij Bi[i, j] x^i la^j, the antiderivative from t = 0 to t = la, in
+    ascending j, with pw[j] = la ** j."""
+    terms = Bi * pw
+    out = np.zeros((len(Bi), Bi.shape[2]))
+    for j in range(Bi.shape[1]):
+        out += terms[:, j]
+    return out
 
 
 def _pair_convolve_rows(a, b, La, Lb, s0):

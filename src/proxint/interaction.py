@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import read_rows, table
-from .distributions import (HeightDistribution, _convolve_analytic, _degrees, _frozen, _ordered_sums,
-                            _shift_terms)
+from .distributions import HeightDistribution, _binomial_array, _convolve_analytic, _degrees, _frozen
 from .errors import InvalidParameterError, NumericError, ParseError
 
 __all__ = [
@@ -197,20 +196,16 @@ def _expanded(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray, kernel: Kernel) 
             power_integral[j] = np.log(b / a)
         else:
             power_integral[j] = (b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0)
-    # The terms c_k C(k, j) (-a)^(k-j) P_j, k outer and j <= k inner, of
-    # every c_k but a zero, added in that order from +0.0 in blocks of
-    # columns, so that no array exceeds _FOLD_BLOCK terms.
-    k, e, binom, j = _shift_terms(n, False)
-    keep = coeffs.take(k) != 0.0
-    e, j = e[keep], j[keep, 0]
-    scaled = coeffs.take(k[keep])[:, None] * binom[keep]
-    cells = np.zeros((len(e), 1), np.intp)
-    total = np.empty_like(a)
-    step = max(1, _FOLD_BLOCK // max(len(e), 1))
-    for i in range(0, len(a), step):
-        terms = scaled * neg_pow[e, i:i + step]
-        terms *= power_integral[j, i:i + step]
-        total[i:i + step] = _ordered_sums(terms, cells, 1)[0]
+    # The terms c_k C(k, j) (-a)^(k-j) P_j of every c_k but a zero, k outer
+    # and j <= k inner, added in that order to +0.0.
+    binom = _binomial_array(n)
+    total = np.zeros_like(a)
+    for k, c in enumerate(coeffs.tolist()):
+        if c != 0.0:
+            terms = (c * binom[k, : k + 1, None]) * neg_pow[k::-1]
+            terms *= power_integral[: k + 1]
+            for term in terms:
+                total += term
     return kernel.alpha * total
 
 
