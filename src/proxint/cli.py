@@ -418,9 +418,17 @@ def load_config(args) -> ScenarioConfig:
     return build_config(sections, args)
 
 
-def _provenance(cfg: ScenarioConfig, command: str, extra: str = "") -> str:
+def _provenance(cfg: ScenarioConfig, command: str, extra: str = "", **flags) -> str:
+    """The provenance line: version, command, effective config, ``extra``,
+    and name=value of each of ``flags`` that was given, its floats as
+    repr writes them."""
+    parts = [extra] if extra else []
+    for name, value in flags.items():
+        if value is not None:
+            values = value if isinstance(value, tuple) else (value,)
+            parts.append(f"{name}={','.join(map(repr, values))}")
     text = f"proxint {__version__} | {command} | {cfg.describe()}"
-    return f"{text} | {extra}" if extra else text
+    return f"{text} | {' '.join(parts)}" if parts else text
 
 
 def _check_out(out: str) -> None:
@@ -494,7 +502,8 @@ def cmd_heightmap(args) -> int:
     if not np.isfinite(columns).all():
         raise NumericError(f"bin width {w!r}: a density f or g per nm is not a finite float")
 
-    lines = [f"# {_provenance(cfg, 'heightmap', f'input={os.path.basename(args.path)}')}"]
+    provenance = _provenance(cfg, "heightmap", f"input={os.path.basename(args.path)}", dx=args.dx, dy=args.dy)
+    lines = [f"# {provenance}"]
     if np.count_nonzero(emp.weights) < 2:
         lines.append("# delta-like distribution (single occupied bin); fit and "
                      "classification skipped")
@@ -542,7 +551,7 @@ def cmd_asympt(args) -> int:
         rows.append(ver.csv_row(stack.label))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(f"# {_provenance(cfg, 'asympt')}\n")
+            fh.write(f"# {_provenance(cfg, 'asympt', tol=args.tol, window=cfg.window)}\n")
             fh.write("\n".join(rows) + "\n")
         print(f"-> {args.out}")
     return EXIT_OK if all_passed else EXIT_VERIFY

@@ -594,9 +594,10 @@ def _rising_rows(Bi: np.ndarray) -> np.ndarray:
 def _plateau_rows(Bi: np.ndarray, pw: np.ndarray) -> np.ndarray:
     """sum_ij Bi[i, j] x^i la^j, the antiderivative from t = 0 to t = la, in
     ascending j, with pw[j] = la ** j."""
+    nb, n, m = Bi.shape
     terms = Bi * pw
-    out = np.zeros((len(Bi), Bi.shape[2]))
-    for j in range(Bi.shape[1]):
+    out = np.zeros((nb, m))
+    for j in range(n):
         out += terms[:, j]
     return out
 
@@ -724,7 +725,7 @@ def _numeric_grid(fa: HeightDistribution, fb: HeightDistribution) -> tuple[float
         if abs(wa - wb) > 1e-9 * max(wa, wb):
             warnings.warn(
                 f"bin widths differ ({wa:g} vs {wb:g} nm); resampling to the finer grid",
-                stacklevel=5,
+                stacklevel=4,
             )
         delta = min(wa, wb)
     else:

@@ -648,6 +648,27 @@ class TestHeightmapCommand:
         sigma = float(text.split("sigma=")[1].split()[0])
         assert sigma == pytest.approx(10.0, rel=0.15)
 
+    def test_provenance_records_given_spacings(self, tmp_path):
+        # The spacings scale f, so a first line that leaves them out would
+        # read the same over different tables; without them it is as before.
+        values = np.array([[0.0, 1, 2], [3, 4, 5], [6, 7, 9]])
+        (tmp_path / "map.csv").write_text("0,1,2\n3,4,5\n6,7,9\n")
+        save_heightmap(Heightmap(2.0, 2.0, values), tmp_path / "map.txt")
+
+        def run(name, *spacing):
+            out = tmp_path / "x.csv"
+            assert main(["heightmap", str(tmp_path / name), *spacing, "--out", str(out)]) == EXIT_OK
+            first, *rest = out.read_text().splitlines()
+            return first, rest
+
+        first1, table1 = run("map.csv", "--dx", "1", "--dy", "1")
+        first2, table2 = run("map.csv", "--dx", "2", "--dy", "2")
+        first_header, table_header = run("map.txt")
+        assert first1.endswith(" | input=map.csv dx=1.0 dy=1.0")
+        assert first2.endswith(" | input=map.csv dx=2.0 dy=2.0")
+        assert first_header.endswith(" | input=map.txt")
+        assert table1 != table2 and table2 == table_header
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,nan\n")
@@ -955,6 +976,20 @@ class TestAsymptCommand:
         row = dict(zip(*(ln.split(",") for ln in out.read_text().splitlines()[1:3])))
         assert float(row["prefactor_pred"]) == pytest.approx(
             2 * np.pi * 91783.9 / 13.6919, rel=1e-12)
+
+    def test_provenance_records_given_tol_and_window(self, tmp_path):
+        # --tol and --window change the report, so its first line names
+        # them when given; a run without them writes the line as before.
+        firsts = {}
+        for flags in ([], ["--tol", "0.5"], ["--window", "1,10"], ["--tol", "1e-3", "--window", "2,30"]):
+            out = tmp_path / "rep.csv"
+            main(["asympt", "--preset", "fig2", "--out", str(out), *flags])
+            firsts[" ".join(flags)] = out.read_text().splitlines()[0]
+        plain = firsts[""]
+        assert plain.endswith(" d=[1,300]x150 farfield=4200")
+        assert firsts["--tol 0.5"] == plain + " | tol=0.5"
+        assert firsts["--window 1,10"] == plain + " | window=1.0,10.0"
+        assert firsts["--tol 1e-3 --window 2,30"] == plain + " | tol=0.001 window=2.0,30.0"
 
     @pytest.mark.parametrize("flags", [
         ["--tol", "nan"], ["--tol", "0"], ["--window", "nan,1"], ["--window", "10,1"],

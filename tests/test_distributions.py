@@ -1,6 +1,7 @@
 """Height distribution construction, exact convolution, classification, serialization."""
 
 import importlib.util
+import inspect
 import math
 import pathlib
 import re
@@ -436,6 +437,19 @@ class TestConvolveAnalytic:
 
 
 class TestConvolveNumeric:
+    @pytest.mark.parametrize("fa, fb, message", [
+        (to_sampled(dome_distribution(H), bin_width=1.0), to_sampled(dome_distribution(H), bin_width=2.0),
+         "bin widths differ"),
+        (dome_distribution(H), sphere_distribution(R), "not unit-area normalized"),
+    ], ids=["bin-widths", "unit-area"])
+    def test_warnings_point_at_the_convolve_call(self, fa, fb, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            convolve(fa, fb)
+        (warning,) = [w for w in caught if message in str(w.message)]
+        assert (warning.filename, warning.lineno) == (__file__, line)
+
     def test_sampled_matches_closed_form(self):
         # Numeric path on 2048-point grids against the exact polynomials;
         # the operands' grids differ, so the resample notice is expected.

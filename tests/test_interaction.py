@@ -692,6 +692,21 @@ class TestExpandedTerms:
                 want = _segment_integrals(f.breaks, f.coeffs, sep, kernel)
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("kernel", [heat_sio2_kernel(), casimir_ideal_kernel(1.0)])
+    def test_matches_term_loop_at_fold_block_width(self, kernel):
+        # The fold hands the near branch a block of _FOLD_BLOCK separations
+        # at once.  A degree-17 rough row, and a row with interior zero
+        # coefficients, give the loop's bits over such a block.
+        f = convolve(sphere_distribution(R), truncated_gaussian_distribution(5.0, 10.0))
+        s = int(np.flatnonzero(f.coeffs[:, 17])[0])
+        lo, hi = f.breaks[s], f.breaks[s + 1]
+        d = np.geomspace(1e-12, 1e3, proxint.interaction._FOLD_BLOCK)
+        sparse = np.array([0.5, 0.0, 0.0, -2.0, 0.0, 3.0, 0.0, 0.0, 1.0])
+        for coeffs in (f.coeffs[s], sparse):
+            got = proxint.interaction._expanded(coeffs, lo + d, hi + d, kernel)
+            want = _expanded_loop(coeffs, lo + d, hi + d, kernel)
+            assert got.tobytes() == want.tobytes()
+
 
 FIG2_ROUGHNESS = [(10.0, 20.0), (2.5, 5.0), (10.0, 0.0), (2.5, 0.0)]  # fig2, fig2-inset, s0 = 0
 
