@@ -557,10 +557,10 @@ def _shift_rows(coeffs: np.ndarray, pw: np.ndarray, signed: bool = False) -> np.
     p(delta + t) in t, or reversed, as p(delta - t), if ``signed``;
     pw[e] = delta ** e.  Target k takes c_j C(j, k) delta^(j-k) in ascending j."""
     n = len(coeffs)
-    binom = _binomial_array(n, signed)
+    binom = _binomial_array(n, signed)[:, :, None]
     out = np.zeros(coeffs.shape)
     for j in range(n):
-        term = coeffs[j] * binom[j, : j + 1, None]
+        term = coeffs[j] * binom[j, : j + 1]
         term *= pw[j::-1]
         out[: j + 1] += term
     return out
