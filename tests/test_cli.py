@@ -983,7 +983,7 @@ class TestAsymptCommand:
         firsts = {}
         for flags in ([], ["--tol", "0.5"], ["--window", "1,10"], ["--tol", "1e-3", "--window", "2,30"]):
             out = tmp_path / "rep.csv"
-            main(["asympt", "--preset", "fig2", "--out", str(out), *flags])
+            assert main(["asympt", "--preset", "fig2", "--out", str(out), *flags]) in (EXIT_OK, EXIT_VERIFY)
             firsts[" ".join(flags)] = out.read_text().splitlines()[0]
         plain = firsts[""]
         assert plain.endswith(" d=[1,300]x150 farfield=4200")
